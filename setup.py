@@ -1,7 +1,8 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional Cython KNN voting extension.
 
 If Cython or a C compiler is unavailable the package installs without the
-extension and falls back to the numpy kernels at import time.
+extension and falls back to the numpy kernel at import time. Split search
+is numpy on every install.
 """
 from setuptools import Extension, setup
 

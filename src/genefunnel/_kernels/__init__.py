@@ -1,15 +1,18 @@
 """Kernel backend selection.
 
-The compiled Cython extension is preferred when present; otherwise the
-numpy fallback is used. Set GENEFUNNEL_KERNELS=python or =compiled to
-force a backend (the latter raises if the extension is missing).
+Split search is the numpy kernel on every install. KNN voting uses the
+compiled Cython extension when present, otherwise the numpy fallback.
+Set GENEFUNNEL_KERNELS=python or =compiled to force a backend (the
+latter raises if the extension is missing).
 """
 import os
+
+from . import _fallback
 
 _forced = os.environ.get("GENEFUNNEL_KERNELS", "").lower()
 
 if _forced == "python":
-    from . import _fallback as _impl
+    _impl = _fallback
     BACKEND = "python"
 else:
     try:
@@ -18,10 +21,10 @@ else:
     except ImportError:
         if _forced == "compiled":
             raise
-        from . import _fallback as _impl
+        _impl = _fallback
         BACKEND = "python"
 
-best_split = _impl.best_split
+best_split = _fallback.best_split
 knn_predict = _impl.knn_predict
 
 __all__ = ["BACKEND", "best_split", "knn_predict"]

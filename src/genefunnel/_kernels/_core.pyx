@@ -1,67 +1,13 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Compiled hot kernels: exact greedy split search and brute-force KNN.
+"""Compiled brute-force KNN voting.
 
-Tie-break semantics are identical to ``_fallback.py``; keep both in sync.
+Tie-break semantics are identical to ``_fallback.knn_predict``; the
+parity test in ``tests/test_kernels.py`` compares the two.
 """
 import numpy as np
 cimport numpy as cnp
 
 cnp.import_array()
-
-
-def best_split(x, g, h, double lam, double gamma):
-    """See ``_fallback.best_split``; same contract and tie rules."""
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] xa = np.ascontiguousarray(x, dtype=np.float64)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] ga = np.asarray(g, dtype=np.float64)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] ha = np.asarray(h, dtype=np.float64)
-    cdef Py_ssize_t m = xa.shape[0]
-    cdef Py_ssize_t n = xa.shape[1]
-    # numpy reductions keep the arithmetic identical to the fallback
-    cdef double total_g = float(ga.sum())
-    cdef double total_h = float(ha.sum())
-    cdef Py_ssize_t i, j
-    cdef double parent = total_g * total_g / (total_h + lam)
-
-    cdef Py_ssize_t best_feat = -1
-    cdef double best_thr = 0.0, best_gain = 0.0
-    if m < 2:
-        return -1, 0.0, 0.0
-
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] order
-    cdef double left_g, left_h, right_g, right_h, gain, xs_i, xs_next
-    cdef double feat_gain, feat_thr
-    cdef int found
-    cdef Py_ssize_t oi, oi_next
-    for j in range(n):
-        order = np.argsort(xa[:, j], kind="stable").astype(np.int64)
-        left_g = 0.0
-        left_h = 0.0
-        feat_gain = 0.0
-        feat_thr = 0.0
-        found = 0
-        for i in range(m - 1):
-            oi = order[i]
-            oi_next = order[i + 1]
-            left_g += ga[oi]
-            left_h += ha[oi]
-            xs_i = xa[oi, j]
-            xs_next = xa[oi_next, j]
-            if xs_i == xs_next:
-                continue
-            right_g = total_g - left_g
-            right_h = total_h - left_h
-            gain = 0.5 * (left_g * left_g / (left_h + lam)
-                          + right_g * right_g / (right_h + lam)
-                          - parent) - gamma
-            if not found or gain > feat_gain:
-                feat_gain = gain
-                feat_thr = 0.5 * (xs_i + xs_next)
-                found = 1
-        if found and feat_gain > best_gain:
-            best_gain = feat_gain
-            best_thr = feat_thr
-            best_feat = j
-    return int(best_feat), best_thr, best_gain
 
 
 def knn_predict(train, labels, test, Py_ssize_t k, Py_ssize_t n_classes):
