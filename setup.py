@@ -1,8 +1,9 @@
 """Build script: compiles the optional Cython KNN voting extension.
 
 If Cython or a C compiler is unavailable the package installs without the
-extension and falls back to the numpy kernel at import time. Split search
-is numpy on every install.
+extension and falls back to the numpy kernel at import time. The extension
+serves only the ``knn`` evaluation classifier; split search and GA fitness
+are numpy on every install.
 """
 from setuptools import Extension, setup
 

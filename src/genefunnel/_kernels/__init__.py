@@ -1,9 +1,11 @@
 """Kernel backend selection.
 
-Split search is the numpy kernel on every install. KNN voting uses the
-compiled Cython extension when present, otherwise the numpy fallback.
-Set GENEFUNNEL_KERNELS=python or =compiled to force a backend (the
-latter raises if the extension is missing).
+Split search is the numpy kernel on every install. ``knn_predict``,
+which serves the ``knn`` evaluation classifier, uses the compiled Cython
+extension when present, otherwise the numpy fallback. GA fitness votes
+with the numpy ``knn_vote`` on every install. Set
+GENEFUNNEL_KERNELS=python or =compiled to force a backend (the latter
+raises if the extension is missing).
 """
 import os
 
@@ -25,6 +27,11 @@ else:
         BACKEND = "python"
 
 best_split = _fallback.best_split
+best_split_sorted = _fallback.best_split_sorted
+sort_columns = _fallback.sort_columns
+sorted_partition = _fallback.sorted_partition
+knn_vote = _fallback.knn_vote
 knn_predict = _impl.knn_predict
 
-__all__ = ["BACKEND", "best_split", "knn_predict"]
+__all__ = ["BACKEND", "best_split", "best_split_sorted", "knn_predict",
+           "knn_vote", "sort_columns", "sorted_partition"]

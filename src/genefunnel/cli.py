@@ -19,7 +19,7 @@ import numpy as np
 from . import boosting, ga, pipeline
 from .classifiers import ClassifierSpec
 from .data import impute_knn, load_csv, make_folds, normalize_minmax
-from .errors import GeneFunnelError
+from .errors import GeneFunnelError, ValidationError
 from .stats import cross_validate
 
 EXIT_OK = 0
@@ -300,16 +300,33 @@ def _cmd_compare(args) -> int:
         paths = sorted(Path(d).glob("*.json"))
         if not paths:
             raise FileNotFoundError(f"no report JSON files in {d}")
-        return [pipeline.report_from_json(p.read_text(encoding="utf-8"))
-                for p in paths]
+        reports = {}
+        for p in paths:
+            try:
+                reports[p] = pipeline.report_from_json(
+                    p.read_text(encoding="utf-8"))
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            except (GeneFunnelError, AttributeError, KeyError, TypeError,
+                    ValueError) as exc:
+                raise ValidationError(
+                    f"{p}: not a valid report ({type(exc).__name__}: {exc})"
+                ) from exc
+        return reports
+
+    def summaries(reports, kind):
+        for p, r in reports.items():
+            if kind not in r.summaries:
+                raise ValidationError(f"{p}: no {kind!r} classifier summary")
+        return [r.summaries[kind] for r in reports.values()]
 
     reports_a = read_dir(args.a)
     reports_b = read_dir(args.b)
     kind = args.classifier
     if kind is None:
-        kind = next(iter(reports_a[0].summaries))
-    summaries_a = [r.summaries[kind] for r in reports_a]
-    summaries_b = [r.summaries[kind] for r in reports_b]
+        first = next(iter(reports_a.values()))
+        kind = next(iter(first.summaries), None)
+    summaries_a = summaries(reports_a, kind)
+    summaries_b = summaries(reports_b, kind)
     result = pipeline.compare_reports(summaries_a, summaries_b,
                                       alpha=args.alpha, metric=args.metric)
     doc = {

@@ -4,6 +4,17 @@ Fitness is internal stratified-CV KNN accuracy of the masked dataset.
 The subset-size objective enters lexicographically: ties on fitness go
 to the chromosome with fewer selected genes, both in tournaments and in
 final-best selection.
+
+Every fitness value comes from one batched numpy kernel,
+``_FitnessKernel``. Once per ``evolve`` it caches, for each internal
+fold, the per-gene squared differences between the fold's test rows and
+its training rows, so the squared distances of a whole batch of masks
+are one matrix product per fold. The k nearest training rows are picked
+by k argmin passes (distance ties go to the lower sample index) and
+``knn_vote`` applies the vote tie rule of the ``knn`` classifier. Test
+rows are unlabeled queries, so any fold may lack a class. ``evolve``
+scores the new masks of each generation in one call, each distinct mask
+once; ``fitness`` scores one mask through the same kernel.
 """
 from __future__ import annotations
 
@@ -12,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, predict, train
-from .data import Dataset, FoldPlan, make_folds, project
+from ._kernels import knn_vote
+from .data import Dataset, make_folds
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -108,13 +119,89 @@ def init_population(n_prime: int, cfg: GaConfig,
     return pop
 
 
-def _internal_fold_plan(ds: Dataset, cfg: GaConfig) -> FoldPlan:
-    k = min(cfg.fitness_folds, ds.n_samples)  # leave-one-out fallback
-    return make_folds(ds.labels, k=k, rounds=1, seed=cfg.seed)
+# Largest float64 block the fitness kernel holds: the pair tensors of one
+# gene block, or the distances of one chunk of masks to one fold.
+_BLOCK_BYTES = 2 << 20
 
 
-def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig,
-            plan: FoldPlan | None = None) -> float:
+class _FitnessKernel:
+    """Internal-CV KNN accuracy of many gene masks over one dataset.
+
+    The fold plan has one round, so each sample is a test query in
+    exactly one fold, and that fold's training rows are all the others.
+    Per fold, a gene-major tensor T[j, a*|train| + b] holds
+    (x[test[a], j] - x[train[b], j])**2, so the squared distances of a
+    chunk of masks are one product ``masks @ T``. Chunks and gene blocks
+    keep every array within _BLOCK_BYTES; with more than one gene block,
+    each chunk sums its distances block by block and rebuilds the
+    tensors, which are cached only when all genes fit in one block.
+    """
+
+    def __init__(self, ds: Dataset, cfg: GaConfig):
+        m = ds.n_samples
+        k = min(cfg.fitness_folds, m)  # leave-one-out fallback
+        plan = make_folds(ds.labels, k=k, rounds=1, seed=cfg.seed)
+        self._splits = [(test, train) for _, _, train, test in plan.splits()]
+        self._x = ds.values
+        self._labels = ds.labels
+        self._n_classes = ds.n_classes
+        self._knn_k = cfg.fitness_knn_k
+        pairs = [test.size * train.size for test, train in self._splits]
+        self._chunk = max(1, _BLOCK_BYTES // (8 * max(pairs)))
+        n = ds.n_genes
+        step = max(1, _BLOCK_BYTES // (8 * sum(pairs)))
+        self._gene_blocks = [slice(a, min(a + step, n))
+                             for a in range(0, n, step)]
+        self._tensors = ([self._pair_tensor(test, train, self._gene_blocks[0])
+                          for test, train in self._splits]
+                         if len(self._gene_blocks) == 1 else None)
+
+    def _pair_tensor(self, test, train, genes: slice) -> np.ndarray:
+        xq = self._x[test, genes].T
+        xt = self._x[train, genes].T
+        t = xq[:, :, None] - xt[:, None, :]
+        np.square(t, out=t)
+        return t.reshape(t.shape[0], -1)
+
+    def scores(self, masks: np.ndarray) -> list[float]:
+        """Fitness of each row of a (B, N') 0/1 mask matrix."""
+        out = []
+        for a in range(0, masks.shape[0], self._chunk):
+            out.extend(self._score_chunk(masks[a:a + self._chunk]))
+        return out
+
+    def _score_chunk(self, masks: np.ndarray) -> list[float]:
+        weights = masks.astype(np.float64)
+        accuracies = np.empty((masks.shape[0], len(self._splits)))
+        for f, (test, train) in enumerate(self._splits):
+            d = None
+            for genes in self._gene_blocks:
+                tensor = (self._tensors[f] if self._tensors is not None
+                          else self._pair_tensor(test, train, genes))
+                part = weights[:, genes] @ tensor
+                if d is None:
+                    d = part
+                else:
+                    d += part
+            d = d.reshape(-1, test.size, train.size)
+            # k argmin passes: the first minimum is the lowest row, so
+            # the picks come in (distance, row index) order
+            k = min(self._knn_k, train.size)
+            nearest = np.empty(d.shape[:2] + (k,), dtype=np.int64)
+            for p in range(k):
+                pick = np.argmin(d, axis=2)
+                nearest[:, :, p] = pick
+                np.put_along_axis(d, pick[:, :, None], np.inf, axis=2)
+            del d
+            nearest_labels = self._labels[train][nearest]
+            predicted = knn_vote(nearest_labels.reshape(-1, k),
+                                 self._n_classes)
+            correct = predicted.reshape(-1, test.size) == self._labels[test]
+            accuracies[:, f] = np.mean(correct, axis=1)
+        return [float(np.mean(row)) for row in accuracies]
+
+
+def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig) -> float:
     """Mean internal-CV KNN accuracy of the dataset masked by the chromosome.
 
     Fold assignments derive from cfg.seed only, so every chromosome is
@@ -126,22 +213,8 @@ def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig,
         raise ValidationError("chromosome length does not match gene count")
     if chrom.n_selected() == 0:
         raise ValidationError("chromosome selects no genes")
-    if plan is None:
-        plan = _internal_fold_plan(ds_stage1, cfg)
-    sub = project(ds_stage1, np.flatnonzero(chrom.bits))
-
-    accuracies = []
-    for _, _, train_idx, test_idx in plan.splits():
-        k = min(cfg.fitness_knn_k, train_idx.size)
-        spec = ClassifierSpec(kind="knn", knn_k=k, seed=cfg.seed)
-        train_ds = Dataset(sub.values[train_idx], sub.labels[train_idx],
-                           sub.gene_ids, sub.class_names, sub.name)
-        model = train(spec, train_ds)
-        predicted = predict(model, Dataset(
-            sub.values[test_idx], sub.labels[test_idx],
-            sub.gene_ids, sub.class_names, sub.name))
-        accuracies.append(float(np.mean(predicted == sub.labels[test_idx])))
-    chrom.cached_fitness = float(np.mean(accuracies))
+    kernel = _FitnessKernel(ds_stage1, cfg)
+    chrom.cached_fitness = kernel.scores(chrom.bits[None, :])[0]
     return chrom.cached_fitness
 
 
@@ -199,17 +272,25 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     (fitness desc, set-bit count asc, bitstring asc) and a per-generation
     trace."""
     rng = np.random.default_rng(cfg.seed)
-    plan = _internal_fold_plan(ds_stage1, cfg)
+    kernel = _FitnessKernel(ds_stage1, cfg)
     memo: dict[bytes, float] = {}
 
     def evaluate(pop: list[Chromosome]):
+        fresh: dict[bytes, list[Chromosome]] = {}
         for c in pop:
             if c.cached_fitness is None:
                 key = c.key()
                 if key in memo:
                     c.cached_fitness = memo[key]
                 else:
-                    memo[key] = fitness(c, ds_stage1, cfg, plan)
+                    fresh.setdefault(key, []).append(c)
+        if not fresh:
+            return
+        masks = np.array([same[0].bits for same in fresh.values()])
+        for (key, same), value in zip(fresh.items(), kernel.scores(masks)):
+            memo[key] = value
+            for c in same:
+                c.cached_fitness = value
 
     pop = init_population(ds_stage1.n_genes, cfg, rng)
     trace = GaTrace()

@@ -92,6 +92,16 @@ class TestSelect:
         assert "(+/-" in md.read_text()
         assert trace.read_text().startswith("generation,")
 
+    def test_class_smaller_than_ga_fold_count(self, tmp_path):
+        # 4 samples per class against the GA's 5 internal folds
+        data = tmp_path / "small.csv"
+        assert main(["synth", "--out", str(data), "--samples", "12",
+                     "--genes", "40", "--classes", "3", "--seed", "1"]) == 0
+        assert main(["select", "--data", str(data), "--trees", "5",
+                     "--pop", "10", "--gens", "2", "--cv-k", "3",
+                     "--cv-rounds", "1",
+                     "--out", str(tmp_path / "r.json")]) == 0
+
     def test_timings_flag_includes_runtimes(self, synth_csv, tmp_path):
         path, _ = synth_csv
         out = tmp_path / "timed.json"
@@ -179,6 +189,58 @@ class TestCompare:
         (tmp_path / "b").mkdir()
         assert main(["compare", "--a", str(tmp_path / "a"),
                      "--b", str(tmp_path / "b")]) == 2
+
+
+class TestCompareMalformedReports:
+    @pytest.fixture(scope="class")
+    def report_doc(self, synth_csv, tmp_path_factory):
+        path, _ = synth_csv
+        out = tmp_path_factory.mktemp("report") / "r.json"
+        assert main(["select", "--data", str(path), "--seed", "1",
+                     *SELECT_FAST, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("dataset_name"),
+        lambda doc: doc.update(summaries=[]),
+        lambda doc: doc["summaries"]["knn"].pop("means"),
+        lambda doc: doc.update(schema_version=99),
+    ], ids=["no_dataset_name", "summaries_list", "no_means",
+            "schema_99"])
+    def test_partial_report_exits_1(self, report_doc, tmp_path, capsys,
+                                    edit):
+        doc = json.loads(json.dumps(report_doc))
+        edit(doc)
+        self._check(tmp_path, capsys, json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", "", "\xff"],
+                             ids=["bad_json", "json_array", "empty",
+                                  "not_utf8"])
+    def test_unreadable_report_exits_1(self, tmp_path, capsys, text):
+        self._check(tmp_path, capsys, text)
+
+    def test_missing_classifier_exits_1(self, report_doc, tmp_path, capsys):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            (tmp_path / d / "r0.json").write_text(json.dumps(report_doc))
+        assert main(["compare", "--a", str(tmp_path / "a"),
+                     "--b", str(tmp_path / "b"),
+                     "--classifier", "linear_svm"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "linear_svm" in err
+
+    @staticmethod
+    def _check(tmp_path, capsys, text):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        good = tmp_path / "b" / "r0.json"
+        good.write_text("{}")
+        bad = tmp_path / "a" / "r0.json"
+        bad.write_text(text, encoding="latin-1")
+        assert main(["compare", "--a", str(tmp_path / "a"),
+                     "--b", str(good.parent)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(bad) in err
 
 
 class TestTrace:

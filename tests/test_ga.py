@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from genefunnel.data import Dataset
+from genefunnel import ga
+from genefunnel.data import Dataset, make_folds
 from genefunnel.errors import ConfigError, ValidationError
 from genefunnel.ga import (Chromosome, GaConfig, decode, evolve, fitness,
                            init_population, mutate, tournament_select,
@@ -11,6 +12,40 @@ from genefunnel.ga import (Chromosome, GaConfig, decode, evolve, fitness,
 
 def chrom(bits):
     return Chromosome(np.asarray(bits, dtype=np.uint8))
+
+
+def oracle_fitness(bits, ds, cfg):
+    """Per-fold loop over the brute-force KNN oracle: the internal-CV
+    accuracy that the batched kernel must reproduce bit for bit."""
+    x = ds.values[:, np.flatnonzero(bits)]
+    plan = make_folds(ds.labels, k=min(cfg.fitness_folds, ds.n_samples),
+                      rounds=1, seed=cfg.seed)
+    accuracies = []
+    for _, _, train_idx, test_idx in plan.splits():
+        k = min(cfg.fitness_knn_k, train_idx.size)
+        predicted = [oracles.knn_label_bruteforce(
+            x[train_idx], ds.labels[train_idx], x[q], k, ds.n_classes)
+            for q in test_idx]
+        accuracies.append(float(np.mean(
+            np.array(predicted) == ds.labels[test_idx])))
+    return float(np.mean(accuracies))
+
+
+def random_dataset(rng, m, n, c, duplicate_rows=False):
+    labels = np.arange(m) % c
+    rng.shuffle(labels)
+    x = rng.normal(size=(m, n)) + labels[:, None] * rng.normal(size=n)
+    if duplicate_rows:
+        # exact distance ties: repeated rows, some with another label
+        x[m // 2:] = x[:m - m // 2]
+    return Dataset(x, labels, tuple(f"g{i}" for i in range(n)),
+                   tuple(f"c{i}" for i in range(c)))
+
+
+def random_masks(rng, count, n):
+    masks = (rng.random((count, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+    masks[masks.sum(axis=1) == 0, 0] = 1
+    return masks
 
 
 class TestConfig:
@@ -96,6 +131,80 @@ class TestFitness:
     def test_length_mismatch(self, separable_ds):
         with pytest.raises(ValidationError):
             fitness(chrom([1, 0]), separable_ds, GaConfig())
+
+    @pytest.mark.parametrize("m, n, c, knn_k, folds, duplicate_rows", [
+        (30, 8, 2, 5, 5, False),
+        (31, 6, 2, 4, 3, True),    # even k: vote ties
+        (36, 10, 3, 2, 4, False),
+        (33, 7, 3, 6, 5, True),
+        (40, 9, 4, 4, 5, False),
+        (28, 5, 4, 3, 2, True),
+        (7, 4, 2, 6, 5, False),    # k capped at 5 rows in two folds
+        (5, 3, 2, 5, 10, False),   # leave-one-out, k capped at 4 rows
+    ])
+    def test_matches_per_fold_oracle(self, m, n, c, knn_k, folds,
+                                     duplicate_rows):
+        rng = np.random.default_rng(m * 100 + n)
+        ds = random_dataset(rng, m, n, c, duplicate_rows)
+        cfg = GaConfig(fitness_knn_k=knn_k, fitness_folds=folds, seed=m)
+        masks = random_masks(rng, 12, n)
+        masks[7] = masks[2]  # one batch holding the same mask twice
+        expected = [oracle_fitness(b, ds, cfg) for b in masks]
+        assert ga._FitnessKernel(ds, cfg).scores(masks) == expected
+        assert [fitness(chrom(b), ds, cfg) for b in masks] == expected
+
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2],  # 4 per class, 5 folds
+        [0, 1, 0, 1, 0, 1, 0, 2, 1, 0, 1, 0],  # class 2 has one member
+    ])
+    def test_class_smaller_than_fold_count(self, labels):
+        # some test folds lack a class, and a singleton class is missing
+        # from the training rows of its own fold
+        rng = np.random.default_rng(8)
+        ds = Dataset(rng.normal(size=(12, 6)), labels,
+                     tuple(f"g{i}" for i in range(6)), ("a", "b", "c"))
+        cfg = GaConfig(seed=1)
+        for bits in random_masks(rng, 8, 6):
+            assert fitness(chrom(bits), ds, cfg) == oracle_fitness(bits, ds,
+                                                                   cfg)
+
+
+class TestFitnessChunks:
+    """A batch must score the same whether it is one block or spans
+    several mask chunks and gene blocks."""
+
+    @pytest.fixture
+    def dyadic_ds(self):
+        # multiples of 1/4: every distance sum is exact in any order, and
+        # exact distance ties are common
+        rng = np.random.default_rng(12)
+        m, n = 30, 7
+        labels = np.arange(m) % 3
+        x = rng.integers(-6, 7, size=(m, n)) / 4 + labels[:, None] / 2
+        return Dataset(x, labels, tuple(f"g{i}" for i in range(n)),
+                       ("a", "b", "c"))
+
+    def test_small_budget_gives_identical_results(self, dyadic_ds,
+                                                  monkeypatch):
+        ds = dyadic_ds
+        cfg = GaConfig(population_size=16, iterations=6, fitness_knn_k=4,
+                       fitness_folds=3, seed=3)
+        masks = random_masks(np.random.default_rng(13), 20, ds.n_genes)
+        one_block = ga._FitnessKernel(ds, cfg)
+        assert len(one_block._gene_blocks) == 1
+        scores = one_block.scores(masks)
+        best, trace = evolve(ds, cfg)
+
+        # 10 test and 20 training rows per fold: 9 masks per chunk of
+        # 200 distances each, and 3 genes per block of 600 pairs per gene
+        monkeypatch.setattr(ga, "_BLOCK_BYTES", 3 * 600 * 8 + 5)
+        blocked = ga._FitnessKernel(ds, cfg)
+        assert blocked._chunk == 9 and len(blocked._gene_blocks) == 3
+        assert blocked.scores(masks) == scores
+        assert scores == [oracle_fitness(b, ds, cfg) for b in masks]
+        best_b, trace_b = evolve(ds, cfg)
+        assert np.array_equal(best.bits, best_b.bits)
+        assert vars(trace) == vars(trace_b)
 
 
 class TestTournament:
@@ -260,6 +369,28 @@ class TestEvolve:
         assert best_subset == (2, 4)
         best, _ = evolve(ga_toy_ds, cfg)
         assert tuple(np.flatnonzero(best.bits)) == best_subset
+
+    def test_scores_each_new_mask_once(self, monkeypatch):
+        # three genes and 20 chromosomes: generations repeat masks, and
+        # each batch must hold only masks never scored before
+        rng = np.random.default_rng(14)
+        ds = random_dataset(rng, 24, 3, 2)
+        cfg = GaConfig(population_size=20, iterations=5, seed=2)
+        batches = []
+        score = ga._FitnessKernel.scores
+
+        def recording(self, masks):
+            batches.append(masks.copy())
+            return score(self, masks)
+
+        monkeypatch.setattr(ga._FitnessKernel, "scores", recording)
+        _, trace = evolve(ds, cfg)
+        seen = [bytes(row) for batch in batches for row in batch]
+        assert len(seen) == len(set(seen)) <= 7
+        monkeypatch.undo()
+        fits = {bytes(b): oracle_fitness(b, ds, cfg)
+                for batch in batches for b in batch}
+        assert trace.best_fitness[-1] == max(fits.values())
 
     def test_trace_csv_round_trip(self, ga_toy_ds, tmp_path):
         cfg = GaConfig(population_size=10, iterations=3, seed=1)

@@ -67,6 +67,49 @@ class TestFallbackAgainstOracles:
                 np.column_stack(cols), g, h, 1.0, 0.0)
             assert (feat, gain > 0) == (expected, True)
 
+    def test_best_split_gamma_lowers_gain_and_can_veto(self):
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=(12, 4))
+        g = rng.normal(size=12)
+        h = rng.random(12) + 0.1
+        feat, thr, gain = _fallback.best_split(x, g, h, 1.0, 0.0)
+        assert gain > 0.0
+        gamma = gain / 4
+        assert _fallback.best_split(x, g, h, 1.0, gamma) == (
+            feat, thr, gain - gamma)
+        assert _fallback.best_split(x, g, h, 1.0, 2 * gain) == (-1, 0.0, 0.0)
+
+    def test_sort_columns_is_a_stable_sort(self):
+        # heavy ties, 0.0 and -0.0 among them: rows of equal values keep
+        # row order, and the values follow their rows
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            x = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5],
+                           size=(int(rng.integers(1, 30)), 7))
+            xs, order = _fallback.sort_columns(x)
+            want = np.argsort(x.T, axis=1, kind="stable")
+            assert np.array_equal(order, want)
+            want_xs = np.take_along_axis(x.T, want, axis=1)
+            assert np.array_equal(xs, want_xs)
+            assert np.array_equal(np.signbit(xs), np.signbit(want_xs))
+
+    def test_sorted_partition_matches_sorting_each_part(self):
+        # both parts must come out exactly as a stable sort of their own
+        # rows would order them, ties in row order
+        rng = np.random.default_rng(26)
+        x = np.round(rng.normal(size=(15, 6)))
+        order = np.argsort(x.T, axis=1, kind="stable")
+        xs = np.take_along_axis(x.T, order, axis=1)
+        first = rng.random(15) < 0.4
+        got_xs, got_order = _fallback.sorted_partition(xs, order, first)
+        n_first = int(first.sum())
+        for cols, rows in ((slice(None, n_first), np.flatnonzero(first)),
+                           (slice(n_first, None), np.flatnonzero(~first))):
+            want = rows[np.argsort(x[rows].T, axis=1, kind="stable")]
+            assert np.array_equal(got_order[:, cols], want)
+            assert np.array_equal(got_xs[:, cols],
+                                  np.take_along_axis(x.T, want, axis=1))
+
     def test_best_split_first_exact_tie_candidate(self):
         # Integer-valued data is full of tied values and of exactly tied
         # gains. Tied splits that give the children the same gradient and
