@@ -166,13 +166,38 @@ def _emit(text: str, path):
         sys.stdout.write(text)
 
 
-def _apply_config_file(args, parser_defaults):
+def _config_value(action, val):
+    """Convert one config-file value the way its flag's argparse action
+    would; raises ValueError or TypeError on a value the flag rejects."""
+    if not isinstance(val, (str, int, float)):
+        raise TypeError(f"expected a scalar, got {type(val).__name__}")
+    if action.nargs == 0:  # store_true
+        text = str(val).lower()
+        if text not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"expected true or false, got {val!r}")
+        return text in ("1", "true", "yes")
+    if isinstance(val, bool):
+        raise TypeError("expected a number or string, got a boolean")
+    val = action.type(str(val)) if action.type else str(val)
+    if action.choices and val not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return val
+
+
+def _apply_config_file(args, actions, given):
     """Overlay config-file values under explicit flags: file beats
-    defaults, command line beats file."""
+    defaults, command line beats file.
+
+    ``actions`` maps each flag's dest to its argparse action; ``given``
+    holds the dests set on the command line, whatever their value.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GeneFunnelError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         values = json.loads(text)
     except json.JSONDecodeError:
@@ -185,21 +210,34 @@ def _apply_config_file(args, parser_defaults):
                 raise GeneFunnelError(f"{path}: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
+    if not isinstance(values, dict):
+        raise GeneFunnelError(f"{path}: expected a JSON object or key=value "
+                              "lines")
     for key, val in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or attr == "config":
             raise GeneFunnelError(f"{path}: unknown config key {key!r}")
+        try:
+            val = _config_value(actions[attr], val)
+        except (TypeError, ValueError) as exc:
+            raise GeneFunnelError(
+                f"{path}: bad value for config key {key!r}: {exc}") from exc
         # explicit command-line flags keep priority
-        if getattr(args, attr) == parser_defaults.get(attr):
-            current = parser_defaults.get(attr)
-            if isinstance(current, bool):
-                val = str(val).lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                val = int(val)
-            elif isinstance(current, float):
-                val = float(val)
+        if attr not in given:
             setattr(args, attr, val)
     return args
+
+
+def _given_dests(argv) -> set:
+    """Dests that the command line sets, found by parsing it again with
+    every default suppressed: a flag given with its default value counts
+    as given."""
+    parser = build_parser()
+    subparsers = parser._subparsers._group_actions[0].choices.values()
+    for p in (parser, *subparsers):
+        for action in p._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
 
 
 def _cmd_synth(args) -> int:
@@ -248,8 +286,8 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _cmd_select(args, defaults) -> int:
-    args = _apply_config_file(args, defaults)
+def _cmd_select(args, actions, given) -> int:
+    args = _apply_config_file(args, actions, given)
     ds = _load_prepared(args)
     cfg = pipeline.PipelineConfig(
         boost=_boost_params(args), ga=_ga_config(args),
@@ -297,13 +335,14 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_compare(args) -> int:
     def read_dir(d):
+        """Reports of one directory by dataset name, as (path, report)."""
         paths = sorted(Path(d).glob("*.json"))
         if not paths:
             raise FileNotFoundError(f"no report JSON files in {d}")
-        reports = {}
+        named = {}
         for p in paths:
             try:
-                reports[p] = pipeline.report_from_json(
+                report = pipeline.report_from_json(
                     p.read_text(encoding="utf-8"))
             # JSONDecodeError and UnicodeDecodeError are ValueErrors
             except (GeneFunnelError, AttributeError, KeyError, TypeError,
@@ -311,22 +350,35 @@ def _cmd_compare(args) -> int:
                 raise ValidationError(
                     f"{p}: not a valid report ({type(exc).__name__}: {exc})"
                 ) from exc
-        return reports
+            name = report.dataset_name
+            if not isinstance(name, str):
+                raise ValidationError(
+                    f"{p}: not a valid report (dataset_name is not a string)")
+            if name in named:
+                raise ValidationError(f"{d}: dataset {name!r} is in both "
+                                      f"{named[name][0]} and {p}")
+            named[name] = (p, report)
+        return named
 
-    def summaries(reports, kind):
-        for p, r in reports.items():
+    def summaries(named, kind):
+        for p, r in named.values():
             if kind not in r.summaries:
                 raise ValidationError(f"{p}: no {kind!r} classifier summary")
-        return [r.summaries[kind] for r in reports.values()]
+        return [named[name][1].summaries[kind] for name in sorted(named)]
 
-    reports_a = read_dir(args.a)
-    reports_b = read_dir(args.b)
+    named_a = read_dir(args.a)
+    named_b = read_dir(args.b)
+    unpaired = sorted(set(named_a) ^ set(named_b))
+    if unpaired:
+        raise ValidationError(
+            f"datasets not in both {args.a} and {args.b}: "
+            + ", ".join(map(repr, unpaired)))
     kind = args.classifier
     if kind is None:
-        first = next(iter(reports_a.values()))
+        _, first = next(iter(named_a.values()))
         kind = next(iter(first.summaries), None)
-    summaries_a = summaries(reports_a, kind)
-    summaries_b = summaries(reports_b, kind)
+    summaries_a = summaries(named_a, kind)
+    summaries_b = summaries(named_b, kind)
     result = pipeline.compare_reports(summaries_a, summaries_b,
                                       alpha=args.alpha, metric=args.metric)
     doc = {
@@ -361,11 +413,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    defaults = {a.dest: a.default for a in parser._actions}
-    for sub_action in parser._subparsers._group_actions:
-        sub = sub_action.choices.get(args.command)
-        if sub is not None:
-            defaults.update({a.dest: a.default for a in sub._actions})
+    sub = parser._subparsers._group_actions[0].choices[args.command]
+    actions = {a.dest: a for a in sub._actions if a.option_strings
+               and a.dest != "help"}
 
     try:
         if args.command == "synth":
@@ -373,7 +423,7 @@ def main(argv=None) -> int:
         if args.command == "rank":
             return _cmd_rank(args)
         if args.command == "select":
-            return _cmd_select(args, defaults)
+            return _cmd_select(args, actions, _given_dests(argv))
         if args.command == "evaluate":
             return _cmd_evaluate(args)
         if args.command == "compare":

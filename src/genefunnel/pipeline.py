@@ -7,6 +7,7 @@ inside every outer training fold and scores only the held-out fold.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -19,7 +20,7 @@ from .classifiers import ClassifierSpec
 from .data import Dataset, make_folds, project
 from .errors import PipelineError, ValidationError
 from .stats import (METRIC_NAMES, CvSummary, WilcoxonResult,
-                    cross_validate, score_split, wilcoxon_signed_rank)
+                    cross_validate, score_splits, wilcoxon_signed_rank)
 
 __all__ = [
     "PipelineConfig",
@@ -145,12 +146,10 @@ def _select_genes(ds: Dataset, cfg: PipelineConfig, seed_offset=None):
     boost_params = cfg.boost
     ga_cfg = cfg.ga
     if seed_offset is not None:
-        boost_params = boosting.BoostParams(
-            **{**_boost_dict(boost_params),
-               "seed": _derive_seed(boost_params.seed, seed_offset)})
-        ga_cfg = ga.GaConfig(
-            **{**_ga_dict(ga_cfg),
-               "seed": _derive_seed(ga_cfg.seed, seed_offset)})
+        boost_params = dataclasses.replace(
+            boost_params, seed=_derive_seed(boost_params.seed, seed_offset))
+        ga_cfg = dataclasses.replace(
+            ga_cfg, seed=_derive_seed(ga_cfg.seed, seed_offset))
     model = boosting.fit(ds, ds.labels, boost_params)
     report = boosting.importances(model)
     try:
@@ -222,10 +221,9 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
 
 
 def _nested_evaluate(ds: Dataset, cfg: PipelineConfig, plan) -> dict:
-    """Re-run both selection stages inside each outer training fold and
-    score only the held-out fold."""
-    results = {spec.kind: [] for spec in cfg.eval_classifiers}
-    skipped = []
+    """Re-run both selection stages inside each outer training fold, then
+    score each classifier on the held-out folds, all folds together."""
+    splits, skipped = [], []
     for r, f, train_idx, test_idx in plan.splits():
         train_labels = ds.labels[train_idx]
         if np.unique(train_labels).size != ds.n_classes:
@@ -233,23 +231,15 @@ def _nested_evaluate(ds: Dataset, cfg: PipelineConfig, plan) -> dict:
             continue
         train_ds = Dataset(ds.values[train_idx], train_labels,
                            ds.gene_ids, ds.class_names, ds.name)
-        test_ds = Dataset(ds.values[test_idx], ds.labels[test_idx],
-                          ds.gene_ids, ds.class_names, ds.name)
         _, _, final, _ = _select_genes(train_ds, cfg, seed_offset=(r, f))
-        for spec in cfg.eval_classifiers:
-            results[spec.kind].append(score_split(
-                project(train_ds, final), project(test_ds, final), spec))
+        splits.append((project(train_ds, final),
+                       ds.values[np.ix_(test_idx, final)],
+                       ds.labels[test_idx]))
     summaries = {}
-    for kind, fold_results in results.items():
-        if not fold_results:
+    for spec in cfg.eval_classifiers:
+        if not splits:
             raise PipelineError("every nested fold was skipped")
-        means = {name: float(np.mean([getattr(x, name) for x in fold_results]))
-                 for name in METRIC_NAMES}
-        stds = {name: float(np.std([getattr(x, name) for x in fold_results]))
-                for name in METRIC_NAMES}
-        summaries[kind] = CvSummary(fold_results=tuple(fold_results),
-                                    means=means, stds=stds,
-                                    skipped_folds=tuple(skipped))
+        summaries[spec.kind] = score_splits(spec, splits, skipped)
     return summaries
 
 
@@ -269,49 +259,19 @@ def _ms(seconds: float) -> float:
     return round(seconds, 3)
 
 
-def _boost_dict(p: boosting.BoostParams) -> dict:
-    return {k: getattr(p, k) for k in
-            ("n_estimators", "max_depth", "subsample", "learning_rate",
-             "lam", "gamma", "loss", "seed")}
-
-
-def _ga_dict(g: ga.GaConfig) -> dict:
-    return {k: getattr(g, k) for k in
-            ("population_size", "iterations", "crossover_prob",
-             "mutation_prob", "tournament_size", "elitism_count",
-             "fitness_knn_k", "fitness_folds", "seed")}
-
-
-def _clf_dict(s: ClassifierSpec) -> dict:
-    return {k: getattr(s, k) for k in
-            ("kind", "knn_k", "svm_c", "svm_epochs", "nb_var_smoothing", "seed")}
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "boost": _boost_dict(cfg.boost),
-        "ga": _ga_dict(cfg.ga),
-        "eval_classifiers": [_clf_dict(s) for s in cfg.eval_classifiers],
-        "cv_k": cfg.cv_k,
-        "cv_rounds": cfg.cv_rounds,
-        "protocol": cfg.protocol,
-        "impute_neighbors": cfg.impute_neighbors,
-        "seed": cfg.seed,
-    }
+    doc = dataclasses.asdict(cfg)
+    doc["eval_classifiers"] = list(doc["eval_classifiers"])
+    return doc
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
-    return PipelineConfig(
-        boost=boosting.BoostParams(**d["boost"]),
-        ga=ga.GaConfig(**d["ga"]),
-        eval_classifiers=tuple(ClassifierSpec(**s)
-                               for s in d["eval_classifiers"]),
-        cv_k=d["cv_k"],
-        cv_rounds=d["cv_rounds"],
-        protocol=d["protocol"],
-        impute_neighbors=d["impute_neighbors"],
-        seed=d["seed"],
-    )
+    values = {f.name: d[f.name] for f in dataclasses.fields(PipelineConfig)}
+    values["boost"] = boosting.BoostParams(**values["boost"])
+    values["ga"] = ga.GaConfig(**values["ga"])
+    values["eval_classifiers"] = tuple(
+        ClassifierSpec(**s) for s in values["eval_classifiers"])
+    return PipelineConfig(**values)
 
 
 def report_to_dict(report: PipelineReport, include_timings: bool = True) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, predict, train
+from .classifiers import ClassifierSpec, predict, train, train_many
 from .data import Dataset, FoldPlan, project
 from .errors import ValidationError
 
@@ -25,6 +25,7 @@ __all__ = [
     "metrics",
     "cross_validate",
     "score_split",
+    "score_splits",
     "wilcoxon_signed_rank",
 ]
 
@@ -135,6 +136,29 @@ def score_split(train_ds: Dataset, test_ds: Dataset,
     return metrics(confusion(test_ds.labels, predicted, train_ds.n_classes))
 
 
+def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
+    """Train one model per split with one ``train_many`` call, score each
+    on its held-out rows and summarize the folds.
+
+    ``splits`` holds (training Dataset, held-out values, held-out labels)
+    triples. The held-out part may legitimately miss classes, so it is
+    scored as an unlabeled query set rather than a full Dataset.
+    """
+    models = train_many(spec, [train_ds for train_ds, _, _ in splits])
+    results = []
+    for model, (train_ds, values, actual) in zip(models, splits):
+        query = Dataset(values, np.zeros(actual.size, dtype=np.int64),
+                        train_ds.gene_ids, ("query",), train_ds.name)
+        results.append(metrics(confusion(actual, predict(model, query),
+                                         model.n_classes)))
+    means = {name: float(np.mean([getattr(r, name) for r in results]))
+             for name in METRIC_NAMES}
+    stds = {name: float(np.std([getattr(r, name) for r in results]))
+            for name in METRIC_NAMES}
+    return CvSummary(fold_results=tuple(results), means=means, stds=stds,
+                     skipped_folds=tuple(skipped))
+
+
 def _slice_rows(ds: Dataset, rows: np.ndarray, require_all_classes: bool):
     labels = ds.labels[rows]
     if require_all_classes and np.unique(labels).size != ds.n_classes:
@@ -147,32 +171,20 @@ def cross_validate(gene_subset, ds: Dataset, spec: ClassifierSpec,
     """Repeated stratified CV of one classifier on a projected gene subset.
 
     Folds whose training partition misses a class are skipped and
-    recorded, never silently dropped.
+    recorded, never silently dropped. The models of all other folds are
+    trained together.
     """
     sub = project(ds, gene_subset)
-    results, skipped = [], []
+    splits, skipped = [], []
     for r, f, train_idx, test_idx in plan.splits():
         train_ds = _slice_rows(sub, train_idx, require_all_classes=True)
         if train_ds is None:
             skipped.append((r, f))
             continue
-        # the held-out fold may legitimately miss classes, so score it as
-        # an unlabeled query set rather than a full Dataset
-        model = train(spec, train_ds)
-        query = Dataset(sub.values[test_idx],
-                        np.zeros(test_idx.size, dtype=np.int64),
-                        sub.gene_ids, ("query",), sub.name)
-        predicted = predict(model, query)
-        results.append(metrics(confusion(sub.labels[test_idx], predicted,
-                                         sub.n_classes)))
-    if not results:
+        splits.append((train_ds, sub.values[test_idx], sub.labels[test_idx]))
+    if not splits:
         raise ValidationError("every fold was skipped; cannot summarize")
-    means = {name: float(np.mean([getattr(r, name) for r in results]))
-             for name in METRIC_NAMES}
-    stds = {name: float(np.std([getattr(r, name) for r in results]))
-            for name in METRIC_NAMES}
-    return CvSummary(fold_results=tuple(results), means=means, stds=stds,
-                     skipped_folds=tuple(skipped))
+    return score_splits(spec, splits, skipped)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

@@ -157,3 +157,42 @@ def knn_label_bruteforce(train, labels, query, k, n_classes):
 def all_subsets(n):
     for r in range(1, n + 1):
         yield from itertools.combinations(range(n), r)
+
+
+def pegasos_binary(x, y_pm, spec, rng):
+    """The sequential Pegasos loop on one binary problem (y_pm in {-1, +1}),
+    one sample per step, as the linear SVM is specified: lam = 1/(svm_c*M),
+    eta = 1/(lam*t), shrink w by 1 - eta*lam, hinge step below margin 1,
+    unregularized bias. Returns (w, b)."""
+    m, d = x.shape
+    lam = 1.0 / (spec.svm_c * m)
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    for _ in range(spec.svm_epochs):
+        for i in rng.permutation(m):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margin = y_pm[i] * (x[i] @ w + b)
+            w *= 1.0 - eta * lam
+            if margin < 1.0:
+                w += eta * y_pm[i] * x[i]
+                b += eta * y_pm[i]
+    return w, b
+
+
+def linear_svm_sequential(spec, ds):
+    """Weights (heads, N) and biases (heads,) of the linear SVM trained one
+    head at a time: one head for binary data, one-vs-rest heads for
+    multiclass, head h drawing its order from default_rng([seed, h])."""
+    c = ds.n_classes
+    heads = 1 if c == 2 else c
+    weights = np.empty((heads, ds.n_genes))
+    biases = np.empty(heads)
+    for head in range(heads):
+        positive = 1 if c == 2 else head
+        y_pm = np.where(ds.labels == positive, 1.0, -1.0)
+        rng = np.random.default_rng([spec.seed, head])
+        weights[head], biases[head] = pegasos_binary(ds.values, y_pm, spec,
+                                                     rng)
+    return weights, biases

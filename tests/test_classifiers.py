@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from genefunnel.classifiers import ClassifierSpec, predict, train
-from genefunnel.data import Dataset
+from genefunnel import classifiers
+from genefunnel.classifiers import ClassifierSpec, predict, train, train_many
+from genefunnel.data import Dataset, make_folds
 from genefunnel.errors import ConfigError, ValidationError
 from genefunnel.pipeline import SynthSpec, generate_synth
 
@@ -153,6 +154,135 @@ class TestLinearSvm:
         b = train(spec, separable_ds)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
+
+
+def fold_training_sets(ds, k, rounds, seed=0):
+    """The training partitions of a stratified CV plan."""
+    plan = make_folds(ds.labels, k, rounds, seed)
+    return [Dataset(ds.values[tr], ds.labels[tr], ds.gene_ids,
+                    ds.class_names) for _, _, tr, _ in plan.splits()]
+
+
+def planted(m, n, c, seed):
+    return generate_synth(SynthSpec(m_samples=m, n_genes=n, n_informative=n,
+                                    n_classes=c, seed=seed)).dataset
+
+
+def assert_matches_sequential(spec, datasets, models):
+    """Every model holds the sequential oracle's weights and biases, bit
+    for bit (tobytes also tells -0.0 from 0.0)."""
+    assert len(models) == len(datasets)
+    for ds, model in zip(datasets, models):
+        weights, biases = oracles.linear_svm_sequential(spec, ds)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.biases.tobytes() == biases.tobytes()
+
+
+# Two-sample problems found by a random search: with svm_epochs=1 and
+# seed 0, the hinge margin of step 2 is 1.0 and 1.0 + 2 ulp.
+EDGE_PAIRS = [
+    [[0.74439093604867, -0.9629655646595785, 0.41499113467435467,
+      -0.9976006328263427, 0.006727931107328944, -0.12666589564869457,
+      -0.5934943277708704],
+     [-0.5618961874052479, 0.8863972826569163, -0.485162060287452,
+      -0.4181024305041728, 0.39510986385325025, -0.06687496741273777,
+      0.766729916262444]],
+    [[0.4257805251331368, 0.6952487605090678, -0.19754850401473711,
+      0.10650007958708185, -0.041024496478275774, 0.917045999598743,
+      -0.36544431944656863, -0.19583094612446827, -0.9981604217782685,
+      -0.15963093061373912, 0.26287221226458013, 0.8699221883733006,
+      0.8473531695154692, -0.3453003733518043, 0.9777220512380385,
+      -0.6246501195309624, 0.6465040360720631, -0.6854810258319108,
+      -0.18980269427768093, -0.8530533763854449],
+     [0.7240217837036615, 0.6705676169658631, -0.724107127548971,
+      0.056199958628875356, -0.48448241311409185, 0.0006610159695155764,
+      0.09959380217625861, -0.7911295772185847, 0.7101281329582343,
+      -0.44558564646109294, -0.10084886722590324, -0.8692523944188739,
+      -0.9787002523242225, -0.616123334583976, -0.2984079636331526,
+      0.8445725480879154, 0.7915186063615919, -0.05178720201943814,
+      -0.09402157145833187, 0.3180704022942671]],
+]
+
+
+class TestLinearSvmLockstep:
+    """The lockstep kernel against the one-problem-at-a-time Pegasos loop."""
+
+    def test_single_problem(self, separable_ds):
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=30, seed=3)
+        assert_matches_sequential(spec, [separable_ds],
+                                  [train(spec, separable_ds)])
+
+    def test_unequal_fold_sizes(self):
+        # 57 samples in 10 folds: training sets of 51 and 52 rows
+        ds = planted(57, 4, 2, seed=1)
+        sets = fold_training_sets(ds, 10, 2)
+        assert len({s.n_samples for s in sets}) == 2
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=15, seed=2)
+        assert_matches_sequential(spec, sets, train_many(spec, sets))
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_one_vs_rest_heads(self, c):
+        ds = planted(10 * c + 1, 3, c, seed=c)
+        sets = fold_training_sets(ds, 5, 1)
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=10, svm_c=0.5,
+                              seed=7)
+        models = train_many(spec, sets)
+        assert all(m.weights.shape == (c, 3) for m in models)
+        assert_matches_sequential(spec, sets, models)
+
+    def test_mixed_widths_and_classes_in_one_call(self):
+        sets = [planted(30, 3, 2, seed=1), planted(25, 5, 3, seed=2),
+                planted(31, 3, 2, seed=3), planted(24, 1, 4, seed=4),
+                planted(28, 5, 2, seed=5)]
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=12, seed=1)
+        assert_matches_sequential(spec, sets, train_many(spec, sets))
+
+    def test_wide_problems(self):
+        # 37 genes: BLAS dot products run blocked, with fused multiply-adds,
+        # so only the same dot routine as ``x @ w`` reproduces the bits
+        sets = fold_training_sets(planted(30, 37, 3, seed=11), 3, 1)
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=5, seed=6)
+        assert_matches_sequential(spec, sets, train_many(spec, sets))
+
+    @pytest.mark.parametrize("x", EDGE_PAIRS, ids=["7_genes", "20_genes"])
+    def test_margin_on_the_rounding_edge(self, x):
+        # at step 2 the margin is within 2 ulp of 1.0, so a dot
+        # product summed in another order than the BLAS dot of ``x @ w``
+        # flips the hinge decision (a pairwise sum below 16 genes agrees
+        # with it, hence the 20-gene pair)
+        ds = make_ds(x, [0, 1])
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1, seed=0)
+        assert_matches_sequential(spec, [ds, ds], train_many(spec, [ds, ds]))
+
+    def test_one_epoch(self):
+        sets = fold_training_sets(planted(40, 6, 3, seed=8), 4, 1)
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1, seed=5)
+        assert_matches_sequential(spec, sets, train_many(spec, sets))
+
+    def test_small_chunk_budget(self, monkeypatch):
+        # 4 folds of 3 heads, 29 or 30 rows, 2 genes: 12 problems at
+        # 8 * 12 * (3 * 2 + 6) bytes per step, so 7 steps per chunk, and
+        # the 29-row problems finish inside a chunk
+        sets = fold_training_sets(planted(39, 2, 3, seed=6), 4, 1)
+        assert {s.n_samples for s in sets} == {29, 30}
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=9, seed=4)
+        whole = train_many(spec, sets)
+        monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
+                            7 * 8 * 12 * 12 + 5)
+        chunked = train_many(spec, sets)
+        assert_matches_sequential(spec, sets, chunked)
+        for a, b in zip(whole, chunked):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+
+    @pytest.mark.parametrize("kind", ["knn", "gaussian_nb"])
+    def test_other_kinds_map_over_sets(self, kind):
+        sets = fold_training_sets(planted(30, 4, 3, seed=9), 3, 1)
+        spec = ClassifierSpec(kind=kind, knn_k=3)
+        query = query_ds(planted(12, 4, 3, seed=10).values)
+        for model, ds in zip(train_many(spec, sets), sets):
+            assert np.array_equal(predict(model, query),
+                                  predict(train(spec, ds), query))
 
 
 class TestCommon:

@@ -138,6 +138,63 @@ class TestSelect:
         assert main(["select", "--data", str(path), "--config", str(cfg),
                      *SELECT_FAST]) == 1
 
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--seed=0"]],
+                             ids=["separate", "joined"])
+    def test_explicit_flag_at_default_beats_file(self, synth_csv, tmp_path,
+                                                 flag):
+        path, _ = synth_csv
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=7\n")
+        out = tmp_path / "r.json"
+        assert main(["select", "--data", str(path), *flag, "--config",
+                     str(cfg), *SELECT_FAST, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 0
+        # without the flag the file's value applies
+        assert main(["select", "--data", str(path), "--config", str(cfg),
+                     *SELECT_FAST, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == 7
+
+
+class TestMalformedConfig:
+    """Each malformed config file exits 1 with one stderr line that names
+    the file and, where there is one, the offending key."""
+
+    @pytest.mark.parametrize("name, text, key", [
+        ("c.cfg", "seed=abc\n", "seed"),
+        ("c.json", '{"seed": [1]}', "seed"),
+        ("c.json", '{"seed": true}', "seed"),
+        ("c.json", '{"cv-k": 2.5}', "cv-k"),
+        ("c.cfg", "timings=maybe\n", "timings"),
+        ("c.cfg", "protocol=bogus\n", "protocol"),
+        ("c.json", '{"out": {"path": "x"}}', "out"),
+        ("c.cfg", "warp-speed=9\n", "warp-speed"),
+        ("c.cfg", "command=rank\n", "command"),
+        ("c.cfg", "just words\n", None),
+        ("c.json", "[1, 2]", None),
+    ], ids=["kv_not_int", "json_list", "json_bool_for_int",
+            "json_float_for_int", "bad_bool", "bad_choice", "json_object",
+            "unknown_key", "not_a_flag", "no_equals", "json_array"])
+    def test_exits_1_with_one_line(self, synth_csv, tmp_path, capsys, name,
+                                   text, key):
+        path, _ = synth_csv
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert main(["select", "--data", str(path), "--config", str(cfg),
+                     *SELECT_FAST, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cfg) in err
+        assert key is None or repr(key) in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_not_utf8_exits_1(self, synth_csv, tmp_path, capsys):
+        path, _ = synth_csv
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"seed=\xff\n")
+        assert main(["select", "--data", str(path), "--config", str(cfg),
+                     *SELECT_FAST]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(cfg) in err
+
 
 class TestEvaluate:
     def test_subset_json_file(self, synth_csv, tmp_path):
@@ -171,8 +228,11 @@ class TestCompare:
         dir_a.mkdir()
         dir_b.mkdir()
         for i, seed in enumerate([1, 2, 3, 4, 5]):
+            # reports pair up by dataset name, one dataset file per seed
+            data = tmp_path / f"data{i}.csv"
+            data.write_bytes(path.read_bytes())
             for d in (dir_a, dir_b):
-                assert main(["select", "--data", str(path),
+                assert main(["select", "--data", str(data),
                              "--seed", str(seed), *SELECT_FAST,
                              "--out", str(d / f"r{i}.json")]) == 0
         out = tmp_path / "cmp.json"
@@ -191,15 +251,64 @@ class TestCompare:
                      "--b", str(tmp_path / "b")]) == 2
 
 
-class TestCompareMalformedReports:
-    @pytest.fixture(scope="class")
-    def report_doc(self, synth_csv, tmp_path_factory):
-        path, _ = synth_csv
-        out = tmp_path_factory.mktemp("report") / "r.json"
-        assert main(["select", "--data", str(path), "--seed", "1",
-                     *SELECT_FAST, "--out", str(out)]) == 0
-        return json.loads(out.read_text())
+@pytest.fixture(scope="module")
+def report_doc(synth_csv, tmp_path_factory):
+    path, _ = synth_csv
+    out = tmp_path_factory.mktemp("report") / "r.json"
+    assert main(["select", "--data", str(path), "--seed", "1",
+                 *SELECT_FAST, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
+
+class TestComparePairing:
+    """compare pairs reports by dataset name, not by file name."""
+
+    @staticmethod
+    def _write(directory, report_doc, files):
+        """files: file stem -> (dataset name, accuracy mean)."""
+        directory.mkdir()
+        for stem, (name, accuracy) in files.items():
+            doc = json.loads(json.dumps(report_doc))
+            doc["dataset_name"] = name
+            doc["summaries"]["knn"]["means"]["accuracy"] = accuracy
+            (directory / f"{stem}.json").write_text(json.dumps(doc))
+
+    def _compare(self, tmp_path, report_doc, files_a, files_b):
+        self._write(tmp_path / "a", report_doc, files_a)
+        self._write(tmp_path / "b", report_doc, files_b)
+        out = tmp_path / "cmp.json"
+        code = main(["compare", "--a", str(tmp_path / "a"),
+                     "--b", str(tmp_path / "b"), "--out", str(out)])
+        return code, (json.loads(out.read_text()) if code == 0 else None)
+
+    def test_pairs_by_dataset_name(self, tmp_path, report_doc):
+        # B is 0.05 better on every dataset, but its file names run in the
+        # opposite order: paired by file name the differences change sign
+        acc = [0.50, 0.90, 0.60, 0.80, 0.55, 0.85]
+        files_a = {f"r{i}": (f"d{i}", a) for i, a in enumerate(acc)}
+        files_b = {f"r{5 - i}": (f"d{i}", a + 0.05)
+                   for i, a in enumerate(acc)}
+        code, doc = self._compare(tmp_path, report_doc, files_a, files_b)
+        assert code == 0
+        assert doc["n_datasets"] == 6
+        assert doc["w_statistic"] == 0.0
+        assert doc["verdict"] == "significant"
+
+    @pytest.mark.parametrize("files_a, files_b, needle", [
+        ({"r0": ("d0", 0.5), "r1": ("d1", 0.6)},
+         {"r0": ("d0", 0.5), "r1": ("d2", 0.6)}, "'d1', 'd2'"),
+        ({"r0": ("d0", 0.5), "r1": ("d0", 0.6)},
+         {"r0": ("d0", 0.5), "r1": ("d1", 0.6)}, "'d0'"),
+    ], ids=["mismatched_names", "duplicate_names"])
+    def test_unpaired_reports_exit_1(self, tmp_path, report_doc, capsys,
+                                     files_a, files_b, needle):
+        code, _ = self._compare(tmp_path, report_doc, files_a, files_b)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+
+class TestCompareMalformedReports:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("dataset_name"),
         lambda doc: doc.update(summaries=[]),

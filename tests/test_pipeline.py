@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from genefunnel import boosting, ga
+from genefunnel import boosting, ga, pipeline
 from genefunnel.classifiers import ClassifierSpec
-from genefunnel.data import impute_knn, make_folds
+from genefunnel.data import Dataset, impute_knn, make_folds, project
 from genefunnel.errors import PipelineError, ValidationError
 from genefunnel.pipeline import (PipelineConfig, SynthSpec, compare_reports,
                                  config_from_dict, config_to_dict,
                                  generate_synth, report_from_json,
                                  report_to_json, report_to_markdown,
                                  run_pipeline, write_json_atomic)
-from genefunnel.stats import CvSummary, cross_validate
+from genefunnel.stats import (METRIC_NAMES, CvSummary, cross_validate,
+                              score_split)
 
 
 def small_config(seed=0, protocol="paper"):
@@ -170,6 +171,47 @@ class TestRunPipeline:
         ds = Dataset(x, labels, tuple(f"g{i}" for i in range(5)), ("a", "b"))
         with pytest.raises(PipelineError):
             run_pipeline(ds, small_config())
+
+
+class TestNestedEvaluation:
+    def test_matches_per_fold_loop(self):
+        """Scoring all outer folds together gives the summaries of a loop
+        that selects, trains and predicts one outer fold at a time."""
+        ds = generate_synth(SynthSpec(m_samples=37, n_genes=30,
+                                      n_informative=6, n_classes=3,
+                                      seed=4)).dataset
+        cfg = PipelineConfig(
+            boost=boosting.BoostParams(n_estimators=5, max_depth=2, seed=2),
+            ga=ga.GaConfig(population_size=10, iterations=3, seed=2),
+            eval_classifiers=(ClassifierSpec(kind="linear_svm",
+                                             svm_epochs=10),
+                              ClassifierSpec(kind="gaussian_nb")),
+            cv_k=3, cv_rounds=2, protocol="nested", seed=5)
+        report = run_pipeline(ds, cfg)
+        expected = {spec.kind: [] for spec in cfg.eval_classifiers}
+        plan = make_folds(ds.labels, cfg.cv_k, cfg.cv_rounds, cfg.seed)
+        widths = set()
+        for r, f, train_idx, test_idx in plan.splits():
+            train_ds = Dataset(ds.values[train_idx], ds.labels[train_idx],
+                               ds.gene_ids, ds.class_names)
+            test_ds = Dataset(ds.values[test_idx], ds.labels[test_idx],
+                              ds.gene_ids, ds.class_names)
+            _, _, final, _ = pipeline._select_genes(train_ds, cfg,
+                                                    seed_offset=(r, f))
+            widths.add(len(final))
+            for spec in cfg.eval_classifiers:
+                expected[spec.kind].append(score_split(
+                    project(train_ds, final), project(test_ds, final), spec))
+        assert len(widths) > 1  # outer folds of different widths
+        for kind, folds in expected.items():
+            summary = report.summaries[kind]
+            assert summary.fold_results == tuple(folds)
+            assert summary.means == {
+                n: float(np.mean([getattr(x, n) for x in folds]))
+                for n in METRIC_NAMES}
+            assert summary.stds == {
+                n: float(np.std([getattr(x, n) for x in folds]))
+                for n in METRIC_NAMES}
 
 
 class TestCompareReports:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from genefunnel.classifiers import ClassifierSpec
-from genefunnel.data import Dataset, make_folds
+from genefunnel.classifiers import ClassifierSpec, predict, train
+from genefunnel.data import Dataset, make_folds, project
 from genefunnel.errors import ValidationError
 from genefunnel.stats import (ConfusionMatrix, confusion, cross_validate,
                               metrics, score_split, wilcoxon_signed_rank)
@@ -168,6 +168,58 @@ class TestCrossValidate:
                                                             knn_k=1), plan)
         assert summary.skipped_folds == tuple(skipped_expected)
         assert len(summary.fold_results) == 3 - len(skipped_expected)
+
+
+def per_fold_summary(ds, subset, spec, plan):
+    """CvSummary.as_dict() of a plain loop: one train/predict per fold."""
+    sub = project(ds, subset)
+    results, skipped = [], []
+    for r, f, train_idx, test_idx in plan.splits():
+        if np.unique(sub.labels[train_idx]).size != sub.n_classes:
+            skipped.append([r, f])
+            continue
+        model = train(spec, Dataset(sub.values[train_idx],
+                                    sub.labels[train_idx], sub.gene_ids,
+                                    sub.class_names))
+        query = Dataset(sub.values[test_idx], np.zeros(test_idx.size, int),
+                        sub.gene_ids, ("q",))
+        results.append(metrics(confusion(sub.labels[test_idx],
+                                         predict(model, query),
+                                         sub.n_classes)).as_dict())
+    names = results[0].keys()
+    return {"fold_results": results, "skipped_folds": skipped,
+            "means": {n: float(np.mean([x[n] for x in results]))
+                      for n in names},
+            "stds": {n: float(np.std([x[n] for x in results]))
+                     for n in names}}
+
+
+class TestCrossValidateBatched:
+    """Training every fold in one call gives the per-fold loop's summary."""
+
+    @pytest.mark.parametrize("kind", ["linear_svm", "gaussian_nb", "knn"])
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_matches_per_fold_loop(self, kind, c):
+        rng = np.random.default_rng(c)
+        m = 23 * c  # folds of unequal size
+        labels = np.arange(m) % c
+        x = rng.normal(size=(m, 6)) + labels[:, None] * 0.4
+        ds = make_ds(x, labels)
+        plan = make_folds(labels, k=5, rounds=2, seed=3)
+        spec = ClassifierSpec(kind=kind, svm_epochs=20, knn_k=3, seed=1)
+        summary = cross_validate((0, 2, 5), ds, spec, plan)
+        assert summary.as_dict() == per_fold_summary(ds, (0, 2, 5), spec,
+                                                     plan)
+
+    def test_skipped_folds_match_per_fold_loop(self):
+        labels = np.array([0] * 8 + [1] + [2] * 6)
+        x = np.random.default_rng(2).normal(size=(15, 3))
+        ds = make_ds(x, labels)
+        plan = make_folds(labels, k=3, rounds=2, seed=0)
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=10)
+        summary = cross_validate((0, 1), ds, spec, plan)
+        assert summary.skipped_folds
+        assert summary.as_dict() == per_fold_summary(ds, (0, 1), spec, plan)
 
 
 class TestWilcoxon:
