@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .stats import cross_validate
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
+
+_INDEX = re.compile(r"-?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,8 +137,8 @@ def build_parser() -> _Parser:
 def _load_prepared(args):
     ds, mask = load_csv(args.data, label_column=args.label_column,
                         missing_token=args.missing_token)
-    if mask:
-        ds = impute_knn(ds, mask, n_neighbors=args.impute_neighbors)
+    # impute_knn validates n_neighbors even when no cell is missing
+    ds = impute_knn(ds, mask, n_neighbors=args.impute_neighbors)
     return normalize_minmax(ds)
 
 
@@ -311,14 +314,29 @@ def _cmd_select(args, actions, given) -> int:
 
 
 def _read_gene_subset(path) -> list:
-    text = Path(path).read_text(encoding="utf-8")
+    """Gene indices from a JSON list of integers or from whitespace-
+    separated integers; any other content is an error naming the file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise GeneFunnelError(f"{path}: not UTF-8 text") from None
+    tokens = text.split()
+    if all(_INDEX.fullmatch(t) for t in tokens):
+        return [int(t) for t in tokens]
     try:
         parsed = json.loads(text)
-        if not isinstance(parsed, list):
-            raise GeneFunnelError(f"{path}: expected a JSON list of indices")
-        return [int(v) for v in parsed]
     except json.JSONDecodeError:
-        return [int(line) for line in text.split() if line.strip()]
+        bad = next(t for t in tokens if not _INDEX.fullmatch(t))
+        raise GeneFunnelError(
+            f"{path}: expected a JSON list or whitespace-separated gene "
+            f"indices, got {bad!r}") from None
+    if not isinstance(parsed, list):
+        raise GeneFunnelError(f"{path}: expected a JSON list of indices")
+    for v in parsed:
+        if type(v) is not int:  # bool is an int subclass; int(1.5) is 1
+            raise GeneFunnelError(f"{path}: gene index {v!r} is not an "
+                                  "integer")
+    return parsed
 
 
 def _cmd_evaluate(args) -> int:

@@ -99,47 +99,53 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
 
     The first row is the header (gene ids plus the label column name).
     Empty cells or cells equal to ``missing_token`` are recorded in the
-    mask and zero-filled provisionally. Class labels map to contiguous
-    indices in first-appearance order.
+    mask and zero-filled provisionally; any other cell must be a finite
+    number. Class labels map to contiguous indices in first-appearance
+    order.
     """
     if label_column not in ("first", "last"):
         raise ValidationError(f"label_column must be first or last, got {label_column!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        n_cols = len(header)
-        if n_cols < 2:
-            raise ParseError(f"{path}: need at least one gene column and a label column")
-        label_pos = 0 if label_column == "first" else n_cols - 1
-        gene_ids = tuple(h for i, h in enumerate(header) if i != label_pos)
-
-        rows, raw_labels, mask = [], [], set()
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != n_cols:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file") from None
+            n_cols = len(header)
+            if n_cols < 2:
                 raise ParseError(
-                    f"{path}:{line_no}: expected {n_cols} columns, got {len(cells)}")
-            raw_labels.append(cells[label_pos].strip())
-            row = np.zeros(n_cols - 1, dtype=np.float64)
-            col = 0
-            for i, cell in enumerate(cells):
-                if i == label_pos:
+                    f"{path}: need at least one gene column and a label column")
+            label_pos = 0 if label_column == "first" else n_cols - 1
+            gene_ids = tuple(h for i, h in enumerate(header) if i != label_pos)
+
+            rows, line_nos, raw_labels, mask = [], [], [], set()
+            for line_no, cells in enumerate(reader, start=2):
+                if not cells:
                     continue
-                text = cell.strip()
-                if text == "" or text == missing_token:
-                    mask.add((len(rows), col))
-                else:
-                    try:
-                        row[col] = float(text)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{line_no}: non-numeric cell {cell!r}") from None
-                col += 1
-            rows.append(row)
+                if len(cells) != n_cols:
+                    raise ParseError(f"{path}:{line_no}: expected {n_cols} "
+                                     f"columns, got {len(cells)}")
+                raw_labels.append(cells[label_pos].strip())
+                row = np.zeros(n_cols - 1, dtype=np.float64)
+                col = 0
+                for i, cell in enumerate(cells):
+                    if i == label_pos:
+                        continue
+                    text = cell.strip()
+                    if text == "" or text == missing_token:
+                        mask.add((len(rows), col))
+                    else:
+                        try:
+                            row[col] = float(text)
+                        except ValueError:
+                            raise ParseError(f"{path}:{line_no}: non-numeric "
+                                             f"cell {cell!r}") from None
+                    col += 1
+                rows.append(row)
+                line_nos.append(line_no)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
@@ -154,67 +160,101 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
     if len(class_names) < 2:
         raise ValidationError(f"{path}: only one class present")
 
-    ds = Dataset(np.vstack(rows), labels, gene_ids, tuple(class_names),
+    values = np.vstack(rows)
+    # float() accepts nan and inf; one whole-matrix check keeps them out
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{path}:{line_nos[r]}: non-finite cell "
+                         f"{float(values[r, c])!r} in column {gene_ids[c]!r}")
+    ds = Dataset(values, labels, gene_ids, tuple(class_names),
                  name=name if name is not None else str(path))
     return ds, frozenset(mask)
 
 
 def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
     """Replace each masked cell by the mean of that column over the
-    nearest neighbors that observe it.
+    nearest neighbors that observe it (KNNimpute).
 
-    Distance between two samples is the Euclidean distance over
-    coordinates observed in both, rescaled by the fraction of usable
-    coordinates; columns unobserved everywhere are an error, and cells
-    with no usable neighbor fall back to the column mean.
+    The distance from sample i to sample o uses only the ``cnt``
+    coordinates observed in both: ``sqrt(d2 / (cnt / n))``, where ``d2``
+    sums the squared differences over those coordinates. Samples that
+    share no observed coordinate with i are at infinite distance and
+    never donate. Donors for cell (i, j) are the ``n_neighbors`` nearest
+    samples observing column j, ties going to the lower sample index;
+    the cell becomes the mean of their observed values, taken in
+    distance order. Columns unobserved everywhere are an error, and
+    cells with no donor fall back to the column mean. Imputed cells are
+    never read, so the result does not depend on the order of rows.
+
+    Each sample with a gap costs one numpy pass over the whole matrix,
+    using O(M x N) memory at a time; no Python loop runs over pairs of
+    samples.
     """
     if n_neighbors < 1:
         raise ValidationError("n_neighbors must be >= 1")
     if not mask:
         return ds
     m, n = ds.values.shape
-    for (i, j) in mask:
-        if not (0 <= i < m and 0 <= j < n):
-            raise ValidationError(f"mask coordinate {(i, j)} out of bounds")
+    coords = list(mask)
+    cells = np.array(coords, dtype=np.int64).reshape(-1, 2)
+    rows, cols = cells[:, 0], cells[:, 1]
+    outside = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
+    if outside.any():
+        raise ValidationError(
+            f"mask coordinate {coords[np.argmax(outside)]} out of bounds")
 
     observed = np.ones((m, n), dtype=bool)
-    for (i, j) in mask:
-        observed[i, j] = False
-    values = ds.values.copy()
+    observed[rows, cols] = False
+    empty = ~observed.any(axis=0)
+    if empty.any():
+        raise ValidationError(
+            f"gene column {np.argmax(empty)} has no observed values")
 
-    col_means = np.empty(n)
-    for j in range(n):
-        obs = observed[:, j]
-        if not obs.any():
-            raise ValidationError(f"gene column {j} has no observed values")
-        col_means[j] = values[obs, j].mean()
-
-    missing_by_row: dict[int, list[int]] = {}
-    for (i, j) in sorted(mask):
-        missing_by_row.setdefault(i, []).append(j)
-
-    for i, cols in missing_by_row.items():
-        # partial distances from sample i to every other sample
+    values = ds.values
+    zeroed = np.where(observed, values, 0.0)
+    n_observed = np.count_nonzero(observed, axis=1)
+    by_row = np.lexsort((cols, rows))
+    rows, cols = rows[by_row], cols[by_row]
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    diff = np.empty((m, n))
+    donors, counts = [], []
+    for i, gaps in zip(rows[starts], np.split(cols, starts[1:])):
+        # partial distances from sample i to every sample in one pass:
+        # differences over the coordinates both observe, zero elsewhere
+        np.subtract(zeroed[i], zeroed, out=diff)
+        diff *= observed & observed[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        # usable coordinates: the ones o observes, less i's gaps. Sample i
+        # itself sorts first, at distance 0, but observes none of its gaps
+        holds = observed[:, gaps]
+        cnt = n_observed - np.count_nonzero(holds, axis=1)
+        near = cnt > 0
         dists = np.full(m, np.inf)
-        for other in range(m):
-            if other == i:
-                continue
-            usable = observed[i] & observed[other]
-            cnt = int(usable.sum())
-            if cnt == 0:
-                continue
-            diff = values[i, usable] - values[other, usable]
-            dists[other] = np.sqrt((diff @ diff) / (cnt / n))
+        dists[near] = np.sqrt(d2[near] / (cnt[near] / n))
         order = np.lexsort((np.arange(m), dists))
-        for j in cols:
-            donors = [o for o in order
-                      if np.isfinite(dists[o]) and observed[o, j]][:n_neighbors]
-            if donors:
-                values[i, j] = values[donors, j].mean()
-            else:
-                values[i, j] = col_means[j]
+        order = order[np.isfinite(dists[order])]
+        # the first n_neighbors observers of each gap column, nearest first
+        holds = holds[order]
+        picked = holds & (np.cumsum(holds, axis=0) <= n_neighbors)
+        donors.append(order[np.nonzero(picked.T)[1]])
+        counts.append(picked.sum(axis=0))
+    # each cell's mean over its donors in distance order; cells with the
+    # same donor count share one (cells, k) gather, whose row-wise mean
+    # reduces each row as the 1-D mean of that row does
+    out = zeroed  # every masked cell is overwritten below
+    donors = np.concatenate(donors)
+    counts = np.concatenate(counts)
+    first = np.cumsum(counts) - counts
+    for k in np.unique(counts):
+        at = np.flatnonzero(counts == k)
+        if k == 0:
+            for i, j in zip(rows[at], cols[at]):
+                out[i, j] = values[observed[:, j], j].mean()
+            continue
+        ranked = donors[first[at, None] + np.arange(k)]
+        out[rows[at], cols[at]] = values[ranked, cols[at, None]].mean(axis=1)
 
-    return Dataset(values, ds.labels, ds.gene_ids, ds.class_names, ds.name)
+    return Dataset(out, ds.labels, ds.gene_ids, ds.class_names, ds.name)
 
 
 def minmax_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from genefunnel.data import Dataset
+from genefunnel.errors import ValidationError
+
 
 def leaf_objective(g_sum, h_sum, lam):
     """Minimize the per-leaf objective treated as a black-box quadratic:
@@ -196,3 +199,57 @@ def linear_svm_sequential(spec, ds):
         weights[head], biases[head] = pegasos_binary(ds.values, y_pm, spec,
                                                      rng)
     return weights, biases
+
+
+def impute_knn_loop(ds, mask, n_neighbors=5):
+    """KNN imputation with one Python step per (row with a gap, other row)
+    pair: the partial distance of each pair from the compressed vector of
+    coordinates observed in both, donors picked by scanning the sorted
+    order for each missing cell."""
+    if n_neighbors < 1:
+        raise ValidationError("n_neighbors must be >= 1")
+    if not mask:
+        return ds
+    m, n = ds.values.shape
+    for (i, j) in mask:
+        if not (0 <= i < m and 0 <= j < n):
+            raise ValidationError(f"mask coordinate {(i, j)} out of bounds")
+
+    observed = np.ones((m, n), dtype=bool)
+    for (i, j) in mask:
+        observed[i, j] = False
+    values = ds.values.copy()
+
+    col_means = np.empty(n)
+    for j in range(n):
+        obs = observed[:, j]
+        if not obs.any():
+            raise ValidationError(f"gene column {j} has no observed values")
+        col_means[j] = values[obs, j].mean()
+
+    missing_by_row: dict[int, list[int]] = {}
+    for (i, j) in sorted(mask):
+        missing_by_row.setdefault(i, []).append(j)
+
+    for i, cols in missing_by_row.items():
+        # partial distances from sample i to every other sample
+        dists = np.full(m, np.inf)
+        for other in range(m):
+            if other == i:
+                continue
+            usable = observed[i] & observed[other]
+            cnt = int(usable.sum())
+            if cnt == 0:
+                continue
+            diff = values[i, usable] - values[other, usable]
+            dists[other] = np.sqrt((diff @ diff) / (cnt / n))
+        order = np.lexsort((np.arange(m), dists))
+        for j in cols:
+            donors = [o for o in order
+                      if np.isfinite(dists[o]) and observed[o, j]][:n_neighbors]
+            if donors:
+                values[i, j] = values[donors, j].mean()
+            else:
+                values[i, j] = col_means[j]
+
+    return Dataset(values, ds.labels, ds.gene_ids, ds.class_names, ds.name)

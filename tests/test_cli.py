@@ -68,6 +68,14 @@ class TestRank:
         code = main(["rank", "--data", str(path), "--bogus"])
         assert code == 1
 
+    def test_bad_impute_neighbors_without_missing_cells(self, synth_csv,
+                                                        capsys):
+        path, _ = synth_csv
+        assert main(["rank", "--data", str(path),
+                     "--impute-neighbors", "-3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_neighbors" in err
+
     def test_missing_subcommand_exits_1(self):
         assert main([]) == 1
 
@@ -218,6 +226,63 @@ class TestEvaluate:
                      "--cv-k", "4", "--cv-rounds", "1",
                      "--classifiers", "knn", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["genes"] == [0, 1, 2]
+
+    def test_single_index_subset(self, synth_csv, tmp_path):
+        path, _ = synth_csv
+        genes = tmp_path / "genes.txt"
+        genes.write_text("3\n")
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--data", str(path), "--genes", str(genes),
+                     "--cv-k", "4", "--cv-rounds", "1",
+                     "--classifiers", "knn", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["genes"] == [3]
+
+
+class TestMalformedInputs:
+    """Each malformed data CSV or gene-subset file ends in exit 1 or 2 with
+    one stderr line, never a traceback."""
+
+    @pytest.mark.parametrize("kind, content", [
+        ("csv", b"g1,g2,label\n1,\xff,A\n3,4,B\n"),
+        ("csv", b"g1,g2,label\n1,2,A\n3,B\n"),
+        ("csv", b"g1,g2,label\n1,oops,A\n3,4,B\n"),
+        ("csv", b"g1,g2,label\n1,inf,A\n3,4,B\n"),
+        ("csv", b"g1,g2,label\n1,NA,A\n3,,B\n"),
+        ("csv", b"g1,g2,label\n1,2,A\n3,4,A\n"),
+        ("csv", b""),
+        ("csv", b"g1,g2,label\n"),
+        ("genes", b"0\nabc\n"),
+        ("genes", b'{"genes": [0]}'),
+        ("genes", b'"abc"'),
+        ("genes", b'["a"]'),
+        ("genes", b"[1.5]"),
+        ("genes", b"[true]"),
+        ("genes", b"[null]"),
+        ("genes", b"\xff\n"),
+        ("genes", b"[0, 999]"),
+    ], ids=["csv_not_utf8", "csv_ragged", "csv_non_numeric",
+            "csv_non_finite", "csv_all_na_column", "csv_one_class",
+            "csv_empty", "csv_header_only", "genes_bad_token",
+            "genes_json_object", "genes_json_string", "genes_string_entry",
+            "genes_float_entry", "genes_bool_entry", "genes_null_entry",
+            "genes_not_utf8", "genes_out_of_bounds"])
+    def test_one_line_no_traceback(self, synth_csv, tmp_path, capsys, kind,
+                                   content):
+        data, _ = synth_csv
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(content)
+        if kind == "csv":
+            argv = ["rank", "--data", str(bad), "--trees", "2"]
+        else:
+            argv = ["evaluate", "--data", str(data), "--genes", str(bad),
+                    "--cv-k", "2", "--cv-rounds", "1",
+                    "--classifiers", "gaussian_nb"]
+        assert main(argv) in (1, 2)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # a well-formed subset out of bounds is caught later, by project
+        if kind == "genes" and content != b"[0, 999]":
+            assert str(bad) in err
 
 
 class TestCompare:

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+import oracles
 from genefunnel.data import (Dataset, apply_minmax, impute_knn, load_csv,
                              make_folds, minmax_stats, normalize_minmax,
                              project)
@@ -65,6 +68,25 @@ class TestLoadCsv:
         path = write(tmp_path, "\n".join(lines) + "\n")
         ds, _ = load_csv(path)
         assert (ds.n_samples, ds.n_genes, ds.n_classes) == (62, 2000, 2)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"g1,g2,label\n1,\xff,A\n3,4,B\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        # the blank line still counts, so the bad row is on line 4
+        path = write(tmp_path, f"g1,g2,label\n1,2,A\n\n3,{cell},B\n")
+        with pytest.raises(ParseError, match=r"data\.csv:4: non-finite cell "
+                                             r".* in column 'g2'"):
+            load_csv(path)
+
+    def test_nan_as_missing_token(self, tmp_path):
+        path = write(tmp_path, "g1,g2,label\n1,nan,A\n3,4,B\n")
+        ds, mask = load_csv(path, missing_token="nan")
+        assert mask == {(0, 1)} and ds.values[0, 1] == 0.0
 
     def test_load_twice_identical(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -143,6 +165,125 @@ class TestImputeKnn:
         mask = frozenset({(i, 1) for i in range(4)})
         with pytest.raises(ValidationError):
             impute_knn(ds, mask, n_neighbors=2)
+
+
+def _masked(values, missing):
+    m, n = values.shape
+    ds = Dataset(values, np.arange(m) % 2, tuple(f"g{j}" for j in range(n)),
+                 ("x", "y"))
+    return ds, frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(missing)))
+
+
+class TestImputeKnnOracle:
+    """The vectorised imputer against the per-pair reference loop
+    (``oracles.impute_knn_loop``): imputed matrices must be bit-equal."""
+
+    @staticmethod
+    def check(ds, mask, n_neighbors):
+        got = impute_knn(ds, mask, n_neighbors)
+        want = oracles.impute_knn_loop(ds, mask, n_neighbors)
+        assert got.values.tobytes() == want.values.tobytes()
+        return got
+
+    @pytest.mark.parametrize("seed, shape, frac, k", [
+        (0, (12, 7), 0.15, 3), (1, (30, 40), 0.05, 5), (2, (25, 60), 0.3, 1),
+        (3, (40, 9), 0.1, 10), (4, (9, 300), 0.02, 4)])
+    def test_random_float_data(self, seed, shape, frac, k):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=shape[1])
+        ds, mask = _masked(values, rng.random(shape) < frac)
+        self.check(ds, mask, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_integer_data(self, seed):
+        # sums of small integers are exact in any order, so only the
+        # lower-index tie rule separates the many equidistant donors
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 3, size=(24, 6)).astype(float)
+        ds, mask = _masked(values, rng.random((24, 6)) < 0.2)
+        for k in (1, 2, 5):
+            self.check(ds, mask, k)
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(4, 8))
+        values = np.vstack([base, base, base[::-1]])
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[[0, 5, 9], [1, 1, 6]] = True
+        missing[4, 2] = True
+        ds, mask = _masked(values, missing)
+        out = self.check(ds, mask, 2)
+        # (0, 1) has two copies of sample 0 at distance 0: rows 4 and 11;
+        # row 4 misses column 2 only, so both donate column 1
+        assert out.values[0, 1] == base[0, 1]
+
+    def test_no_usable_overlap_is_infinitely_far(self):
+        values = np.array([
+            [1.0, 2.0, 0.0, 0.0],
+            [0.0, 0.0, 3.0, 4.0],   # shares no observed column with row 0
+            [1.5, 2.5, 3.5, 4.5],
+            [9.0, 9.0, 9.0, 9.0],
+        ])
+        missing = np.array([[0, 0, 1, 1], [1, 1, 0, 0],
+                            [0, 0, 0, 0], [0, 0, 0, 0]], dtype=bool)
+        ds, mask = _masked(values, missing)
+        out = self.check(ds, mask, 3)
+        # row 1 cannot donate to row 0, so (0, 2) averages rows 2 and 3
+        assert out.values[0, 2] == (3.5 + 9.0) / 2
+
+    def test_column_without_donors_falls_back_to_column_mean(self):
+        nan = np.nan  # masked cells may hold anything, NaN included
+        values = np.array([
+            [1.0, nan, nan],
+            [nan, 7.0, 2.0],   # the only observer of column 1; far from row 0
+            [2.0, nan, 3.0],
+            [4.0, nan, 5.0],
+        ])
+        ds, mask = _masked(values, np.isnan(values))
+        out = self.check(ds, mask, 2)
+        assert out.values[0, 1] == 7.0  # the column mean, not a donor mean
+        assert out.values[2, 1] == 7.0  # row 1 donates via column 2
+
+    def test_every_other_row_infinitely_far(self):
+        values = np.array([[1.0, np.nan], [np.nan, 2.0], [np.nan, 4.0]])
+        ds, mask = _masked(values, np.isnan(values))
+        out = self.check(ds, mask, 2)
+        assert out.values[:, 0].tolist() == [1.0, 1.0, 1.0]
+        assert out.values[0, 1] == 3.0
+
+    def test_more_neighbors_than_donors(self):
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(8, 5))
+        ds, mask = _masked(values, rng.random((8, 5)) < 0.25)
+        out = self.check(ds, mask, 50)
+        i, j = min(mask)
+        donors = [o for o in range(8) if (o, j) not in mask]
+        assert out.values[i, j] == pytest.approx(values[donors, j].mean())
+
+    def test_lowest_all_missing_column_is_named(self):
+        values = np.ones((4, 5))
+        missing = np.zeros((4, 5), dtype=bool)
+        missing[:, [3, 1]] = True
+        missing[0, 0] = True
+        ds, mask = _masked(values, missing)
+        with pytest.raises(ValidationError,
+                           match="^gene column 1 has no observed values$"):
+            impute_knn(ds, mask, 2)
+        with pytest.raises(ValidationError,
+                           match="^gene column 1 has no observed values$"):
+            oracles.impute_knn_loop(ds, mask, 2)
+
+    def test_out_of_bounds_coordinate(self):
+        ds, _ = _masked(np.ones((4, 3)), np.zeros((4, 3), dtype=bool))
+        for bad in [(4, 0), (0, 3), (-1, 1)]:
+            with pytest.raises(ValidationError,
+                               match=f"coordinate {re.escape(str(bad))} out"):
+                impute_knn(ds, frozenset({(0, 0), bad}), 2)
+
+    def test_bad_neighbor_count_with_empty_mask(self):
+        ds, _ = _masked(np.ones((4, 3)), np.zeros((4, 3), dtype=bool))
+        with pytest.raises(ValidationError, match="n_neighbors"):
+            impute_knn(ds, frozenset(), 0)
 
 
 class TestNormalize:
