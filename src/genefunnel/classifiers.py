@@ -2,7 +2,8 @@
 linear SVM trained by seeded stochastic subgradient descent on the hinge
 loss. All three sit behind one train/predict interface; ``train_many``
 trains the models of many training sets at once, and ``train`` is its
-one-set case. The SVMs of all sets train in lockstep (``_pegasos``).
+one-set case. The SVMs of all sets and heads, whatever their gene counts,
+train in one lockstep pass (``_pegasos``).
 """
 from __future__ import annotations
 
@@ -66,9 +67,10 @@ _CHUNK_BYTES = 128 << 10
 
 
 def _pegasos(spec: ClassifierSpec, datasets: list,
-             heads: list) -> tuple[np.ndarray, np.ndarray]:
-    """Pegasos-style primal hinge descent on many binary problems of one
-    gene count, trained in lockstep; returns weights (P, N) and biases (P,).
+             heads: list) -> tuple[list, np.ndarray]:
+    """Pegasos-style primal hinge descent on many binary problems of any
+    gene counts, trained in one lockstep pass; returns the weights of
+    each problem (a list of (N_p,) arrays) and the biases (P,).
 
     Problem p trains on ``datasets[p]`` with y = +1 for its positive class
     (class 1 of binary data, else class ``heads[p]``, one-vs-rest) and
@@ -77,35 +79,42 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
     overall. Bias is unregularized. Each epoch visits the samples in the
     order of one ``permutation(M)`` of ``default_rng([spec.seed, head])``.
 
-    Step t of every problem still running is one numpy pass: the margins
-    come from one stacked matmul, which calls the same BLAS dot as
-    ``x @ w``; then w shrinks by 1 - eta*lam and takes the hinge step
-    where the margin is below 1. Every operation is the one-problem
-    algorithm's, in its order, so each problem gets the bits it gets when
-    trained alone. Problems run longest first, so the running ones are
-    always a prefix, and a finished one drops out of the arithmetic.
+    The weights of all problems sit in one zero-padded (P, Nmax + 1)
+    matrix, bias in the last column, with the problems of one width in
+    one contiguous block of rows. Step t is one numpy pass: one stacked
+    matmul per width block gives that block's margins through the same
+    BLAS dot as ``x @ w`` (it never reads the padding), then w shrinks by
+    1 - eta*lam and takes the hinge step where the margin is below 1.
+    Every operation is the one-problem algorithm's, in its order, so each
+    problem gets the bits it gets when trained alone. A problem that has
+    run all its steps takes exact no-op steps until the longest ends:
+    shrink 1.0 and update -0.0 (``x + -0.0`` is ``x``, -0.0 included).
     """
     epochs = spec.svm_epochs
-    n_genes = datasets[0].n_genes
-    # the rows of each distinct training set, stacked once
+    n_problems = len(datasets)
+    # contiguous row blocks of one width each
+    by_width = sorted(range(n_problems), key=lambda p: datasets[p].n_genes)
+    widths = [datasets[p].n_genes for p in by_width]
+    n_max = widths[-1]
+    # the rows of each distinct training set, stacked once, zero-padded
     unique = list({id(ds): ds for ds in datasets}.values())
     starts = np.cumsum([0] + [ds.n_samples for ds in unique])
     first_row = {id(ds): int(start) for ds, start in zip(unique, starts)}
-    x_all = np.concatenate([ds.values for ds in unique])
+    x_all = np.zeros((int(starts[-1]), n_max))
+    for ds, start in zip(unique, starts):
+        x_all[start:start + ds.n_samples, :ds.n_genes] = ds.values
     labels_all = np.concatenate([ds.labels for ds in unique])
 
-    longest_first = sorted(range(len(datasets)),
-                           key=lambda p: -datasets[p].n_samples)
-    sizes = [datasets[p].n_samples for p in longest_first]
+    sizes = [datasets[p].n_samples for p in by_width]
     steps = epochs * np.array(sizes)
-    offset = np.array([first_row[id(datasets[p])] for p in longest_first])
+    offset = np.array([first_row[id(datasets[p])] for p in by_width])
     positive = np.array([1 if datasets[p].n_classes == 2 else heads[p]
-                         for p in longest_first])
+                         for p in by_width])
     lam = np.array([1.0 / (spec.svm_c * m) for m in sizes])
     # problems of one head and one size share their sample order
     keys = {}
     key_of = np.array([keys.setdefault((heads[p], m), len(keys))
-                       for p, m in zip(longest_first, sizes)])
+                       for p, m in zip(by_width, sizes)])
     rngs = [np.random.default_rng([spec.seed, head]) for head, _ in keys]
     key_steps = [epochs * m for _, m in keys]
     pending = [np.empty(0, dtype=np.int64) for _ in keys]
@@ -113,10 +122,24 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
     # each row is one problem's weights with its bias in the last column:
     # the shrink multiplies the bias by 1.0 and the hinge step adds eta*y
     # to it, both exact, so one masked add updates both
-    wb = np.zeros((len(datasets), n_genes + 1))
-    chunk = max(1, _CHUNK_BYTES // (8 * len(datasets) * (3 * n_genes + 8)))
-    for s0 in range(0, int(steps[0]), chunk):
-        n = min(chunk, int(steps[0]) - s0)
+    wb = np.zeros((n_problems, n_max + 1))
+    bias = wb[:, n_max]
+    bounds = [0] + [p for p in range(1, n_problems)
+                    if widths[p] != widths[p - 1]] + [n_problems]
+    blocks = [(lo, hi, widths[lo]) for lo, hi in zip(bounds, bounds[1:])]
+    w_rows = [wb[lo:hi, None, :w] for lo, hi, w in blocks]
+    # a step writes into these buffers and allocates nothing; the margins
+    # are 1-D, where numpy's strided loops are faster than on (P, 1) views
+    dot = np.empty((n_problems, 1, 1))
+    dots = [dot[lo:hi] for lo, hi, _ in blocks]
+    dot_flat = dot.reshape(n_problems)
+    margin = np.empty(n_problems)
+    hit = np.empty(n_problems, dtype=bool)
+    hit_col = hit[:, None]
+    total = int(steps.max())
+    chunk = max(1, _CHUNK_BYTES // (8 * n_problems * (3 * n_max + 8)))
+    for s0 in range(0, total, chunk):
+        n = min(chunk, total - s0)
         order = np.zeros((n, len(keys)), dtype=np.int64)
         for key, (_, m) in enumerate(keys):
             take = min(n, key_steps[key] - s0)
@@ -127,38 +150,35 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
                     [pending[key], rngs[key].permutation(m)])
             order[:take, key] = pending[key][:take]
             pending[key] = pending[key][take:]
-        running = np.count_nonzero(
-            steps[:, None] > np.arange(s0, s0 + n), axis=0).tolist()
-        k0 = running[0]
-        rows = offset[:k0] + order[:, key_of[:k0]]
+        rows = offset + order[:, key_of]
         x = x_all[rows][..., None]
-        y = np.where(labels_all[rows] == positive[:k0], 1.0, -1.0)[..., None]
-        eta = 1.0 / (lam[:k0] * np.arange(s0 + 1.0, s0 + n + 1.0)[:, None])
-        # full (steps, problems, genes + 1) shapes: an in-place multiply by
+        y = np.where(labels_all[rows] == positive, 1.0, -1.0)
+        eta = 1.0 / (lam * np.arange(s0 + 1.0, s0 + n + 1.0)[:, None])
+        # full (steps, problems, Nmax + 1) shapes: an in-place multiply by
         # a broadcast column takes numpy's slower strided loop
-        shrink = np.ones((n, k0, n_genes + 1))
-        shrink[..., :n_genes] = (1.0 - eta * lam[:k0])[..., None]
-        update = np.ones((n, k0, n_genes + 1))
-        update[..., :n_genes] = x[..., 0]
-        update *= eta[..., None] * y
-        # one run of steps per number of running problems
-        cuts = [c for c in range(1, n) if running[c] != running[c - 1]]
-        for lo, hi in zip([0, *cuts], [*cuts, n]):
-            k = running[lo]
-            wb_k, b_col = wb[:k], wb[:k, n_genes:]
-            w_row = wb[:k, None, :n_genes]
-            dot = np.empty((k, 1, 1))
-            dot_col = dot[:, 0]
-            for xc, yc, sc, uc in zip(x[lo:hi, :k], y[lo:hi, :k],
-                                      shrink[lo:hi, :k], update[lo:hi, :k]):
-                np.matmul(w_row, xc, out=dot)
-                hit = (dot_col + b_col) * yc < 1.0
-                wb_k *= sc
-                np.add(wb_k, uc, out=wb_k, where=hit)
-    weights = np.empty((len(datasets), n_genes))
-    biases = np.empty(len(datasets))
-    weights[longest_first] = wb[:, :n_genes]
-    biases[longest_first] = wb[:, n_genes]
+        shrink = np.ones((n, n_problems, n_max + 1))
+        shrink[..., :n_max] = (1.0 - eta * lam)[..., None]
+        update = np.ones((n, n_problems, n_max + 1))
+        update[..., :n_max] = x[..., 0]
+        update *= (eta * y)[..., None]
+        done = np.arange(s0, s0 + n)[:, None] >= steps
+        shrink[done] = 1.0
+        update[done] = -0.0
+        matmuls = [(w_row, x[:, lo:hi, :w], dot_b)
+                   for w_row, (lo, hi, w), dot_b in zip(w_rows, blocks, dots)]
+        for t, (yc, sc, uc) in enumerate(zip(y, shrink, update)):
+            for w_row, x_b, dot_b in matmuls:
+                np.matmul(w_row, x_b[t], dot_b)
+            np.add(dot_flat, bias, margin)
+            np.multiply(margin, yc, margin)
+            np.less(margin, 1.0, hit)
+            np.multiply(wb, sc, wb)
+            np.add(wb, uc, wb, where=hit_col)
+    weights = [None] * n_problems
+    for row, p in enumerate(by_width):
+        weights[p] = wb[row, :widths[row]]
+    biases = np.empty(n_problems)
+    biases[by_width] = bias
     return weights, biases
 
 
@@ -168,8 +188,9 @@ def train(spec: ClassifierSpec, ds: Dataset) -> TrainedClassifier:
 
 def train_many(spec: ClassifierSpec, datasets) -> list[TrainedClassifier]:
     """Train one model per training set. The linear SVMs of all sets and
-    all their one-vs-rest heads train together, one lockstep pass per gene
-    count; KNN and Gaussian NB fit each set on its own."""
+    all their one-vs-rest heads train together in one lockstep pass, even
+    when the sets differ in gene count; KNN and Gaussian NB fit each set
+    on its own."""
     datasets = list(datasets)
     models = []
     for ds in datasets:
@@ -212,21 +233,22 @@ def _fit_gaussian_nb(model: TrainedClassifier, ds: Dataset):
 
 def _fit_linear_svms(models: list, datasets: list):
     """One head for binary data, one-vs-rest heads for multiclass; every
-    head of every set is one problem of a ``_pegasos`` pass."""
-    by_width = {}
+    head of every set, whatever its gene count, is one problem of a single
+    ``_pegasos`` pass."""
+    problems = []
     for q, model in enumerate(models):
         heads = 1 if model.n_classes == 2 else model.n_classes
         model.weights = np.empty((heads, model.n_genes))
         model.biases = np.empty(heads)
-        for head in range(heads):
-            by_width.setdefault(model.n_genes, []).append((q, head))
-    for group in by_width.values():
-        weights, biases = _pegasos(models[0].spec,
-                                   [datasets[q] for q, _ in group],
-                                   [head for _, head in group])
-        for (q, head), w, b in zip(group, weights, biases):
-            models[q].weights[head] = w
-            models[q].biases[head] = b
+        problems.extend((q, head) for head in range(heads))
+    if not problems:
+        return
+    weights, biases = _pegasos(models[0].spec,
+                               [datasets[q] for q, _ in problems],
+                               [head for _, head in problems])
+    for (q, head), w, b in zip(problems, weights, biases):
+        models[q].weights[head] = w
+        models[q].biases[head] = b
 
 
 def predict(model: TrainedClassifier, ds: Dataset) -> np.ndarray:

@@ -342,6 +342,13 @@ def _read_gene_subset(path) -> list:
 def _cmd_evaluate(args) -> int:
     ds = _load_prepared(args)
     subset = sorted(set(_read_gene_subset(args.genes)))
+    if not subset:
+        raise GeneFunnelError(f"{args.genes}: no gene indices")
+    for index in subset:
+        if not 0 <= index < ds.n_genes:
+            raise GeneFunnelError(
+                f"{args.genes}: gene index {index} is outside "
+                f"0..{ds.n_genes - 1} ({ds.name} has {ds.n_genes} genes)")
     plan = make_folds(ds.labels, args.cv_k, args.cv_rounds, args.seed)
     doc = {"dataset_name": ds.name, "genes": subset, "summaries": {}}
     for spec in _eval_specs(args):

@@ -93,6 +93,42 @@ class FoldPlan:
                 yield r, f, train, np.array(sorted(test), dtype=np.int64)
 
 
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_row(genes: list, missing_token: str, token_parses: bool, path,
+               line_no: int, row_index: int, mask: set) -> np.ndarray:
+    """The gene cells of one row as floats. Empty cells and cells equal to
+    ``missing_token`` (after stripping) go into ``mask`` as
+    ``(row_index, column)`` and read 0.0; any other cell that is not a
+    number is an error naming ``path:line_no``."""
+    if token_parses:
+        # a numeric token parses, so its cells are told apart by text
+        genes = ["" if cell.strip() == missing_token else cell
+                 for cell in genes]
+    row = []
+    rest = iter(genes)
+    while True:
+        try:
+            # extend keeps the cells parsed before the first that raises,
+            # so a row costs one map per gap and no Python step per cell
+            row.extend(map(float, rest))
+            return np.array(row)
+        except ValueError:
+            col = len(row)
+            text = genes[col].strip()
+            if text != "" and text != missing_token:
+                raise ParseError(f"{path}:{line_no}: non-numeric "
+                                 f"cell {genes[col]!r}") from None
+            mask.add((row_index, col))
+            row.append(0.0)
+
+
 def load_csv(path, label_column: str = "last", missing_token: str = "NA",
              name: str | None = None) -> tuple[Dataset, frozenset]:
     """Parse a UTF-8 comma-separated file into a Dataset and a missing mask.
@@ -119,6 +155,7 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
             label_pos = 0 if label_column == "first" else n_cols - 1
             gene_ids = tuple(h for i, h in enumerate(header) if i != label_pos)
 
+            token_parses = _parses_as_float(missing_token)
             rows, line_nos, raw_labels, mask = [], [], [], set()
             for line_no, cells in enumerate(reader, start=2):
                 if not cells:
@@ -127,22 +164,9 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
                     raise ParseError(f"{path}:{line_no}: expected {n_cols} "
                                      f"columns, got {len(cells)}")
                 raw_labels.append(cells[label_pos].strip())
-                row = np.zeros(n_cols - 1, dtype=np.float64)
-                col = 0
-                for i, cell in enumerate(cells):
-                    if i == label_pos:
-                        continue
-                    text = cell.strip()
-                    if text == "" or text == missing_token:
-                        mask.add((len(rows), col))
-                    else:
-                        try:
-                            row[col] = float(text)
-                        except ValueError:
-                            raise ParseError(f"{path}:{line_no}: non-numeric "
-                                             f"cell {cell!r}") from None
-                    col += 1
-                rows.append(row)
+                genes = cells[1:] if label_pos == 0 else cells[:-1]
+                rows.append(_parse_row(genes, missing_token, token_parses,
+                                       path, line_no, len(rows), mask))
                 line_nos.append(line_no)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
@@ -207,8 +231,10 @@ def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
     observed[rows, cols] = False
     empty = ~observed.any(axis=0)
     if empty.any():
-        raise ValidationError(
-            f"gene column {np.argmax(empty)} has no observed values")
+        j = int(np.argmax(empty))
+        where = f"{ds.name}: " if ds.name else ""
+        raise ValidationError(f"{where}gene column {j} ({ds.gene_ids[j]!r}) "
+                              "has no observed values")
 
     values = ds.values
     zeroed = np.where(observed, values, 0.0)

@@ -224,7 +224,10 @@ def impute_knn_loop(ds, mask, n_neighbors=5):
     for j in range(n):
         obs = observed[:, j]
         if not obs.any():
-            raise ValidationError(f"gene column {j} has no observed values")
+            where = f"{ds.name}: " if ds.name else ""
+            raise ValidationError(f"{where}gene column {j} "
+                                  f"({ds.gene_ids[j]!r}) has no observed "
+                                  "values")
         col_means[j] = values[obs, j].mean()
 
     missing_by_row: dict[int, list[int]] = {}

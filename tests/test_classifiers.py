@@ -275,6 +275,56 @@ class TestLinearSvmLockstep:
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.biases.tobytes() == b.biases.tobytes()
 
+    def test_every_width_in_one_pass(self, monkeypatch):
+        # widths 1, 3 and 37 (a blocked BLAS dot), binary and 4-class, 20 to
+        # 29 rows: 11 problems with Nmax = 37 at 8 * 11 * (3 * 37 + 8) bytes
+        # per step, so 7 steps per chunk; with 3 epochs the 20-, 23- and
+        # 26-row problems finish inside a chunk (60, 69 and 78 steps) and
+        # then take no-op steps until step 87
+        sets = [planted(20, 1, 2, seed=1), planted(23, 3, 4, seed=2),
+                planted(26, 37, 2, seed=3), planted(21, 37, 4, seed=4),
+                planted(29, 3, 2, seed=5)]
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=3, seed=8)
+        whole = train_many(spec, sets)
+        assert_matches_sequential(spec, sets, whole)
+        monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
+                            7 * 8 * 11 * 119 + 5)
+        chunked = train_many(spec, sets)
+        assert_matches_sequential(spec, sets, chunked)
+        for a, b in zip(whole, chunked):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+
+    def test_padding_is_never_read(self):
+        # at step 2 the margin of this 3-gene pair is 1.0 by the BLAS dot
+        # of its 3 genes but 1.0 - 4 ulp by a dot over the same genes
+        # zero-padded to the 37 of the other problem's block
+        pair = make_ds([[-0.13010489554971594, 0.9483723865185107,
+                         0.7953552162170976],
+                        [3.3886395908843614, -1.059177628962313,
+                         -0.06868199658785011]], [0, 1])
+        sets = [pair, planted(20, 37, 2, seed=3)]
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1, seed=0)
+        assert_matches_sequential(spec, sets, train_many(spec, sets))
+
+    def test_one_pegasos_pass_per_call(self, monkeypatch):
+        calls = []
+        pegasos = classifiers._pegasos
+
+        def counted(spec, datasets, heads):
+            calls.append(len(datasets))
+            return pegasos(spec, datasets, heads)
+
+        monkeypatch.setattr(classifiers, "_pegasos", counted)
+        sets = [planted(20, 1, 2, seed=1), planted(23, 3, 4, seed=2),
+                planted(26, 37, 2, seed=3), planted(21, 37, 4, seed=4)]
+        train_many(ClassifierSpec(kind="linear_svm", svm_epochs=1), sets)
+        assert calls == [10]
+
+    @pytest.mark.parametrize("kind", classifiers.KINDS)
+    def test_no_training_sets(self, kind):
+        assert train_many(ClassifierSpec(kind=kind), []) == []
+
     @pytest.mark.parametrize("kind", ["knn", "gaussian_nb"])
     def test_other_kinds_map_over_sets(self, kind):
         sets = fold_training_sets(planted(30, 4, 3, seed=9), 3, 1)

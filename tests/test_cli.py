@@ -238,36 +238,54 @@ class TestEvaluate:
         assert json.loads(out.read_text())["genes"] == [3]
 
 
+    @pytest.mark.parametrize("indices", ["0\n40\n", "[-1, 2]"])
+    def test_index_outside_the_data_exits_1(self, synth_csv, tmp_path,
+                                            capsys, indices):
+        path, _ = synth_csv
+        genes = tmp_path / "genes.txt"
+        genes.write_text(indices)
+        assert main(["evaluate", "--data", str(path), "--genes", str(genes),
+                     "--cv-k", "4", "--cv-rounds", "1",
+                     "--classifiers", "knn"]) == 1
+        bad = 40 if "40" in indices else -1
+        assert capsys.readouterr().err == (
+            f"error: {genes}: gene index {bad} is outside 0..39 "
+            f"({path} has 40 genes)\n")
+
+
 class TestMalformedInputs:
     """Each malformed data CSV or gene-subset file ends in exit 1 or 2 with
     one stderr line, never a traceback."""
 
-    @pytest.mark.parametrize("kind, content", [
-        ("csv", b"g1,g2,label\n1,\xff,A\n3,4,B\n"),
-        ("csv", b"g1,g2,label\n1,2,A\n3,B\n"),
-        ("csv", b"g1,g2,label\n1,oops,A\n3,4,B\n"),
-        ("csv", b"g1,g2,label\n1,inf,A\n3,4,B\n"),
-        ("csv", b"g1,g2,label\n1,NA,A\n3,,B\n"),
-        ("csv", b"g1,g2,label\n1,2,A\n3,4,A\n"),
-        ("csv", b""),
-        ("csv", b"g1,g2,label\n"),
-        ("genes", b"0\nabc\n"),
-        ("genes", b'{"genes": [0]}'),
-        ("genes", b'"abc"'),
-        ("genes", b'["a"]'),
-        ("genes", b"[1.5]"),
-        ("genes", b"[true]"),
-        ("genes", b"[null]"),
-        ("genes", b"\xff\n"),
-        ("genes", b"[0, 999]"),
+    @pytest.mark.parametrize("kind, content, names", [
+        ("csv", b"g1,g2,label\n1,\xff,A\n3,4,B\n", ()),
+        ("csv", b"g1,g2,label\n1,2,A\n3,B\n", (":3:",)),
+        ("csv", b"g1,g2,label\n1,oops,A\n3,4,B\n", (":2:", "'oops'")),
+        ("csv", b"g1,g2,label\n1,inf,A\n3,4,B\n", (":2:", "'g2'")),
+        ("csv", b"g1,g2,label\n1,NA,A\n3,,B\n", ("column 1", "'g2'")),
+        ("csv", b"g1,g2,label\n1,2,A\n3,4,A\n", ()),
+        ("csv", b"", ()),
+        ("csv", b"g1,g2,label\n", ()),
+        ("genes", b"0\nabc\n", ("'abc'",)),
+        ("genes", b'{"genes": [0]}', ()),
+        ("genes", b'"abc"', ()),
+        ("genes", b'["a"]', ("'a'",)),
+        ("genes", b"[1.5]", ("1.5",)),
+        ("genes", b"[true]", ("True",)),
+        ("genes", b"[null]", ("None",)),
+        ("genes", b"\xff\n", ()),
+        ("genes", b"[0, 999]", ("index 999",)),
+        ("genes", b"3\n-1\n", ("index -1",)),
+        ("genes", b"", ()),
     ], ids=["csv_not_utf8", "csv_ragged", "csv_non_numeric",
             "csv_non_finite", "csv_all_na_column", "csv_one_class",
             "csv_empty", "csv_header_only", "genes_bad_token",
             "genes_json_object", "genes_json_string", "genes_string_entry",
             "genes_float_entry", "genes_bool_entry", "genes_null_entry",
-            "genes_not_utf8", "genes_out_of_bounds"])
+            "genes_not_utf8", "genes_out_of_bounds", "genes_negative",
+            "genes_empty"])
     def test_one_line_no_traceback(self, synth_csv, tmp_path, capsys, kind,
-                                   content):
+                                   content, names):
         data, _ = synth_csv
         bad = tmp_path / f"bad.{kind}"
         bad.write_bytes(content)
@@ -280,9 +298,10 @@ class TestMalformedInputs:
         assert main(argv) in (1, 2)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        # a well-formed subset out of bounds is caught later, by project
-        if kind == "genes" and content != b"[0, 999]":
-            assert str(bad) in err
+        # every message names the file it is about
+        assert str(bad) in err
+        for name in names:
+            assert name in err
 
 
 class TestCompare:

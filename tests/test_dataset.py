@@ -88,6 +88,41 @@ class TestLoadCsv:
         ds, mask = load_csv(path, missing_token="nan")
         assert mask == {(0, 1)} and ds.values[0, 1] == 0.0
 
+    @pytest.mark.parametrize("label_column", ["first", "last"])
+    def test_gaps_anywhere_in_a_row(self, tmp_path, label_column):
+        rows = [["", " 2.5", "NA", "4 ", "  "],
+                ["1e-3", " NA ", "-0", "7", "8"],
+                ["1", "2", "3", "4", "5"]]
+        lines = ["g0,g1,g2,g3,g4"]
+        for cells, label in zip(rows, "ABA"):
+            cells = ([label] + cells if label_column == "first"
+                     else cells + [label])
+            lines.append(",".join(cells))
+        if label_column == "first":
+            lines[0] = "label," + lines[0]
+        else:
+            lines[0] += ",label"
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        ds, mask = load_csv(path, label_column=label_column)
+        expect = np.array([[0.0, 2.5, 0.0, 4.0, 0.0],
+                           [1e-3, 0.0, -0.0, 7.0, 8.0],
+                           [1.0, 2.0, 3.0, 4.0, 5.0]])
+        assert ds.values.tobytes() == expect.tobytes()
+        assert mask == {(0, 0), (0, 2), (0, 4), (1, 1)}
+
+    def test_non_numeric_cell_after_a_gap(self, tmp_path):
+        path = write(tmp_path, "g1,g2,g3,label\n1,2,3,A\nNA,, x1,B\n")
+        with pytest.raises(ParseError,
+                           match=r"^.*data\.csv:3: non-numeric cell ' x1'$"):
+            load_csv(path)
+
+    def test_numeric_missing_token_matches_text_only(self, tmp_path):
+        path = write(tmp_path, "g1,g2,g3,label\n"
+                               "-999, -999 ,-999.0,A\n1,,2,B\n")
+        ds, mask = load_csv(path, missing_token="-999")
+        assert mask == {(0, 0), (0, 1), (1, 1)}
+        assert ds.values.tolist() == [[0.0, 0.0, -999.0], [1.0, 0.0, 2.0]]
+
     def test_load_twice_identical(self, tmp_path):
         rng = np.random.default_rng(1)
         lines = ["g0,g1,g2,label"]
@@ -266,12 +301,16 @@ class TestImputeKnnOracle:
         missing[:, [3, 1]] = True
         missing[0, 0] = True
         ds, mask = _masked(values, missing)
-        with pytest.raises(ValidationError,
-                           match="^gene column 1 has no observed values$"):
+        message = r"^gene column 1 \('g1'\) has no observed values$"
+        with pytest.raises(ValidationError, match=message):
             impute_knn(ds, mask, 2)
-        with pytest.raises(ValidationError,
-                           match="^gene column 1 has no observed values$"):
+        with pytest.raises(ValidationError, match=message):
             oracles.impute_knn_loop(ds, mask, 2)
+        named = Dataset(ds.values, ds.labels, ds.gene_ids, ds.class_names,
+                        "expr.csv")
+        with pytest.raises(ValidationError,
+                           match=r"^expr\.csv: gene column 1 \('g1'\) has"):
+            impute_knn(named, mask, 2)
 
     def test_out_of_bounds_coordinate(self):
         ds, _ = _masked(np.ones((4, 3)), np.zeros((4, 3), dtype=bool))
