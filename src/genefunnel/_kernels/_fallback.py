@@ -56,6 +56,13 @@ def sort_columns(x):
     return xs, order
 
 
+# Bytes of one (genes, rows) float64 array of ``best_split_sorted``: it
+# scans the genes of a node in blocks of at most _SCAN_BYTES / 8 cells,
+# holding about four block-sized arrays at once. Every node of 60x500 and
+# 80x200 data fits one block; a 150-row node of 5000 genes takes six.
+_SCAN_BYTES = 1 << 20
+
+
 def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
     """``best_split`` over columns that are already sorted.
 
@@ -64,10 +71,12 @@ def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
     total_g, total_h: the node's gradient and hessian sums. Same return
     value and tie rules as ``best_split``.
 
-    One pass over the whole matrix: every column is scanned at once in a
-    feature-major (n, m) layout, so the first maximum of the flattened
-    gain matrix is the lowest feature, then the lowest threshold. The
-    gain arithmetic runs in place, in the fixed order
+    The features are scanned in blocks of whole rows of xs (see
+    ``_SCAN_BYTES``), each block in one pass, in a feature-major layout,
+    so the first maximum of a block's flattened gain matrix is its lowest
+    feature, then its lowest threshold. A later block wins only with a
+    strictly greater gain, so the blocks pick what one pass over the whole
+    matrix picks. The gain arithmetic runs in place, in the fixed order
     0.5 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - parent) - gamma; reordering
     it moves the last bits of the gains, and with them tie-breaks, trees
     and report fingerprints.
@@ -76,11 +85,26 @@ def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
     if m < 2 or n == 0:
         return -1, 0.0, 0.0
     parent = total_g * total_g / (total_h + lam)
+    block = max(1, _SCAN_BYTES // (8 * m))
+    best_feat, best_cut, best_gain = -1, 0, -np.inf
+    for lo in range(0, n, block):
+        gains = _split_gains(xs[lo:lo + block], order[lo:lo + block], g, h,
+                             total_g, total_h, lam, gamma, parent)
+        feat, cut = divmod(int(np.argmax(gains)), m)
+        gain = float(gains[feat, cut])
+        if gain > best_gain:
+            best_feat, best_cut, best_gain = lo + feat, cut, gain
+    if not best_gain > 0.0:
+        return -1, 0.0, 0.0
+    thr = float(0.5 * (xs[best_feat, best_cut] + xs[best_feat, best_cut + 1]))
+    return best_feat, thr, best_gain
 
-    # Arrays are (n, m), contiguous and updated in place, so a call holds
-    # about four node-sized arrays at its peak. Column i is the cut that
-    # sends sorted rows 0..i left; the last column has no cut after it and
-    # its gain is replaced by -inf.
+
+def _split_gains(xs, order, g, h, total_g, total_h, lam, gamma, parent):
+    """The (n, m) gain of every cut of every feature of one block; -inf
+    where no cut is (between equal values, and after the last row)."""
+    # Arrays are (n, m), contiguous and updated in place. Column i is the
+    # cut that sends sorted rows 0..i left.
     left_g = g[order]
     np.cumsum(left_g, axis=1, out=left_g)
     left_h = h[order]
@@ -106,13 +130,7 @@ def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
     # no threshold separates equal values
     gains[:, :-1][xs[:, :-1] == xs[:, 1:]] = -np.inf
     gains[:, -1] = -np.inf
-
-    feat, cut = divmod(int(np.argmax(gains)), m)
-    best_gain = float(gains[feat, cut])
-    if not best_gain > 0.0:
-        return -1, 0.0, 0.0
-    thr = float(0.5 * (xs[feat, cut] + xs[feat, cut + 1]))
-    return feat, thr, best_gain
+    return gains
 
 
 def sorted_partition(xs, order, first):

@@ -60,9 +60,11 @@ class TrainedClassifier:
     biases: np.ndarray | None = None
 
 
-# Bytes that one lockstep chunk of ``_pegasos`` spends on its precomputed
-# per-step arrays (sample rows, targets, step sizes, shrink factors and
-# update vectors); a chunk holds at least one step.
+# Bytes that one lockstep chunk of ``_pegasos`` spends on its per-step
+# arrays: the gathered sample rows, the shrink factors and the update
+# vectors, (P, Nmax + 1) each, plus a few (P,) vectors (orders, rows,
+# targets, step sizes). The buffers are allocated once per call and
+# refilled by every chunk; a chunk holds at least one step.
 _CHUNK_BYTES = 128 << 10
 
 
@@ -81,11 +83,16 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
 
     The weights of all problems sit in one zero-padded (P, Nmax + 1)
     matrix, bias in the last column, with the problems of one width in
-    one contiguous block of rows. Step t is one numpy pass: one stacked
-    matmul per width block gives that block's margins through the same
-    BLAS dot as ``x @ w`` (it never reads the padding), then w shrinks by
-    1 - eta*lam and takes the hinge step where the margin is below 1.
-    Every operation is the one-problem algorithm's, in its order, so each
+    one contiguous block of rows; the sample rows of all training sets
+    are stacked once in the same layout, with 1.0 in the bias column.
+    The steps run in chunks. A chunk gathers its steps' sample rows into
+    buffers allocated once per call and turns them into shrink factors
+    and update vectors (one multiply by eta*y gives the weight and the
+    bias steps). Step t is then one numpy pass: one ``vecdot`` per width
+    block gives that block's margins through the same BLAS dot as
+    ``x @ w`` (it never reads the padding), then w shrinks by 1 - eta*lam
+    and takes the hinge step where the margin is below 1. Every
+    operation is the one-problem algorithm's, in its order, so each
     problem gets the bits it gets when trained alone. A problem that has
     run all its steps takes exact no-op steps until the longest ends:
     shrink 1.0 and update -0.0 (``x + -0.0`` is ``x``, -0.0 included).
@@ -96,14 +103,19 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
     by_width = sorted(range(n_problems), key=lambda p: datasets[p].n_genes)
     widths = [datasets[p].n_genes for p in by_width]
     n_max = widths[-1]
-    # the rows of each distinct training set, stacked once, zero-padded
+    # the rows of each distinct training set, stacked once, zero-padded,
+    # with 1.0 in the bias column
     unique = list({id(ds): ds for ds in datasets}.values())
     starts = np.cumsum([0] + [ds.n_samples for ds in unique])
     first_row = {id(ds): int(start) for ds, start in zip(unique, starts)}
-    x_all = np.zeros((int(starts[-1]), n_max))
+    xa = np.zeros((int(starts[-1]), n_max + 1))
+    xa[:, n_max] = 1.0
     for ds, start in zip(unique, starts):
-        x_all[start:start + ds.n_samples, :ds.n_genes] = ds.values
+        xa[start:start + ds.n_samples, :ds.n_genes] = ds.values
+    # sign[r, c]: the target of row r when class c is the positive one
     labels_all = np.concatenate([ds.labels for ds in unique])
+    n_classes = max(ds.n_classes for ds in unique)
+    sign = np.where(labels_all[:, None] == np.arange(n_classes), 1.0, -1.0)
 
     sizes = [datasets[p].n_samples for p in by_width]
     steps = epochs * np.array(sizes)
@@ -127,20 +139,36 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
     bounds = [0] + [p for p in range(1, n_problems)
                     if widths[p] != widths[p - 1]] + [n_problems]
     blocks = [(lo, hi, widths[lo]) for lo, hi in zip(bounds, bounds[1:])]
-    w_rows = [wb[lo:hi, None, :w] for lo, hi, w in blocks]
-    # a step writes into these buffers and allocates nothing; the margins
-    # are 1-D, where numpy's strided loops are faster than on (P, 1) views
-    dot = np.empty((n_problems, 1, 1))
-    dots = [dot[lo:hi] for lo, hi, _ in blocks]
-    dot_flat = dot.reshape(n_problems)
+
+    total = int(steps.max())
+    chunk = min(total, max(1, _CHUNK_BYTES
+                           // (8 * n_problems * (3 * n_max + 8))))
+    # per-chunk buffers, refilled in place; full (steps, problems,
+    # Nmax + 1) shapes, since an in-place multiply by a broadcast column
+    # takes numpy's slower strided loop. The shrink factor of the bias
+    # column stays 1.0. A key that has run all its steps keeps earlier,
+    # in-range entries in ``order``; its problems take no-op steps.
+    order = np.zeros((chunk, len(keys)), dtype=np.int64)
+    rows = np.empty((chunk, n_problems), dtype=np.int64)
+    y = np.empty((chunk, n_problems))
+    x = np.empty((chunk, n_problems, n_max + 1))
+    shrink = np.ones((chunk, n_problems, n_max + 1))
+    update = np.empty((chunk, n_problems, n_max + 1))
+    # a step writes into these and allocates nothing; the margins are
+    # 1-D, where numpy's strided loops are faster than on (P, 1) views
+    dot = np.empty(n_problems)
     margin = np.empty(n_problems)
     hit = np.empty(n_problems, dtype=bool)
     hit_col = hit[:, None]
-    total = int(steps.max())
-    chunk = max(1, _CHUNK_BYTES // (8 * n_problems * (3 * n_max + 8)))
+    # every view a step reads, made once per call: per width block the
+    # weights, the sample rows and the margins, then the targets, shrink
+    # factors and updates of all problems
+    step_views = [([(wb[lo:hi, :w], x[t, lo:hi, :w], dot[lo:hi])
+                    for lo, hi, w in blocks], y[t], shrink[t], update[t])
+                  for t in range(chunk)]
+    finish = int(steps.min())
     for s0 in range(0, total, chunk):
         n = min(chunk, total - s0)
-        order = np.zeros((n, len(keys)), dtype=np.int64)
         for key, (_, m) in enumerate(keys):
             take = min(n, key_steps[key] - s0)
             if take <= 0:
@@ -150,26 +178,24 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
                     [pending[key], rngs[key].permutation(m)])
             order[:take, key] = pending[key][:take]
             pending[key] = pending[key][take:]
-        rows = offset + order[:, key_of]
-        x = x_all[rows][..., None]
-        y = np.where(labels_all[rows] == positive, 1.0, -1.0)
+        np.add(offset, order[:n, key_of], rows[:n])
+        # every row index is in range; unlike the default 'raise', 'clip'
+        # writes straight into the buffer instead of through a temporary
+        np.take(xa, rows[:n], axis=0, out=x[:n], mode="clip")
+        y[:n] = sign[rows[:n], positive]
         eta = 1.0 / (lam * np.arange(s0 + 1.0, s0 + n + 1.0)[:, None])
-        # full (steps, problems, Nmax + 1) shapes: an in-place multiply by
-        # a broadcast column takes numpy's slower strided loop
-        shrink = np.ones((n, n_problems, n_max + 1))
-        shrink[..., :n_max] = (1.0 - eta * lam)[..., None]
-        update = np.ones((n, n_problems, n_max + 1))
-        update[..., :n_max] = x[..., 0]
-        update *= (eta * y)[..., None]
-        done = np.arange(s0, s0 + n)[:, None] >= steps
-        shrink[done] = 1.0
-        update[done] = -0.0
-        matmuls = [(w_row, x[:, lo:hi, :w], dot_b)
-                   for w_row, (lo, hi, w), dot_b in zip(w_rows, blocks, dots)]
-        for t, (yc, sc, uc) in enumerate(zip(y, shrink, update)):
-            for w_row, x_b, dot_b in matmuls:
-                np.matmul(w_row, x_b[t], dot_b)
-            np.add(dot_flat, bias, margin)
+        shrink[:n, :, :n_max] = (1.0 - eta * lam)[..., None]
+        eta *= y[:n]
+        # x * (eta*y); the 1.0 bias column turns into the bias step eta*y
+        np.multiply(x[:n], eta[..., None], update[:n])
+        if s0 + n > finish:  # some problem has run all its steps
+            done = np.arange(s0, s0 + n)[:, None] >= steps
+            shrink[:n][done] = 1.0
+            update[:n][done] = -0.0
+        for block_views, yc, sc, uc in step_views[:n]:
+            for w_b, x_b, dot_b in block_views:
+                np.vecdot(w_b, x_b, out=dot_b)
+            np.add(dot, bias, margin)
             np.multiply(margin, yc, margin)
             np.less(margin, 1.0, hit)
             np.multiply(wb, sc, wb)

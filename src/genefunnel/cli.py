@@ -423,11 +423,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_trace(args) -> int:
     ds = _load_prepared(args)
-    model = boosting.fit(ds, ds.labels, _boost_params(args))
-    stage1 = boosting.select_nonzero(boosting.importances(model))
-    from .data import project
-    _, trace = ga.evolve(project(ds, stage1), _ga_config(args))
-    ga.trace_to_csv(trace, args.trace_out)
+    cfg = pipeline.PipelineConfig(boost=_boost_params(args),
+                                  ga=_ga_config(args))
+    ga.trace_to_csv(pipeline.select_genes(ds, cfg).trace, args.trace_out)
     return EXIT_OK
 
 

@@ -27,6 +27,8 @@ __all__ = [
     "PipelineReport",
     "SynthSpec",
     "SynthResult",
+    "Selection",
+    "select_genes",
     "run_pipeline",
     "compare_reports",
     "generate_synth",
@@ -141,8 +143,22 @@ def generate_synth(spec: SynthSpec) -> SynthResult:
                        informative_genes=tuple(int(j) for j in informative))
 
 
-def _select_genes(ds: Dataset, cfg: PipelineConfig, seed_offset=None):
-    """Run both selection stages on ``ds``; returns (stage1, gains, final)."""
+@dataclass
+class Selection:
+    """Both selection stages' result on one dataset."""
+    stage1: np.ndarray        # genes kept by stage 1, ascending indices
+    gains: np.ndarray         # their stage-1 total gains
+    final: np.ndarray         # genes the GA picked among them
+    trace: ga.GaTrace
+    runtimes: dict            # "stage1" and "stage2" seconds (ms resolution)
+
+
+def select_genes(ds: Dataset, cfg: PipelineConfig,
+                 seed_offset=None) -> Selection:
+    """Run both selection stages on ``ds``: boosted-tree ranking keeps the
+    genes of nonzero gain, then the GA searches among them. With a
+    ``seed_offset`` (an outer fold's ``(r, f)``), both stages draw from
+    seeds derived from it."""
     boost_params = cfg.boost
     ga_cfg = cfg.ga
     if seed_offset is not None:
@@ -150,18 +166,23 @@ def _select_genes(ds: Dataset, cfg: PipelineConfig, seed_offset=None):
             boost_params, seed=_derive_seed(boost_params.seed, seed_offset))
         ga_cfg = dataclasses.replace(
             ga_cfg, seed=_derive_seed(ga_cfg.seed, seed_offset))
+    t0 = time.perf_counter()
     model = boosting.fit(ds, ds.labels, boost_params)
-    report = boosting.importances(model)
+    importance = boosting.importances(model)
     try:
-        stage1 = boosting.select_nonzero(report)
+        stage1 = boosting.select_nonzero(importance)
     except ValidationError as exc:
         raise PipelineError(
             "stage 1 kept no genes; the labels look independent of the data"
         ) from exc
+    t1 = time.perf_counter()
     best, trace = ga.evolve(project(ds, stage1), ga_cfg)
     final = ga.decode(best, stage1)
-    gains = report.total_gain[stage1]
-    return stage1, gains, final, trace
+    t2 = time.perf_counter()
+    return Selection(stage1=stage1, gains=importance.total_gain[stage1],
+                     final=final, trace=trace,
+                     runtimes={"stage1": _ms(t1 - t0),
+                               "stage2": _ms(t2 - t1)})
 
 
 def _derive_seed(seed: int, offset: tuple) -> int:
@@ -173,23 +194,9 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
 
     The input is expected to be imputed and normalized already.
     """
-    runtimes = {}
-
-    t0 = time.perf_counter()
-    model = boosting.fit(ds, ds.labels, cfg.boost)
-    importance = boosting.importances(model)
-    try:
-        stage1 = boosting.select_nonzero(importance)
-    except ValidationError as exc:
-        raise PipelineError(
-            "stage 1 kept no genes; the labels look independent of the data"
-        ) from exc
-    runtimes["stage1"] = _ms(time.perf_counter() - t0)
-
-    t1 = time.perf_counter()
-    best, trace = ga.evolve(project(ds, stage1), cfg.ga)
-    final = ga.decode(best, stage1)
-    runtimes["stage2"] = _ms(time.perf_counter() - t1)
+    selection = select_genes(ds, cfg)
+    stage1, final = selection.stage1, selection.final
+    runtimes = dict(selection.runtimes)
 
     t2 = time.perf_counter()
     plan = make_folds(ds.labels, cfg.cv_k, cfg.cv_rounds, cfg.seed)
@@ -207,7 +214,7 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         n_genes=ds.n_genes,
         stage1_genes=[int(j) for j in stage1],
         stage1_ids=[ds.gene_ids[int(j)] for j in stage1],
-        stage1_gains=[float(v) for v in importance.total_gain[stage1]],
+        stage1_gains=[float(v) for v in selection.gains],
         final_genes=[int(j) for j in final],
         final_ids=[ds.gene_ids[int(j)] for j in final],
         summaries=summaries,
@@ -215,7 +222,7 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         config=config_to_dict(cfg),
         protocol=cfg.protocol,
         seed=cfg.seed,
-        ga_trace=trace,
+        ga_trace=selection.trace,
     )
     return report
 
@@ -231,7 +238,7 @@ def _nested_evaluate(ds: Dataset, cfg: PipelineConfig, plan) -> dict:
             continue
         train_ds = Dataset(ds.values[train_idx], train_labels,
                            ds.gene_ids, ds.class_names, ds.name)
-        _, _, final, _ = _select_genes(train_ds, cfg, seed_offset=(r, f))
+        final = select_genes(train_ds, cfg, seed_offset=(r, f)).final
         splits.append((project(train_ds, final),
                        ds.values[np.ix_(test_idx, final)],
                        ds.labels[test_idx]))

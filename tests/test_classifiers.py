@@ -261,8 +261,8 @@ class TestLinearSvmLockstep:
 
     def test_small_chunk_budget(self, monkeypatch):
         # 4 folds of 3 heads, 29 or 30 rows, 2 genes: 12 problems at
-        # 8 * 12 * (3 * 2 + 6) bytes per step, so 7 steps per chunk, and
-        # the 29-row problems finish inside a chunk
+        # 8 * 12 * (3 * 2 + 8) bytes per step, so 6 steps per chunk, and
+        # the 29-row problems finish inside a chunk (261 steps)
         sets = fold_training_sets(planted(39, 2, 3, seed=6), 4, 1)
         assert {s.n_samples for s in sets} == {29, 30}
         spec = ClassifierSpec(kind="linear_svm", svm_epochs=9, seed=4)
@@ -289,6 +289,25 @@ class TestLinearSvmLockstep:
         assert_matches_sequential(spec, sets, whole)
         monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
                             7 * 8 * 11 * 119 + 5)
+        chunked = train_many(spec, sets)
+        assert_matches_sequential(spec, sets, chunked)
+        for a, b in zip(whole, chunked):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.biases.tobytes() == b.biases.tobytes()
+
+    @pytest.mark.parametrize("chunk_steps", [1, 7])
+    def test_reused_buffers_across_chunks(self, monkeypatch, chunk_steps):
+        # widths 1, 3 and 37, binary, 3- and 4-class: 9 problems with
+        # Nmax = 37 at 8 * 9 * (3 * 37 + 8) bytes per step. With 2 epochs
+        # the 20-, 23- and 26-row problems run 40, 46 and 52 steps, so with
+        # 7-step chunks they finish in three different chunks, and every
+        # later chunk refills the buffers and must no-op them again
+        sets = [planted(20, 3, 2, seed=1), planted(23, 1, 3, seed=2),
+                planted(26, 37, 2, seed=3), planted(20, 37, 4, seed=4)]
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=2, seed=5)
+        whole = train_many(spec, sets)
+        monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
+                            chunk_steps * 8 * 9 * 119 + 5)
         chunked = train_many(spec, sets)
         assert_matches_sequential(spec, sets, chunked)
         for a, b in zip(whole, chunked):

@@ -447,3 +447,31 @@ class TestTrace:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "generation,best_fitness,mean_fitness,best_size"
         assert len(lines) == 1 + 5  # generations 0..4
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_equals_select_trace_out(self, synth_csv, tmp_path, seed):
+        # SELECT_FAST is the selection flags followed by the evaluation ones
+        path, _ = synth_csv
+        selection = SELECT_FAST[:SELECT_FAST.index("--cv-k")]
+        traced = tmp_path / "trace.csv"
+        selected = tmp_path / "select-trace.csv"
+        assert main(["trace", "--data", str(path), "--seed", seed,
+                     *selection, "--trace-out", str(traced)]) == 0
+        assert main(["select", "--data", str(path), "--seed", seed,
+                     *SELECT_FAST, "--out", str(tmp_path / "r.json"),
+                     "--trace-out", str(selected)]) == 0
+        assert traced.read_bytes() == selected.read_bytes()
+
+    @pytest.mark.parametrize("command", ["trace", "select"])
+    def test_no_gene_kept_names_stage_1(self, tmp_path, capsys, command):
+        # every gene is constant, so no split gains and stage 1 keeps none
+        data = tmp_path / "constant.csv"
+        data.write_text("g0,g1,g2,label\n"
+                        + "".join(f"1.0,2.0,3.0,{'ab'[i % 2]}\n"
+                                  for i in range(12)))
+        argv = [command, "--data", str(data), "--trees", "3", "--pop", "4",
+                "--gens", "1", "--trace-out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: stage 1 kept no genes; the labels look independent of "
+            "the data\n")

@@ -148,6 +148,53 @@ class TestFallbackAgainstOracles:
         assert checked_ties >= 100
 
 
+class TestSplitScanBlocks:
+    """``best_split_sorted`` scans the genes in blocks under
+    ``_SCAN_BYTES``; with 3 or more blocks it must pick exactly what one
+    block over all genes picks."""
+
+    @staticmethod
+    def tie_heavy(rng):
+        m = int(rng.integers(2, 13))
+        n = int(rng.integers(7, 16))
+        x = rng.integers(0, 3, size=(m, n)).astype(float)
+        g = rng.integers(-1, 2, size=m).astype(float)
+        h = rng.integers(1, 3, size=m).astype(float)
+        return x, g, h
+
+    @staticmethod
+    def duplicated(rng):
+        # the best column copied into every block of 2 genes, noise between
+        m = 12
+        signal = np.repeat([0.0, 1.0], 6) + rng.normal(0, 0.1, size=m)
+        x = rng.normal(size=(m, 9))
+        x[:, 1::2] = signal[:, None]
+        return x, np.repeat([-1.0, 1.0], 6), np.ones(m)
+
+    @pytest.mark.parametrize("make", ["tie_heavy", "duplicated"])
+    @pytest.mark.parametrize("genes_per_block", [1, 2, 3])
+    def test_blocks_pick_what_one_block_picks(self, monkeypatch, make,
+                                              genes_per_block):
+        rng = np.random.default_rng(41)
+        cases = [getattr(self, make)(rng) for _ in range(150)]
+        whole = [_fallback.best_split(x, g, h, 1.0, 0.0)
+                 for x, g, h in cases]
+        splits = 0
+        for (x, g, h), expected in zip(cases, whole):
+            m, n = x.shape
+            assert 8 * m * n <= _fallback._SCAN_BYTES  # one block by default
+            monkeypatch.setattr(_fallback, "_SCAN_BYTES",
+                                8 * m * genes_per_block)
+            assert -(-n // genes_per_block) >= 3
+            assert _fallback.best_split(x, g, h, 1.0, 0.0) == expected
+            monkeypatch.undo()
+            splits += expected[0] >= 0
+        assert splits >= 100
+        if make == "duplicated":
+            # the first copy wins over its equal-gain copies in later blocks
+            assert {feat for feat, _, _ in whole} == {1}
+
+
 @needs_compiled
 class TestBackendParity:
     def test_knn_parity(self):

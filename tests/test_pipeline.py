@@ -196,8 +196,8 @@ class TestNestedEvaluation:
                                ds.gene_ids, ds.class_names)
             test_ds = Dataset(ds.values[test_idx], ds.labels[test_idx],
                               ds.gene_ids, ds.class_names)
-            _, _, final, _ = pipeline._select_genes(train_ds, cfg,
-                                                    seed_offset=(r, f))
+            final = pipeline.select_genes(train_ds, cfg,
+                                          seed_offset=(r, f)).final
             widths.add(len(final))
             for spec in cfg.eval_classifiers:
                 expected[spec.kind].append(score_split(
