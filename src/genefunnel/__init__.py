@@ -6,7 +6,8 @@ that subset with a genetic algorithm scored by internal-CV KNN accuracy.
 A cross-validation harness (KNN / Gaussian NB / linear SVM, macro
 metrics, Wilcoxon signed-rank test) evaluates the result.
 """
-from ._kernels import BACKEND as KERNEL_BACKEND
+# The kernels are numpy only; the name stays for run records that store it.
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"
 __all__ = ["KERNEL_BACKEND", "__version__"]

@@ -1,15 +1,13 @@
-"""Pure-numpy implementations of the hot kernels.
+"""The hot kernels, in numpy; each has this one implementation.
 
-``best_split_sorted`` is the only split scan on every install.
-``best_split`` sorts one node's columns and scans them; ``boosting.fit``
-sorts once per tree (``sort_columns``) and hands each child its part of
-the sorted orders (``sorted_partition``).
+``best_split_sorted`` is the only split scan. ``best_split`` sorts one
+node's columns and scans them; ``boosting.fit`` sorts once per tree
+(``sort_columns``) and hands each child its part of the sorted orders
+(``sorted_partition``).
 
-``knn_vote`` is the only KNN vote rule: ``knn_predict`` calls it, and so
-does the GA's batched fitness kernel. ``knn_predict`` serves the ``knn``
-evaluation classifier and must match the compiled version in
-``_core.pyx``, tie-breaks included; the parity test compares the two on
-random inputs.
+``knn_vote`` is the only KNN vote rule: ``knn_predict`` calls it for the
+``knn`` evaluation classifier, and so does the GA's batched fitness
+kernel.
 """
 import numpy as np
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -321,16 +321,7 @@ def _node_from_dict(d: dict) -> TreeNode:
 
 def model_to_json(model: BoostedEnsemble) -> str:
     doc = {
-        "params": {
-            "n_estimators": model.params.n_estimators,
-            "max_depth": model.params.max_depth,
-            "subsample": model.params.subsample,
-            "learning_rate": model.params.learning_rate,
-            "lam": model.params.lam,
-            "gamma": model.params.gamma,
-            "loss": model.params.loss,
-            "seed": model.params.seed,
-        },
+        "params": asdict(model.params),
         "base_score": model.base_score.tolist(),
         "n_genes": model.n_genes,
         "n_classes": model.n_classes,

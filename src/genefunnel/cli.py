@@ -21,7 +21,7 @@ from . import boosting, ga, pipeline
 from .classifiers import ClassifierSpec
 from .data import impute_knn, load_csv, make_folds, normalize_minmax
 from .errors import GeneFunnelError, ValidationError
-from .stats import cross_validate
+from .stats import METRIC_NAMES, cross_validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -33,8 +33,20 @@ _INDEX = re.compile(r"-?[0-9]+")
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the CLI contract wants 1
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
+
+
+def _seed(text):
+    """argparse type of every ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
 
 
 def _add_data_flags(p):
@@ -82,13 +94,13 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--sigma", type=float, default=0.5)
     p.add_argument("--missing-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--truth-out", help="write planted gene indices as JSON")
 
     p = sub.add_parser("rank", help="stage 1 only: importance report")
     _add_data_flags(p)
     _add_boost_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.add_argument("--csv", dest="csv_out", help="also write ranking as CSV")
 
@@ -97,7 +109,7 @@ def build_parser() -> _Parser:
     _add_boost_flags(p)
     _add_ga_flags(p)
     _add_eval_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--protocol", choices=("paper", "nested"), default="paper")
     p.add_argument("--config", help="JSON or key=value config file; flags win")
     p.add_argument("--out", help="report JSON path")
@@ -112,14 +124,14 @@ def build_parser() -> _Parser:
     _add_eval_flags(p)
     p.add_argument("--genes", required=True,
                    help="JSON list or newline-separated gene indices")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
 
     p = sub.add_parser("compare", help="Wilcoxon test over two report sets")
     p.add_argument("--a", required=True, help="directory of report JSON files")
     p.add_argument("--b", required=True, help="directory of report JSON files")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--metric", default="accuracy")
+    p.add_argument("--metric", choices=METRIC_NAMES, default="accuracy")
     p.add_argument("--classifier", default=None,
                    help="classifier kind to compare (default: first in reports)")
     p.add_argument("--out", help="JSON output path (default: stdout)")
@@ -128,7 +140,7 @@ def build_parser() -> _Parser:
     _add_data_flags(p)
     _add_boost_flags(p)
     _add_ga_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trace-out", required=True)
 
     return parser
@@ -171,7 +183,8 @@ def _emit(text: str, path):
 
 def _config_value(action, val):
     """Convert one config-file value the way its flag's argparse action
-    would; raises ValueError or TypeError on a value the flag rejects."""
+    would; raises ValueError, TypeError or argparse.ArgumentTypeError on
+    a value the flag rejects."""
     if not isinstance(val, (str, int, float)):
         raise TypeError(f"expected a scalar, got {type(val).__name__}")
     if action.nargs == 0:  # store_true
@@ -222,7 +235,7 @@ def _apply_config_file(args, actions, given):
             raise GeneFunnelError(f"{path}: unknown config key {key!r}")
         try:
             val = _config_value(actions[attr], val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise GeneFunnelError(
                 f"{path}: bad value for config key {key!r}: {exc}") from exc
         # explicit command-line flags keep priority

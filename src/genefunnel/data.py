@@ -22,6 +22,7 @@ __all__ = [
     "minmax_stats",
     "apply_minmax",
     "make_folds",
+    "training_fold",
     "project",
 ]
 
@@ -335,6 +336,16 @@ def make_folds(labels, k: int, rounds: int, seed: int) -> FoldPlan:
             assigned += members.size
         all_rounds.append(tuple(tuple(sorted(f)) for f in folds))
     return FoldPlan(k=k, rounds=rounds, assignments=tuple(all_rounds), seed=seed)
+
+
+def training_fold(ds: Dataset, rows) -> Dataset | None:
+    """The training rows of one CV fold as a Dataset, or None when they
+    miss a class: such a fold is skipped, by both protocols."""
+    labels = ds.labels[rows]
+    if np.unique(labels).size != ds.n_classes:
+        return None
+    return Dataset(ds.values[rows], labels, ds.gene_ids, ds.class_names,
+                   ds.name)
 
 
 def project(ds: Dataset, gene_subset) -> Dataset:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boosting, ga
 from .classifiers import ClassifierSpec
-from .data import Dataset, make_folds, project
+from .data import Dataset, make_folds, project, training_fold
 from .errors import PipelineError, ValidationError
 from .stats import (METRIC_NAMES, CvSummary, WilcoxonResult,
                     cross_validate, score_splits, wilcoxon_signed_rank)
@@ -98,6 +98,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_genes < 1:
+            raise ValidationError("n_genes must be at least 1")
+        if self.n_informative < 0:
+            raise ValidationError("n_informative must be non-negative")
+        if self.noise_sigma < 0:
+            raise ValidationError("noise_sigma must be non-negative")
         if self.n_informative > self.n_genes:
             raise ValidationError("n_informative exceeds n_genes")
         if not 0.0 <= self.missing_fraction < 1.0:
@@ -232,12 +238,10 @@ def _nested_evaluate(ds: Dataset, cfg: PipelineConfig, plan) -> dict:
     score each classifier on the held-out folds, all folds together."""
     splits, skipped = [], []
     for r, f, train_idx, test_idx in plan.splits():
-        train_labels = ds.labels[train_idx]
-        if np.unique(train_labels).size != ds.n_classes:
+        train_ds = training_fold(ds, train_idx)
+        if train_ds is None:
             skipped.append((r, f))
             continue
-        train_ds = Dataset(ds.values[train_idx], train_labels,
-                           ds.gene_ids, ds.class_names, ds.name)
         final = select_genes(train_ds, cfg, seed_offset=(r, f)).final
         splits.append((project(train_ds, final),
                        ds.values[np.ix_(test_idx, final)],
@@ -281,25 +285,18 @@ def config_from_dict(d: dict) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
+def _report_fields() -> list:
+    """Names of the PipelineReport fields that a report serializes."""
+    return [f.name for f in dataclasses.fields(PipelineReport)
+            if f.name != "ga_trace"]
+
+
 def report_to_dict(report: PipelineReport, include_timings: bool = True) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "dataset_name": report.dataset_name,
-        "n_samples": report.n_samples,
-        "n_genes": report.n_genes,
-        "stage1_genes": report.stage1_genes,
-        "stage1_ids": report.stage1_ids,
-        "stage1_gains": report.stage1_gains,
-        "n_stage1": report.n_stage1,
-        "final_genes": report.final_genes,
-        "final_ids": report.final_ids,
-        "summaries": {k: v.as_dict() for k, v in report.summaries.items()},
-        "config": report.config,
-        "protocol": report.protocol,
-        "seed": report.seed,
-    }
-    if include_timings:
-        doc["runtimes"] = report.runtimes
+    doc = {name: getattr(report, name) for name in _report_fields()}
+    doc.update(schema_version=SCHEMA_VERSION, n_stage1=report.n_stage1,
+               summaries={k: v.as_dict() for k, v in report.summaries.items()})
+    if not include_timings:
+        del doc["runtimes"]
     return doc
 
 
@@ -307,22 +304,12 @@ def report_from_dict(doc: dict) -> PipelineReport:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported report schema_version {doc.get('schema_version')!r}")
-    return PipelineReport(
-        dataset_name=doc["dataset_name"],
-        n_samples=doc["n_samples"],
-        n_genes=doc["n_genes"],
-        stage1_genes=doc["stage1_genes"],
-        stage1_ids=doc["stage1_ids"],
-        stage1_gains=doc["stage1_gains"],
-        final_genes=doc["final_genes"],
-        final_ids=doc["final_ids"],
-        summaries={k: CvSummary.from_dict(v)
-                   for k, v in doc["summaries"].items()},
-        runtimes=doc.get("runtimes", {}),
-        config=doc["config"],
-        protocol=doc["protocol"],
-        seed=doc["seed"],
-    )
+    # runtimes are optional: reports written without --timings omit them
+    values = {name: doc[name] if name != "runtimes" else doc.get(name, {})
+              for name in _report_fields()}
+    values["summaries"] = {k: CvSummary.from_dict(v)
+                           for k, v in values["summaries"].items()}
+    return PipelineReport(**values)
 
 
 def report_to_json(report: PipelineReport, include_timings: bool = True) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import ClassifierSpec, predict, train, train_many
-from .data import Dataset, FoldPlan, project
+from .data import Dataset, FoldPlan, project, training_fold
 from .errors import ValidationError
 
 __all__ = [
@@ -159,13 +159,6 @@ def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
                      skipped_folds=tuple(skipped))
 
 
-def _slice_rows(ds: Dataset, rows: np.ndarray, require_all_classes: bool):
-    labels = ds.labels[rows]
-    if require_all_classes and np.unique(labels).size != ds.n_classes:
-        return None
-    return Dataset(ds.values[rows], labels, ds.gene_ids, ds.class_names, ds.name)
-
-
 def cross_validate(gene_subset, ds: Dataset, spec: ClassifierSpec,
                    plan: FoldPlan) -> CvSummary:
     """Repeated stratified CV of one classifier on a projected gene subset.
@@ -177,7 +170,7 @@ def cross_validate(gene_subset, ds: Dataset, spec: ClassifierSpec,
     sub = project(ds, gene_subset)
     splits, skipped = [], []
     for r, f, train_idx, test_idx in plan.splits():
-        train_ds = _slice_rows(sub, train_idx, require_all_classes=True)
+        train_ds = training_fold(sub, train_idx)
         if train_ds is None:
             skipped.append((r, f))
             continue
@@ -234,6 +227,8 @@ def wilcoxon_signed_rank(x, y, zero_policy: str = "discard",
     """
     if zero_policy not in ("discard", "pratt"):
         raise ValidationError(f"unknown zero_policy {zero_policy!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:

@@ -174,13 +174,15 @@ class TestMalformedConfig:
         ("c.json", '{"cv-k": 2.5}', "cv-k"),
         ("c.cfg", "timings=maybe\n", "timings"),
         ("c.cfg", "protocol=bogus\n", "protocol"),
+        ("c.cfg", "seed=-1\n", "seed"),
         ("c.json", '{"out": {"path": "x"}}', "out"),
         ("c.cfg", "warp-speed=9\n", "warp-speed"),
         ("c.cfg", "command=rank\n", "command"),
         ("c.cfg", "just words\n", None),
         ("c.json", "[1, 2]", None),
     ], ids=["kv_not_int", "json_list", "json_bool_for_int",
-            "json_float_for_int", "bad_bool", "bad_choice", "json_object",
+            "json_float_for_int", "bad_bool", "bad_choice", "negative_seed",
+            "json_object",
             "unknown_key", "not_a_flag", "no_equals", "json_array"])
     def test_exits_1_with_one_line(self, synth_csv, tmp_path, capsys, name,
                                    text, key):
@@ -302,6 +304,44 @@ class TestMalformedInputs:
         assert str(bad) in err
         for name in names:
             assert name in err
+
+
+class TestBadNumbers:
+    """A flag value out of its range ends in exit 1 with one stderr line,
+    never a traceback or the usage text."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "{out}", "--seed", "-1"],
+        ["rank", "--data", "{data}", "--seed", "-1"],
+        ["select", "--data", "{data}", "--seed", "-1"],
+        ["evaluate", "--data", "{data}", "--genes", "{out}", "--seed", "-1"],
+        ["trace", "--data", "{data}", "--trace-out", "{out}", "--seed", "-1"],
+        ["select", "--data", "{data}", "--trees", "abc"],
+        ["compare", "--a", "{a}", "--b", "{b}", "--metric", "foo"],
+        ["compare", "--a", "{a}", "--b", "{b}", "--alpha", "7"],
+        ["compare", "--a", "{a}", "--b", "{b}", "--alpha", "-1"],
+        ["synth", "--out", "{out}", "--informative", "-1", "--genes", "5"],
+        ["synth", "--out", "{out}", "--sigma", "-1"],
+        ["synth", "--out", "{out}", "--genes", "0", "--informative", "0"],
+    ], ids=["synth_seed", "rank_seed", "select_seed", "evaluate_seed",
+            "trace_seed", "select_trees_not_int", "compare_metric",
+            "compare_alpha_above_1", "compare_alpha_negative",
+            "synth_informative", "synth_sigma", "synth_no_genes"])
+    def test_exits_1_with_one_line(self, synth_csv, report_doc, tmp_path,
+                                   capsys, argv):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            for i in range(5):  # compare needs 5 paired datasets
+                doc = dict(report_doc, dataset_name=f"d{i}")
+                (tmp_path / d / f"r{i}.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [arg.format(data=synth_csv[0], out=out, a=tmp_path / "a",
+                           b=tmp_path / "b") for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestCompare:

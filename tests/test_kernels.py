@@ -3,15 +3,6 @@ import pytest
 
 import oracles
 from genefunnel import _kernels
-from genefunnel._kernels import BACKEND, _fallback
-
-try:
-    from genefunnel._kernels import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None,
-                                    reason="compiled kernels unavailable")
 
 
 def random_knn_case(rng):
@@ -34,7 +25,7 @@ class TestFallbackAgainstOracles:
         rng = np.random.default_rng(20)
         for _ in range(50):
             train, labels, test, k, c = random_knn_case(rng)
-            got = _fallback.knn_predict(train, labels, test, k, c)
+            got = _kernels.knn_predict(train, labels, test, k, c)
             for q, pred in zip(test, got):
                 assert pred == oracles.knn_label_bruteforce(
                     train, labels, q, k, c)
@@ -45,13 +36,13 @@ class TestFallbackAgainstOracles:
         h = np.ones(5)
         for x in (np.ones((5, 1)),
                   np.tile([3.0, -1.0, 0.0, 2.5], (5, 1))):
-            assert _fallback.best_split(x, g, h, 1.0, 0.0) == (-1, 0.0, 0.0)
+            assert _kernels.best_split(x, g, h, 1.0, 0.0) == (-1, 0.0, 0.0)
 
     def test_best_split_single_row(self):
         for x in (np.array([[3.0]]), np.array([[3.0, 1.0, -2.0]]),
                   np.empty((0, 3))):
             m = x.shape[0]
-            assert _fallback.best_split(x, np.ones(m), np.ones(m),
+            assert _kernels.best_split(x, np.ones(m), np.ones(m),
                                         1.0, 0.0) == (-1, 0.0, 0.0)
 
     def test_best_split_duplicated_columns_pick_lower_feature(self):
@@ -63,7 +54,7 @@ class TestFallbackAgainstOracles:
         for cols, expected in (((signal, signal), 0),
                                ((noise, signal, signal, signal), 1),
                                ((noise, signal, noise, signal), 1)):
-            feat, _, gain = _fallback.best_split(
+            feat, _, gain = _kernels.best_split(
                 np.column_stack(cols), g, h, 1.0, 0.0)
             assert (feat, gain > 0) == (expected, True)
 
@@ -72,12 +63,12 @@ class TestFallbackAgainstOracles:
         x = rng.normal(size=(12, 4))
         g = rng.normal(size=12)
         h = rng.random(12) + 0.1
-        feat, thr, gain = _fallback.best_split(x, g, h, 1.0, 0.0)
+        feat, thr, gain = _kernels.best_split(x, g, h, 1.0, 0.0)
         assert gain > 0.0
         gamma = gain / 4
-        assert _fallback.best_split(x, g, h, 1.0, gamma) == (
+        assert _kernels.best_split(x, g, h, 1.0, gamma) == (
             feat, thr, gain - gamma)
-        assert _fallback.best_split(x, g, h, 1.0, 2 * gain) == (-1, 0.0, 0.0)
+        assert _kernels.best_split(x, g, h, 1.0, 2 * gain) == (-1, 0.0, 0.0)
 
     def test_sort_columns_is_a_stable_sort(self):
         # heavy ties, 0.0 and -0.0 among them: rows of equal values keep
@@ -86,7 +77,7 @@ class TestFallbackAgainstOracles:
         for _ in range(50):
             x = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5],
                            size=(int(rng.integers(1, 30)), 7))
-            xs, order = _fallback.sort_columns(x)
+            xs, order = _kernels.sort_columns(x)
             want = np.argsort(x.T, axis=1, kind="stable")
             assert np.array_equal(order, want)
             want_xs = np.take_along_axis(x.T, want, axis=1)
@@ -101,7 +92,7 @@ class TestFallbackAgainstOracles:
         order = np.argsort(x.T, axis=1, kind="stable")
         xs = np.take_along_axis(x.T, order, axis=1)
         first = rng.random(15) < 0.4
-        got_xs, got_order = _fallback.sorted_partition(xs, order, first)
+        got_xs, got_order = _kernels.sorted_partition(xs, order, first)
         n_first = int(first.sum())
         for cols, rows in ((slice(None, n_first), np.flatnonzero(first)),
                            (slice(n_first, None), np.flatnonzero(~first))):
@@ -130,7 +121,7 @@ class TestFallbackAgainstOracles:
             lam = float(rng.choice([0.0, 1.0]))
             oracle = oracles.grow_tree_exhaustive(
                 x, g, h, np.arange(m), 1, lam, 0.0)
-            feat, thr, _ = _fallback.best_split(x, g, h, lam, 0.0)
+            feat, thr, _ = _kernels.best_split(x, g, h, lam, 0.0)
             if "weight" in oracle:
                 assert feat == -1
                 continue
@@ -177,59 +168,19 @@ class TestSplitScanBlocks:
                                               genes_per_block):
         rng = np.random.default_rng(41)
         cases = [getattr(self, make)(rng) for _ in range(150)]
-        whole = [_fallback.best_split(x, g, h, 1.0, 0.0)
+        whole = [_kernels.best_split(x, g, h, 1.0, 0.0)
                  for x, g, h in cases]
         splits = 0
         for (x, g, h), expected in zip(cases, whole):
             m, n = x.shape
-            assert 8 * m * n <= _fallback._SCAN_BYTES  # one block by default
-            monkeypatch.setattr(_fallback, "_SCAN_BYTES",
+            assert 8 * m * n <= _kernels._SCAN_BYTES  # one block by default
+            monkeypatch.setattr(_kernels, "_SCAN_BYTES",
                                 8 * m * genes_per_block)
             assert -(-n // genes_per_block) >= 3
-            assert _fallback.best_split(x, g, h, 1.0, 0.0) == expected
+            assert _kernels.best_split(x, g, h, 1.0, 0.0) == expected
             monkeypatch.undo()
             splits += expected[0] >= 0
         assert splits >= 100
         if make == "duplicated":
             # the first copy wins over its equal-gain copies in later blocks
             assert {feat for feat, _, _ in whole} == {1}
-
-
-@needs_compiled
-class TestBackendParity:
-    def test_knn_parity(self):
-        rng = np.random.default_rng(22)
-        for _ in range(200):
-            train, labels, test, k, c = random_knn_case(rng)
-            a = _fallback.knn_predict(train, labels, test, k, c)
-            b = _core.knn_predict(np.ascontiguousarray(train), labels,
-                                  np.ascontiguousarray(test), k, c)
-            assert np.array_equal(a, b)
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert BACKEND in ("python", "compiled")
-
-    def test_split_search_is_numpy_on_every_backend(self):
-        assert _kernels.best_split is _fallback.best_split
-
-    def test_forced_python_backend(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import genefunnel
-        # The child imports the same package as this process, whether it
-        # comes from a source tree on PYTHONPATH or from an install.
-        pkg_root = str(Path(genefunnel.__file__).resolve().parents[1])
-        env = dict(os.environ, GENEFUNNEL_KERNELS="python")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from genefunnel._kernels import BACKEND; print(BACKEND)"],
-            capture_output=True, text=True, env=env)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "python"
