@@ -96,6 +96,7 @@ def build_parser() -> _Parser:
     p.add_argument("--missing-fraction", type=float, default=0.0)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--truth-out", help="write planted gene indices as JSON")
+    p.set_defaults(run=_cmd_synth)
 
     p = sub.add_parser("rank", help="stage 1 only: importance report")
     _add_data_flags(p)
@@ -103,6 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.add_argument("--csv", dest="csv_out", help="also write ranking as CSV")
+    p.set_defaults(run=_cmd_rank)
 
     p = sub.add_parser("select", help="full pipeline: report JSON + markdown")
     _add_data_flags(p)
@@ -118,6 +120,7 @@ def build_parser() -> _Parser:
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtimes in the JSON report "
                         "(breaks byte-for-byte reproducibility)")
+    p.set_defaults(run=_cmd_select)
 
     p = sub.add_parser("evaluate", help="CV of a given gene-subset file")
     _add_data_flags(p)
@@ -126,6 +129,7 @@ def build_parser() -> _Parser:
                    help="JSON list or newline-separated gene indices")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
+    p.set_defaults(run=_cmd_evaluate)
 
     p = sub.add_parser("compare", help="Wilcoxon test over two report sets")
     p.add_argument("--a", required=True, help="directory of report JSON files")
@@ -135,6 +139,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classifier", default=None,
                    help="classifier kind to compare (default: first in reports)")
     p.add_argument("--out", help="JSON output path (default: stdout)")
+    p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("trace", help="run selection and emit the GA trace CSV")
     _add_data_flags(p)
@@ -142,7 +147,9 @@ def build_parser() -> _Parser:
     _add_ga_flags(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trace-out", required=True)
+    p.set_defaults(run=_cmd_trace)
 
+    parser.commands = sub.choices  # subparsers by name
     return parser
 
 
@@ -200,16 +207,10 @@ def _config_value(action, val):
     return val
 
 
-def _apply_config_file(args, actions, given):
-    """Overlay config-file values under explicit flags: file beats
-    defaults, command line beats file.
-
-    ``actions`` maps each flag's dest to its argparse action; ``given``
-    holds the dests set on the command line, whatever their value.
-    """
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _config_defaults(path, parser) -> dict:
+    """The config file's values by dest, each converted and checked as
+    ``parser``'s flag would; a file that is not UTF-8, an unknown key or
+    a value the flag rejects raises GeneFunnelError naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -229,31 +230,19 @@ def _apply_config_file(args, actions, given):
     if not isinstance(values, dict):
         raise GeneFunnelError(f"{path}: expected a JSON object or key=value "
                               "lines")
+    actions = {a.dest: a for a in parser._actions if a.option_strings
+               and a.dest not in ("help", "config")}
+    defaults = {}
     for key, val in values.items():
         attr = key.replace("-", "_")
-        if attr not in actions or attr == "config":
+        if attr not in actions:
             raise GeneFunnelError(f"{path}: unknown config key {key!r}")
         try:
-            val = _config_value(actions[attr], val)
+            defaults[attr] = _config_value(actions[attr], val)
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise GeneFunnelError(
                 f"{path}: bad value for config key {key!r}: {exc}") from exc
-        # explicit command-line flags keep priority
-        if attr not in given:
-            setattr(args, attr, val)
-    return args
-
-
-def _given_dests(argv) -> set:
-    """Dests that the command line sets, found by parsing it again with
-    every default suppressed: a flag given with its default value counts
-    as given."""
-    parser = build_parser()
-    subparsers = parser._subparsers._group_actions[0].choices.values()
-    for p in (parser, *subparsers):
-        for action in p._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
+    return defaults
 
 
 def _cmd_synth(args) -> int:
@@ -302,8 +291,7 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _cmd_select(args, actions, given) -> int:
-    args = _apply_config_file(args, actions, given)
+def _cmd_select(args) -> int:
     ds = _load_prepared(args)
     cfg = pipeline.PipelineConfig(
         boost=_boost_params(args), ga=_ga_config(args),
@@ -316,9 +304,7 @@ def _cmd_select(args, actions, given) -> int:
     markdown = pipeline.report_to_markdown(report)
     if args.markdown_out:
         pipeline.write_json_atomic(args.markdown_out, markdown)
-    if not args.out:
-        pass  # JSON already on stdout
-    else:
+    if args.out:  # else the JSON is already on stdout
         sys.stdout.write(markdown)
     if args.trace_out and report.ga_trace is not None:
         ga.trace_to_csv(report.ga_trace, args.trace_out)
@@ -448,26 +434,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    sub = parser._subparsers._group_actions[0].choices[args.command]
-    actions = {a.dest: a for a in sub._actions if a.option_strings
-               and a.dest != "help"}
-
     try:
-        if args.command == "synth":
-            return _cmd_synth(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "select":
-            return _cmd_select(args, actions, _given_dests(argv))
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        return EXIT_VALIDATION
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+        if getattr(args, "config", None):
+            # the file's values become select's defaults and argv is parsed
+            # again: the command line beats the file, the file the built-ins
+            select = parser.commands["select"]
+            select.set_defaults(**_config_defaults(args.config, select))
+            args = parser.parse_args(argv)
+        return args.run(args)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except GeneFunnelError as exc:

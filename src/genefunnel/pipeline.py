@@ -126,7 +126,9 @@ def generate_synth(spec: SynthSpec) -> SynthResult:
 
     Informative genes get class-conditional means spaced by
     max(1, 2*noise_sigma); the rest are standard-normal noise. Labels are
-    balanced, and missing_fraction of cells is masked uniformly.
+    balanced, and missing_fraction of cells is masked uniformly; a draw
+    that masks every cell of a gene column raises ValidationError, since
+    no command accepts such a column.
     """
     rng = np.random.default_rng(spec.seed)
     m, n, c = spec.m_samples, spec.n_genes, spec.n_classes
@@ -140,6 +142,11 @@ def generate_synth(spec: SynthSpec) -> SynthResult:
     mask = set()
     if spec.missing_fraction > 0.0:
         cells = rng.random((m, n)) < spec.missing_fraction
+        empty = np.flatnonzero(cells.all(axis=0))
+        if empty.size:
+            raise ValidationError(
+                f"missing_fraction {spec.missing_fraction} left gene column "
+                f"{empty[0]} ('g{empty[0]:05d}') with no observed cell")
         mask = {(int(i), int(j)) for i, j in zip(*np.nonzero(cells))}
     gene_ids = tuple(f"g{j:05d}" for j in range(n))
     class_names = tuple(f"class{k}" for k in range(c))

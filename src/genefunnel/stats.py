@@ -182,16 +182,10 @@ def cross_validate(gene_subset, ds: Dataset, spec: ClassifierSpec,
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their midrank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True,
+                                 return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)  # 1-based rank of each group's last member
+    return (ends - (counts - 1) / 2.0)[group]
 
 
 def _exact_two_sided_p(ranks: np.ndarray, w: float) -> float:
@@ -234,17 +228,12 @@ def wilcoxon_signed_rank(x, y, zero_policy: str = "discard",
     if x.shape != y.shape:
         raise ValidationError("paired samples must have equal length")
     d = x - y
-
     if zero_policy == "discard":
         d = d[d != 0.0]
-        ranks_all = _midranks(np.abs(d))
-        nonzero_ranks = ranks_all
-        signs = np.sign(d)
-    else:
-        ranks_all = _midranks(np.abs(d))
-        keep = d != 0.0
-        nonzero_ranks = ranks_all[keep]
-        signs = np.sign(d[keep])
+    # pratt ranks the zeros with the rest, then drops them
+    keep = d != 0.0
+    nonzero_ranks = _midranks(np.abs(d))[keep]
+    signs = np.sign(d[keep])
 
     n_eff = int(signs.size)
     if n_eff == 0:

@@ -41,6 +41,18 @@ class TestSynth:
         assert code == 0
         assert ",," in out.read_text()
 
+    def test_empty_gene_column_exits_1(self, tmp_path, capsys):
+        # a draw this sparse masks every cell of some column, which every
+        # command would reject
+        out = tmp_path / "sparse.csv"
+        assert main(["synth", "--out", str(out), "--samples", "20",
+                     "--genes", "30", "--missing-fraction", "0.999",
+                     "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "0.999" in err and "gene column 0 ('g00000')" in err
+        assert not out.exists()
+
 
 class TestRank:
     def test_happy_path(self, synth_csv, tmp_path):
@@ -253,6 +265,17 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             f"error: {genes}: gene index {bad} is outside 0..39 "
             f"({path} has 40 genes)\n")
+
+    def test_every_fold_skipped_exits_1(self, tmp_path, capsys):
+        # one sample per class: each 2-fold training part misses a class
+        data = tmp_path / "two.csv"
+        data.write_text("g1,label\n1.0,A\n2.0,B\n")
+        genes = tmp_path / "genes.txt"
+        genes.write_text("0\n")
+        assert main(["evaluate", "--data", str(data), "--genes", str(genes),
+                     "--cv-k", "2", "--cv-rounds", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "every fold was skipped" in err
 
 
 class TestMalformedInputs:
