@@ -2,7 +2,8 @@
 
 Subcommands: synth (emit a benchmark CSV), rank (stage-1 importance only),
 select (full pipeline report), evaluate (CV of a given gene subset),
-compare (Wilcoxon over two report directories), trace (GA trace CSV).
+compare (Wilcoxon over two directories, each of select reports or evaluate
+results, paired by dataset name), trace (GA trace CSV).
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from . import boosting, ga, pipeline
 from .classifiers import ClassifierSpec
 from .data import impute_knn, load_csv, make_folds, normalize_minmax
 from .errors import GeneFunnelError, ValidationError
-from .stats import METRIC_NAMES, cross_validate
+from .stats import METRIC_NAMES, cross_validate, wilcoxon_signed_rank
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -349,7 +351,8 @@ def _cmd_evaluate(args) -> int:
                 f"{args.genes}: gene index {index} is outside "
                 f"0..{ds.n_genes - 1} ({ds.name} has {ds.n_genes} genes)")
     plan = make_folds(ds.labels, args.cv_k, args.cv_rounds, args.seed)
-    doc = {"dataset_name": ds.name, "genes": subset, "summaries": {}}
+    doc = {"schema_version": pipeline.SCHEMA_VERSION, "dataset_name": ds.name,
+           "genes": subset, "summaries": {}}
     for spec in _eval_specs(args):
         doc["summaries"][spec.kind] = cross_validate(subset, ds, spec,
                                                      plan).as_dict()
@@ -357,58 +360,62 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    def read_dir(d):
-        """Reports of one directory by dataset name, as (path, report)."""
-        paths = sorted(Path(d).glob("*.json"))
-        if not paths:
-            raise FileNotFoundError(f"no report JSON files in {d}")
-        named = {}
-        for p in paths:
-            try:
-                report = pipeline.report_from_json(
-                    p.read_text(encoding="utf-8"))
-            # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            except (GeneFunnelError, AttributeError, KeyError, TypeError,
-                    ValueError) as exc:
-                raise ValidationError(
-                    f"{p}: not a valid report ({type(exc).__name__}: {exc})"
-                ) from exc
-            name = report.dataset_name
-            if not isinstance(name, str):
-                raise ValidationError(
-                    f"{p}: not a valid report (dataset_name is not a string)")
-            if name in named:
-                raise ValidationError(f"{d}: dataset {name!r} is in both "
-                                      f"{named[name][0]} and {p}")
-            named[name] = (p, report)
-        return named
-
-    def summaries(named, kind):
-        for p, r in named.values():
-            if kind not in r.summaries:
+def _read_means(d, kind, metric):
+    """(kind, {dataset name: (path, CV mean of ``metric`` for ``kind``)})
+    over the JSON files of directory ``d``; ``kind`` None picks the first
+    file's first classifier. A file may be a ``select`` report or an
+    ``evaluate`` result: only schema_version, dataset_name and summaries
+    are read."""
+    paths = sorted(Path(d).glob("*.json"))
+    if not paths:
+        raise FileNotFoundError(f"no report JSON files in {d}")
+    named = {}
+    for p in paths:
+        try:
+            doc = json.loads(p.read_text(encoding="utf-8"))
+            if doc["schema_version"] != pipeline.SCHEMA_VERSION:
+                raise ValueError("unsupported schema_version "
+                                 f"{doc['schema_version']!r}")
+            name, summaries = doc["dataset_name"], doc["summaries"]
+            if not (isinstance(name, str) and isinstance(summaries, dict)):
+                raise TypeError("dataset_name is not a string or summaries "
+                                "is not an object")
+            kind = kind or next(iter(summaries), None)
+            if kind not in summaries:
                 raise ValidationError(f"{p}: no {kind!r} classifier summary")
-        return [named[name][1].summaries[kind] for name in sorted(named)]
+            mean = summaries[kind]["means"][metric]
+            if type(mean) not in (int, float) or not math.isfinite(mean):
+                raise ValueError(f"{kind} {metric} mean {mean!r} is not a "
+                                 "finite number")
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{p}: not a valid report "
+                                  f"({type(exc).__name__}: {exc})") from None
+        if name in named:
+            raise ValidationError(f"{d}: dataset {name!r} is in both "
+                                  f"{named[name][0]} and {p}")
+        named[name] = (p, mean)
+    return kind, named
 
-    named_a = read_dir(args.a)
-    named_b = read_dir(args.b)
+
+def _cmd_compare(args) -> int:
+    kind, named_a = _read_means(args.a, args.classifier, args.metric)
+    _, named_b = _read_means(args.b, kind, args.metric)
     unpaired = sorted(set(named_a) ^ set(named_b))
     if unpaired:
         raise ValidationError(
             f"datasets not in both {args.a} and {args.b}: "
             + ", ".join(map(repr, unpaired)))
-    kind = args.classifier
-    if kind is None:
-        _, first = next(iter(named_a.values()))
-        kind = next(iter(first.summaries), None)
-    summaries_a = summaries(named_a, kind)
-    summaries_b = summaries(named_b, kind)
-    result = pipeline.compare_reports(summaries_a, summaries_b,
-                                      alpha=args.alpha, metric=args.metric)
+    if len(named_a) < 5:
+        raise ValidationError(f"{args.a}, {args.b}: need at least 5 paired "
+                              f"datasets, got {len(named_a)}")
+    x = [named_a[name][1] for name in sorted(named_a)]
+    y = [named_b[name][1] for name in sorted(named_a)]
+    result = wilcoxon_signed_rank(x, y, alpha=args.alpha)
     doc = {
         "classifier": kind,
         "metric": args.metric,
-        "n_datasets": len(summaries_a),
+        "n_datasets": len(x),
         "w_statistic": result.w_statistic,
         "p_value": result.p_value,
         "n_effective": result.n_effective,

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import boosting, ga
 from .classifiers import ClassifierSpec
-from .data import Dataset, make_folds, project, training_fold
+from .data import Dataset, make_folds, project
 from .errors import PipelineError, ValidationError
-from .stats import (METRIC_NAMES, CvSummary, WilcoxonResult,
-                    cross_validate, score_splits, wilcoxon_signed_rank)
+from .stats import (METRIC_NAMES, CvSummary, cross_validate, fold_splits,
+                    score_splits)
 
 __all__ = [
     "PipelineConfig",
@@ -30,7 +30,6 @@ __all__ = [
     "Selection",
     "select_genes",
     "run_pipeline",
-    "compare_reports",
     "generate_synth",
     "report_to_dict",
     "report_from_dict",
@@ -218,7 +217,11 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         for spec in cfg.eval_classifiers:
             summaries[spec.kind] = cross_validate(final, ds, spec, plan)
     else:
-        summaries = _nested_evaluate(ds, cfg, plan)
+        # both selection stages are re-run inside each outer training fold
+        splits, skipped = fold_splits(ds, plan, lambda train_ds, r, f: (
+            select_genes(train_ds, cfg, seed_offset=(r, f)).final))
+        for spec in cfg.eval_classifiers:
+            summaries[spec.kind] = score_splits(spec, splits, skipped)
     runtimes["evaluation"] = _ms(time.perf_counter() - t2)
 
     report = PipelineReport(
@@ -238,39 +241,6 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         ga_trace=selection.trace,
     )
     return report
-
-
-def _nested_evaluate(ds: Dataset, cfg: PipelineConfig, plan) -> dict:
-    """Re-run both selection stages inside each outer training fold, then
-    score each classifier on the held-out folds, all folds together."""
-    splits, skipped = [], []
-    for r, f, train_idx, test_idx in plan.splits():
-        train_ds = training_fold(ds, train_idx)
-        if train_ds is None:
-            skipped.append((r, f))
-            continue
-        final = select_genes(train_ds, cfg, seed_offset=(r, f)).final
-        splits.append((project(train_ds, final),
-                       ds.values[np.ix_(test_idx, final)],
-                       ds.labels[test_idx]))
-    summaries = {}
-    for spec in cfg.eval_classifiers:
-        if not splits:
-            raise PipelineError("every nested fold was skipped")
-        summaries[spec.kind] = score_splits(spec, splits, skipped)
-    return summaries
-
-
-def compare_reports(a, b, alpha: float = 0.05,
-                    metric: str = "accuracy") -> WilcoxonResult:
-    """Wilcoxon signed-rank test over paired per-dataset CV means."""
-    if len(a) != len(b):
-        raise ValidationError("report lists must be aligned")
-    if len(a) < 5:
-        raise ValidationError("need at least 5 paired datasets")
-    x = [s.means[metric] for s in a]
-    y = [s.means[metric] for s in b]
-    return wilcoxon_signed_rank(x, y, alpha=alpha)
 
 
 def _ms(seconds: float) -> float:

@@ -23,6 +23,7 @@ __all__ = [
     "WilcoxonResult",
     "confusion",
     "metrics",
+    "fold_splits",
     "cross_validate",
     "score_split",
     "score_splits",
@@ -159,25 +160,36 @@ def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
                      skipped_folds=tuple(skipped))
 
 
-def cross_validate(gene_subset, ds: Dataset, spec: ClassifierSpec,
-                   plan: FoldPlan) -> CvSummary:
-    """Repeated stratified CV of one classifier on a projected gene subset.
+def fold_splits(ds: Dataset, plan: FoldPlan, select=None):
+    """The (training Dataset, held-out values, held-out labels) split of
+    each fold of ``plan``, and the (round, fold) pairs skipped, never
+    silently dropped, because their training rows miss a class; raises
+    ValidationError when every fold is skipped.
 
-    Folds whose training partition misses a class are skipped and
-    recorded, never silently dropped. The models of all other folds are
-    trained together.
+    ``select(train_ds, r, f)``, when given, picks each fold's genes from
+    its training rows, and both parts of the split keep only those.
     """
-    sub = project(ds, gene_subset)
     splits, skipped = [], []
     for r, f, train_idx, test_idx in plan.splits():
-        train_ds = training_fold(sub, train_idx)
+        train_ds = training_fold(ds, train_idx)
         if train_ds is None:
             skipped.append((r, f))
             continue
-        splits.append((train_ds, sub.values[test_idx], sub.labels[test_idx]))
+        values = ds.values[test_idx]
+        if select is not None:
+            genes = select(train_ds, r, f)
+            train_ds, values = project(train_ds, genes), values[:, genes]
+        splits.append((train_ds, values, ds.labels[test_idx]))
     if not splits:
         raise ValidationError("every fold was skipped; cannot summarize")
-    return score_splits(spec, splits, skipped)
+    return splits, skipped
+
+
+def cross_validate(gene_subset, ds: Dataset, spec: ClassifierSpec,
+                   plan: FoldPlan) -> CvSummary:
+    """Repeated stratified CV of one classifier on a projected gene subset,
+    over the folds ``fold_splits`` scores; their models train together."""
+    return score_splits(spec, *fold_splits(project(ds, gene_subset), plan))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -227,6 +239,8 @@ def wilcoxon_signed_rank(x, y, zero_policy: str = "discard",
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValidationError("paired samples must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValidationError("paired samples must be finite numbers")
     d = x - y
     if zero_policy == "discard":
         d = d[d != 0.0]

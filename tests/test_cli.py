@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -229,6 +230,7 @@ class TestEvaluate:
                      "--cv-k", "4", "--cv-rounds", "1",
                      "--classifiers", "knn", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
+        assert doc["schema_version"] == 1
         assert doc["summaries"]["knn"]["means"]["accuracy"] >= 0.8
 
     def test_newline_separated_subset(self, synth_csv, tmp_path):
@@ -391,6 +393,31 @@ class TestCompare:
         assert doc["verdict"] == "not significant"
         assert doc["n_datasets"] == 5
 
+    def test_select_reports_against_evaluate_results(self, tmp_path):
+        # the funnel against a fixed-gene baseline on the same 5 datasets
+        genes = tmp_path / "genes.json"
+        genes.write_text("[0, 1, 2]")
+        runs = {"select": [*SELECT_FAST],
+                "evaluate": ["--genes", str(genes), "--cv-k", "4",
+                             "--cv-rounds", "1", "--classifiers", "knn"]}
+        for command in runs:
+            (tmp_path / command).mkdir()
+        for i in range(5):
+            data = tmp_path / f"data{i}.csv"
+            assert main(["synth", "--out", str(data), "--samples", "24",
+                         "--genes", "20", "--informative", "4",
+                         "--seed", str(i)]) == 0
+            for command, flags in runs.items():
+                assert main([command, "--data", str(data), *flags, "--out",
+                             str(tmp_path / command / f"r{i}.json")]) == 0
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--a", str(tmp_path / "select"),
+                     "--b", str(tmp_path / "evaluate"),
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_datasets"] == 5 and doc["classifier"] == "knn"
+        assert doc["verdict"] in ("significant", "not significant")
+
     def test_empty_directory_exits_2(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -453,6 +480,24 @@ class TestComparePairing:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and needle in err
+
+
+    def test_too_few_pairs_exit_1(self, tmp_path, report_doc, capsys):
+        files = {f"r{i}": (f"d{i}", 0.5 + 0.1 * i) for i in range(4)}
+        code, _ = self._compare(tmp_path, report_doc, files, files)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least 5 paired datasets" in err
+
+    def test_nan_mean_exits_1(self, tmp_path, report_doc, capsys):
+        # json.loads reads NaN; ranked, it would look like a difference
+        files_a = {f"r{i}": (f"d{i}", 0.5 + 0.05 * i) for i in range(6)}
+        files_b = dict(files_a, r5=("d5", math.nan))
+        code, _ = self._compare(tmp_path, report_doc, files_a, files_b)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(tmp_path / "b" / "r5.json") in err and "finite" in err
 
 
 class TestCompareMalformedReports:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,12 @@ from genefunnel import boosting, ga, pipeline
 from genefunnel.classifiers import ClassifierSpec
 from genefunnel.data import Dataset, impute_knn, make_folds, project
 from genefunnel.errors import PipelineError, ValidationError
-from genefunnel.pipeline import (PipelineConfig, SynthSpec, compare_reports,
-                                 config_from_dict, config_to_dict,
-                                 generate_synth, report_from_json,
-                                 report_to_json, report_to_markdown,
-                                 run_pipeline, write_json_atomic)
-from genefunnel.stats import (METRIC_NAMES, CvSummary, cross_validate,
-                              score_split)
+from genefunnel.pipeline import (PipelineConfig, SynthSpec, config_from_dict,
+                                 config_to_dict, generate_synth,
+                                 report_from_json, report_to_json,
+                                 report_to_markdown, run_pipeline,
+                                 write_json_atomic)
+from genefunnel.stats import METRIC_NAMES, cross_validate, score_split
 
 
 def small_config(seed=0, protocol="paper"):
@@ -173,6 +174,21 @@ class TestRunPipeline:
             run_pipeline(ds, small_config())
 
 
+    @pytest.mark.parametrize("protocol", ["paper", "nested"])
+    def test_every_fold_skipped_raises_one_error(self, protocol):
+        # classes of 1, 1 and 10 samples: with 2 outer folds, each
+        # training part misses a single-sample class
+        labels = np.array([0, 1] + [2] * 10)
+        x = np.random.default_rng(3).normal(size=(12, 5))
+        x[:, 0] = labels  # gene 0 is informative, so stage 1 keeps it
+        ds = Dataset(x, labels, tuple(f"g{j}" for j in range(5)),
+                     ("a", "b", "c"))
+        cfg = dataclasses.replace(small_config(protocol=protocol), cv_k=2)
+        with pytest.raises(ValidationError, match=(
+                "^every fold was skipped; cannot summarize$")):
+            run_pipeline(ds, cfg)
+
+
 class TestNestedEvaluation:
     def test_matches_per_fold_loop(self):
         """Scoring all outer folds together gives the summaries of a loop
@@ -212,38 +228,6 @@ class TestNestedEvaluation:
             assert summary.stds == {
                 n: float(np.std([getattr(x, n) for x in folds]))
                 for n in METRIC_NAMES}
-
-
-class TestCompareReports:
-    def _summary(self, acc):
-        from genefunnel.stats import MetricReport
-        rep = MetricReport(accuracy=acc, macro_precision=acc,
-                           macro_recall=acc, macro_f_score=acc)
-        return CvSummary(fold_results=(rep,),
-                         means=rep.as_dict(),
-                         stds={k: 0.0 for k in rep.as_dict()})
-
-    def test_identical_lists_degenerate(self):
-        a = [self._summary(0.8 + 0.01 * i) for i in range(6)]
-        res = compare_reports(a, list(a))
-        assert res.degenerate is True and res.p_value == 1.0
-
-    def test_thirteen_dataset_dominance(self):
-        a = [self._summary(0.80 + 0.01 * i) for i in range(13)]
-        b = [self._summary(0.70 + 0.005 * i) for i in range(13)]
-        res = compare_reports(a, b)
-        assert res.p_value == pytest.approx(2 / 2 ** 13)
-        assert res.significant is True
-
-    def test_misaligned_lists(self):
-        a = [self._summary(0.8)] * 6
-        with pytest.raises(ValidationError):
-            compare_reports(a, a[:5])
-
-    def test_too_few_pairs(self):
-        a = [self._summary(0.8)] * 4
-        with pytest.raises(ValidationError):
-            compare_reports(a, list(a))
 
 
 class TestSerialization:

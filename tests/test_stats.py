@@ -8,7 +8,8 @@ from genefunnel.classifiers import ClassifierSpec, predict, train
 from genefunnel.data import Dataset, make_folds, project
 from genefunnel.errors import ValidationError
 from genefunnel.stats import (ConfusionMatrix, confusion, cross_validate,
-                              metrics, score_split, wilcoxon_signed_rank)
+                              fold_splits, metrics, score_split,
+                              wilcoxon_signed_rank)
 
 
 def make_ds(x, labels):
@@ -222,6 +223,38 @@ class TestCrossValidateBatched:
         assert summary.as_dict() == per_fold_summary(ds, (0, 1), spec, plan)
 
 
+class TestFoldSplits:
+    def test_select_sees_training_rows_and_projects_both_parts(self):
+        labels = np.array([0] * 8 + [1] + [2] * 6)
+        x = np.random.default_rng(5).normal(size=(15, 4))
+        ds = make_ds(x, labels)
+        plan = make_folds(labels, k=3, rounds=2, seed=0)
+        seen = {}
+
+        def genes_of(r, f):
+            return [(r + f) % 4, 3] if (r + f) % 4 < 3 else [3]
+
+        def select(train_ds, r, f):
+            seen[(r, f)] = train_ds.values
+            return np.array(genes_of(r, f))
+
+        splits, skipped = fold_splits(ds, plan, select)
+        expected_skipped = [(r, f) for r, f, train_idx, _ in plan.splits()
+                            if np.unique(labels[train_idx]).size < 3]
+        assert skipped and skipped == expected_skipped
+        scored = [s for s in plan.splits() if (s[0], s[1]) not in skipped]
+        assert len(splits) == len(scored) == len(seen)
+        for (r, f, train_idx, test_idx), split in zip(scored, splits):
+            train_ds, values, actual = split
+            genes = genes_of(r, f)
+            np.testing.assert_array_equal(seen[(r, f)], x[train_idx])
+            np.testing.assert_array_equal(train_ds.values,
+                                          x[np.ix_(train_idx, genes)])
+            np.testing.assert_array_equal(values, x[np.ix_(test_idx, genes)])
+            np.testing.assert_array_equal(actual, labels[test_idx])
+            assert train_ds.gene_ids == tuple(f"g{j}" for j in genes)
+
+
 class TestWilcoxon:
     def test_all_positive_five_differences(self):
         res = wilcoxon_signed_rank([2, 3, 4, 5, 6], [1, 1, 1, 1, 1])
@@ -311,3 +344,13 @@ class TestWilcoxon:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             wilcoxon_signed_rank([1.0, 2.0], [0.0])
+
+    @pytest.mark.parametrize("x, y", [
+        ([1, 2, 3, 4, 5, math.nan], [0] * 6),
+        ([1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, math.inf]),
+    ], ids=["nan_x", "inf_y"])
+    def test_non_finite_input_rejected(self, x, y):
+        # a NaN difference has no sign: ranked, it read as a sixth
+        # difference in favour of neither side and gave p = 0.03125
+        with pytest.raises(ValidationError, match="finite"):
+            wilcoxon_signed_rank(x, y)
