@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -139,7 +140,8 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--metric", choices=METRIC_NAMES, default="accuracy")
     p.add_argument("--classifier", default=None,
-                   help="classifier kind to compare (default: first in reports)")
+                   help="classifier kind to compare (default: the first "
+                   "--a file's first configured classifier, or its only one)")
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.set_defaults(run=_cmd_compare)
 
@@ -360,12 +362,28 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _default_kind(path, doc):
+    """The classifier ``compare`` reads when none is named: the first one a
+    ``select`` report was configured with, or the only one of an
+    ``evaluate`` result."""
+    if "config" in doc:
+        return doc["config"]["eval_classifiers"][0]["kind"]
+    kinds = list(doc["summaries"])
+    if len(kinds) > 1:
+        raise ValidationError(f"{path}: holds classifiers "
+                              f"{', '.join(map(repr, kinds))}; name one "
+                              "with --classifier")
+    return next(iter(kinds), None)
+
+
 def _read_means(d, kind, metric):
-    """(kind, {dataset name: (path, CV mean of ``metric`` for ``kind``)})
-    over the JSON files of directory ``d``; ``kind`` None picks the first
-    file's first classifier. A file may be a ``select`` report or an
+    """(kind, {dataset key: (path, CV mean of ``metric`` for ``kind``,
+    dataset name)}) over the JSON files of directory ``d``. The key is the
+    dataset name with its path normalized, so ``data/d1.csv`` and
+    ``./data/d1.csv`` pair. ``kind`` None takes the first file's default
+    (``_default_kind``). A file may be a ``select`` report or an
     ``evaluate`` result: only schema_version, dataset_name and summaries
-    are read."""
+    are read, and a report's classifiers when ``kind`` is None."""
     paths = sorted(Path(d).glob("*.json"))
     if not paths:
         raise FileNotFoundError(f"no report JSON files in {d}")
@@ -380,7 +398,7 @@ def _read_means(d, kind, metric):
             if not (isinstance(name, str) and isinstance(summaries, dict)):
                 raise TypeError("dataset_name is not a string or summaries "
                                 "is not an object")
-            kind = kind or next(iter(summaries), None)
+            kind = kind or _default_kind(p, doc)
             if kind not in summaries:
                 raise ValidationError(f"{p}: no {kind!r} classifier summary")
             mean = summaries[kind]["means"][metric]
@@ -388,29 +406,32 @@ def _read_means(d, kind, metric):
                 raise ValueError(f"{kind} {metric} mean {mean!r} is not a "
                                  "finite number")
         # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        except (KeyError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise ValidationError(f"{p}: not a valid report "
                                   f"({type(exc).__name__}: {exc})") from None
-        if name in named:
+        key = os.path.normpath(name)
+        if key in named:
             raise ValidationError(f"{d}: dataset {name!r} is in both "
-                                  f"{named[name][0]} and {p}")
-        named[name] = (p, mean)
+                                  f"{named[key][0]} and {p}")
+        named[key] = (p, mean, name)
     return kind, named
 
 
 def _cmd_compare(args) -> int:
     kind, named_a = _read_means(args.a, args.classifier, args.metric)
     _, named_b = _read_means(args.b, kind, args.metric)
-    unpaired = sorted(set(named_a) ^ set(named_b))
+    unpaired = set(named_a) ^ set(named_b)
     if unpaired:
+        written = {**named_a, **named_b}
         raise ValidationError(
             f"datasets not in both {args.a} and {args.b}: "
-            + ", ".join(map(repr, unpaired)))
+            + ", ".join(map(repr, sorted(written[key][2]
+                                         for key in unpaired))))
     if len(named_a) < 5:
         raise ValidationError(f"{args.a}, {args.b}: need at least 5 paired "
                               f"datasets, got {len(named_a)}")
-    x = [named_a[name][1] for name in sorted(named_a)]
-    y = [named_b[name][1] for name in sorted(named_a)]
+    x = [named_a[key][1] for key in sorted(named_a)]
+    y = [named_b[key][1] for key in sorted(named_a)]
     result = wilcoxon_signed_rank(x, y, alpha=args.alpha)
     doc = {
         "classifier": kind,

@@ -7,6 +7,7 @@ stratified, seed-reproducible cross-validation fold plans.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,26 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
     return ds, frozenset(mask)
 
 
+# Bytes of one float64 block array of ``impute_knn``: partial distances
+# are taken over at most _IMPUTE_BYTES / 8 (pair, gene) cells per call,
+# and donors picked over at most _IMPUTE_BYTES / 8 (gap cell, sample)
+# cells. 80x200 data takes tiles of 25 gap rows by 26 partners; 83x2308
+# takes 7 by 8, which ran faster there than tiles four times the size.
+_IMPUTE_BYTES = 1 << 20
+
+
+def _partial_d2(zeroed, observed, a, b):
+    """Sums of squared differences between rows ``a`` and ``b`` of
+    ``zeroed`` over the genes both observe, for index arrays that
+    broadcast together. Each pair's differences, zero where either row
+    misses the gene, are reduced by one einsum over contiguous genes, so
+    the sum has the same bits whichever row of the pair comes first."""
+    diff = zeroed[a] - zeroed[b]
+    diff *= observed[a] & observed[b]
+    flat = diff.reshape(-1, diff.shape[-1])
+    return np.einsum("ij,ij->i", flat, flat).reshape(diff.shape[:-1])
+
+
 def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
     """Replace each masked cell by the mean of that column over the
     nearest neighbors that observe it (KNNimpute).
@@ -211,9 +232,13 @@ def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
     cells with no donor fall back to the column mean. Imputed cells are
     never read, so the result does not depend on the order of rows.
 
-    Each sample with a gap costs one numpy pass over the whole matrix,
-    using O(M x N) memory at a time; no Python loop runs over pairs of
-    samples.
+    Each pair of samples of which at least one has a gap has its partial
+    distance computed once, in numpy blocks of at most ``_IMPUTE_BYTES``
+    per float array; pairs of gapless samples are never computed. The
+    distances live in an (M, M) matrix, so memory is O(M^2) plus the
+    blocks, and time is O(G x M x N) for G samples with a gap. Donors for
+    every gap cell are then picked from one stable sort per gap sample.
+    No Python loop runs over pairs of samples.
     """
     if n_neighbors < 1:
         raise ValidationError("n_neighbors must be >= 1")
@@ -239,32 +264,57 @@ def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
 
     values = ds.values
     zeroed = np.where(observed, values, 0.0)
-    n_observed = np.count_nonzero(observed, axis=1)
     by_row = np.lexsort((cols, rows))
     rows, cols = rows[by_row], cols[by_row]
     starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    diff = np.empty((m, n))
+    gap_rows = rows[starts]
+    gapless = np.setdiff1d(np.arange(m), gap_rows, assume_unique=True)
+
+    # partial distances, each pair with a gap row once: a block of gap rows
+    # against itself, then against every later row and every earlier
+    # gapless row in tiles of about as many partners as rows. Pairs of
+    # gapless rows are never needed, and the diagonal stays at distance 0
+    d2 = np.zeros((m, m))
+    cap = max(1, _IMPUTE_BYTES // (8 * n))  # pairs per call
+    step = math.isqrt(cap)                  # gap rows per block
+    for lo in range(0, gap_rows.size, step):
+        a = gap_rows[lo:lo + step]
+        i, o = (a[side] for side in np.triu_indices(a.size, 1))
+        d2[i, o] = d2[o, i] = _partial_d2(zeroed, observed, i, o)
+        later = np.concatenate([gap_rows[lo + step:], gapless])
+        width = cap // a.size
+        for at in range(0, later.size, width):
+            b = later[at:at + width]
+            tile = _partial_d2(zeroed, observed, a[:, None], b)
+            d2[np.ix_(a, b)] = tile
+            d2[np.ix_(b, a)] = tile.T
+    # usable coordinates: the genes o observes, less those among i's gaps.
+    # A sample that shares none with i is infinitely far
+    n_observed = np.count_nonzero(observed, axis=1)
+    usable = n_observed - np.add.reduceat(observed.T[cols], starts, axis=0,
+                                          dtype=np.int64)
+    near = usable > 0
+    dists = np.full(usable.shape, np.inf)
+    dists[near] = np.sqrt(d2[gap_rows][near] / (usable[near] / n))
+
+    # each gap row's samples nearest first, ties to the lower index; those
+    # at infinite distance point at an added sample m that observes nothing
+    order = np.argsort(dists, axis=1, kind="stable")
+    order[np.arange(m) >= np.isfinite(dists).sum(axis=1)[:, None]] = m
+    # observed[o, j] at j * (m + 1) + o: one cell's lookups share a column
+    held = np.vstack([observed, np.zeros((1, n), dtype=bool)]).T.ravel()
+    # the first n_neighbors observers of each gap cell's column, nearest
+    # first, over blocks of cells
+    slot = np.searchsorted(gap_rows, rows)
+    per_block = max(1, _IMPUTE_BYTES // (8 * m))
     donors, counts = [], []
-    for i, gaps in zip(rows[starts], np.split(cols, starts[1:])):
-        # partial distances from sample i to every sample in one pass:
-        # differences over the coordinates both observe, zero elsewhere
-        np.subtract(zeroed[i], zeroed, out=diff)
-        diff *= observed & observed[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        # usable coordinates: the ones o observes, less i's gaps. Sample i
-        # itself sorts first, at distance 0, but observes none of its gaps
-        holds = observed[:, gaps]
-        cnt = n_observed - np.count_nonzero(holds, axis=1)
-        near = cnt > 0
-        dists = np.full(m, np.inf)
-        dists[near] = np.sqrt(d2[near] / (cnt[near] / n))
-        order = np.lexsort((np.arange(m), dists))
-        order = order[np.isfinite(dists[order])]
-        # the first n_neighbors observers of each gap column, nearest first
-        holds = holds[order]
-        picked = holds & (np.cumsum(holds, axis=0) <= n_neighbors)
-        donors.append(order[np.nonzero(picked.T)[1]])
-        counts.append(picked.sum(axis=0))
+    for lo in range(0, rows.size, per_block):
+        ranked = order[slot[lo:lo + per_block]]
+        holds = held[cols[lo:lo + per_block, None] * (m + 1) + ranked]
+        seen = np.cumsum(holds, axis=1, dtype=np.int32)
+        cell, at = np.nonzero(holds & (seen <= n_neighbors))
+        donors.append(ranked[cell, at])
+        counts.append(np.minimum(seen[:, -1], n_neighbors))
     # each cell's mean over its donors in distance order; cells with the
     # same donor count share one (cells, k) gather, whose row-wise mean
     # reduces each row as the 1-D mean of that row does

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -418,6 +419,31 @@ class TestCompare:
         assert doc["n_datasets"] == 5 and doc["classifier"] == "knn"
         assert doc["verdict"] in ("significant", "not significant")
 
+    def test_dataset_paths_pair_as_normalized(self, tmp_path, monkeypatch):
+        # the same CSV typed as data/d1.csv and ./data/d1.csv pairs up;
+        # each file keeps its dataset name as typed
+        monkeypatch.chdir(tmp_path)
+        Path("data").mkdir()
+        Path("genes.json").write_text("[0, 1, 2]")
+        runs = {"select": ("data", [*SELECT_FAST]),
+                "evaluate": ("./data", ["--genes", "genes.json", "--cv-k",
+                                        "4", "--cv-rounds", "1",
+                                        "--classifiers", "knn"])}
+        for command in runs:
+            Path(command).mkdir()
+        for i in range(5):
+            assert main(["synth", "--out", f"data/d{i}.csv", "--samples",
+                         "24", "--genes", "20", "--informative", "4",
+                         "--seed", str(i)]) == 0
+            for command, (folder, flags) in runs.items():
+                assert main([command, "--data", f"{folder}/d{i}.csv", *flags,
+                             "--out", f"{command}/r{i}.json"]) == 0
+        assert json.loads(Path("evaluate/r0.json").read_text())[
+            "dataset_name"] == "./data/d0.csv"
+        assert main(["compare", "--a", "select", "--b", "evaluate",
+                     "--out", "cmp.json"]) == 0
+        assert json.loads(Path("cmp.json").read_text())["n_datasets"] == 5
+
     def test_empty_directory_exits_2(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
@@ -500,14 +526,81 @@ class TestComparePairing:
         assert str(tmp_path / "b" / "r5.json") in err and "finite" in err
 
 
+class TestCompareDefaultClassifier:
+    """Without --classifier, compare reads the first --a file's first
+    configured classifier if it is a select report, or its only one if it
+    is an evaluate result."""
+
+    @staticmethod
+    def _write(directory, report_doc, kinds, select, shift=0.0):
+        """Six files for datasets d0..d5 with a summary per kind: select
+        reports configured with ``kinds`` in that order, or evaluate
+        results. Written with sorted keys, as both commands write them."""
+        directory.mkdir()
+        for i in range(6):
+            if select:
+                doc = json.loads(json.dumps(report_doc))
+                spec = doc["config"]["eval_classifiers"][0]
+                doc["config"]["eval_classifiers"] = [dict(spec, kind=kind)
+                                                     for kind in kinds]
+            else:
+                doc = {"schema_version": report_doc["schema_version"],
+                       "genes": [0, 1]}
+            doc["dataset_name"] = f"d{i}"
+            doc["summaries"] = {}
+            for kind in kinds:
+                summary = json.loads(json.dumps(report_doc["summaries"]["knn"]))
+                summary["means"]["accuracy"] = 0.5 + 0.05 * i + shift
+                doc["summaries"][kind] = summary
+            (directory / f"r{i}.json").write_text(
+                json.dumps(doc, sort_keys=True))
+
+    def _compare(self, tmp_path, *flags):
+        out = tmp_path / "cmp.json"
+        code = main(["compare", "--a", str(tmp_path / "a"), "--b",
+                     str(tmp_path / "b"), "--out", str(out), *flags])
+        return code, (json.loads(out.read_text()) if code == 0 else None)
+
+    def test_select_report_gives_its_first_configured_classifier(
+            self, tmp_path, report_doc):
+        # sorted keys put gaussian_nb first in summaries
+        self._write(tmp_path / "a", report_doc, ["knn", "gaussian_nb"], True)
+        self._write(tmp_path / "b", report_doc, ["gaussian_nb", "knn"],
+                    False, shift=0.01)
+        code, doc = self._compare(tmp_path)
+        assert code == 0 and doc["classifier"] == "knn"
+
+    def test_evaluate_result_gives_its_only_classifier(self, tmp_path,
+                                                       report_doc):
+        self._write(tmp_path / "a", report_doc, ["gaussian_nb"], False)
+        self._write(tmp_path / "b", report_doc, ["knn", "gaussian_nb"], True,
+                    shift=0.01)
+        code, doc = self._compare(tmp_path)
+        assert code == 0 and doc["classifier"] == "gaussian_nb"
+
+    def test_evaluate_result_with_several_classifiers_exits_1(
+            self, tmp_path, report_doc, capsys):
+        self._write(tmp_path / "a", report_doc, ["knn", "gaussian_nb"], False)
+        self._write(tmp_path / "b", report_doc, ["knn", "gaussian_nb"], True,
+                    shift=0.01)
+        code, _ = self._compare(tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "a" / "r0.json") in err
+        assert "'gaussian_nb', 'knn'" in err and "--classifier" in err
+        code, doc = self._compare(tmp_path, "--classifier", "knn")
+        assert code == 0 and doc["classifier"] == "knn"
+
+
 class TestCompareMalformedReports:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("dataset_name"),
         lambda doc: doc.update(summaries=[]),
         lambda doc: doc["summaries"]["knn"].pop("means"),
         lambda doc: doc.update(schema_version=99),
+        lambda doc: doc["config"].update(eval_classifiers=[]),
     ], ids=["no_dataset_name", "summaries_list", "no_means",
-            "schema_99"])
+            "schema_99", "no_configured_classifier"])
     def test_partial_report_exits_1(self, report_doc, tmp_path, capsys,
                                     edit):
         doc = json.loads(json.dumps(report_doc))

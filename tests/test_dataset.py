@@ -295,6 +295,93 @@ class TestImputeKnnOracle:
         donors = [o for o in range(8) if (o, j) not in mask]
         assert out.values[i, j] == pytest.approx(values[donors, j].mean())
 
+    def test_gapless_rows_before_between_and_after_gap_rows(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(10, 12))
+        missing = np.zeros(values.shape, dtype=bool)
+        # gap rows 2, 3 and 6; rows 0-1, 4-5 and 7-9 are gapless
+        missing[[2, 3, 3, 6], [0, 5, 11, 5]] = True
+        ds, mask = _masked(values, missing)
+        for k in (1, 3, 9):
+            self.check(ds, mask, k)
+
+    def test_single_gap_row_among_gapless_rows(self):
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=(9, 6))
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[4, [1, 2]] = True
+        ds, mask = _masked(values, missing)
+        out = self.check(ds, mask, 2)
+        assert np.array_equal(np.delete(out.values, 4, axis=0),
+                              np.delete(values, 4, axis=0))
+
+    @pytest.mark.parametrize("gaps", [[(0, 1), (1, 2)], [(1, 0)]])
+    def test_two_samples(self, gaps):
+        values = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        missing = np.zeros(values.shape, dtype=bool)
+        for i, j in gaps:
+            missing[i, j] = True
+        ds, mask = _masked(values, missing)
+        out = self.check(ds, mask, 3)
+        for i, j in gaps:  # the other sample is the only donor
+            assert out.values[i, j] == values[1 - i, j]
+
+    def test_fully_missing_row_neither_donates_nor_imputes_itself(self):
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(6, 4))
+        values[2] = 1e6  # masked, so never read
+        missing = np.zeros(values.shape, dtype=bool)
+        missing[2] = True
+        missing[4, 1] = True
+        ds, mask = _masked(values, missing)
+        out = self.check(ds, mask, 5)
+        # row 2 is infinitely far from every sample, itself included, so
+        # each of its cells falls back to the column mean
+        for j in range(4):
+            assert out.values[2, j] == values[~missing[:, j], j].mean()
+        # (4, 1) averages the four other observers of column 1, not row 2
+        assert out.values[4, 1] == pytest.approx(values[[0, 1, 3, 5], 1].mean())
+
+    @pytest.mark.parametrize("budget", [1, 1000, 3000])
+    def test_many_blocks_under_a_small_byte_budget(self, monkeypatch, budget):
+        rng = np.random.default_rng(10)
+        values = rng.normal(size=(30, 20))
+        missing = rng.random(values.shape) < 0.08
+        missing[[0, 13, 29]] = False
+        ds, mask = _masked(values, missing)
+        whole = impute_knn(ds, mask, 4)
+        # a budget of 1000 bytes gives tiles of 2 gap rows by 3 partners
+        # and donor blocks of 4 cells
+        monkeypatch.setattr("genefunnel.data._IMPUTE_BYTES", budget)
+        out = self.check(ds, mask, 4)
+        assert out.values.tobytes() == whole.values.tobytes()
+
+    def test_each_pair_with_a_gap_row_is_computed_once(self, monkeypatch):
+        from genefunnel import data
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(12, 9))
+        gap_rows = {1, 2, 5, 6, 7, 10}
+        missing = np.zeros(values.shape, dtype=bool)
+        for i in gap_rows:
+            missing[i, rng.integers(9)] = True
+        ds, mask = _masked(values, missing)
+        pairs = []
+        real = data._partial_d2
+
+        def record(zeroed, observed, a, b):
+            a_b = np.broadcast_arrays(a, b)
+            pairs.extend(zip(*(side.ravel().tolist() for side in a_b)))
+            return real(zeroed, observed, a, b)
+
+        monkeypatch.setattr(data, "_partial_d2", record)
+        monkeypatch.setattr(data, "_IMPUTE_BYTES", 8 * 9 * 6)
+        self.check(ds, mask, 3)
+        unordered = [tuple(sorted(pair)) for pair in pairs]
+        assert len(unordered) == len(set(unordered))
+        assert set(unordered) == {(i, o) for i in range(12)
+                                  for o in range(i + 1, 12)
+                                  if i in gap_rows or o in gap_rows}
+
     def test_lowest_all_missing_column_is_named(self):
         values = np.ones((4, 5))
         missing = np.zeros((4, 5), dtype=bool)
