@@ -5,9 +5,9 @@ node's columns and scans them; ``boosting.fit`` sorts once per tree
 (``sort_columns``) and hands each child its part of the sorted orders
 (``sorted_partition``).
 
-``knn_vote`` is the only KNN vote rule: ``knn_predict`` calls it for the
-``knn`` evaluation classifier, and so does the GA's batched fitness
-kernel.
+``nearest`` and ``knn_vote`` are the only KNN neighbour-pick and vote
+rules: ``knn_predict`` calls them for the ``knn`` evaluation classifier,
+and so does the GA's batched fitness kernel.
 """
 import numpy as np
 
@@ -147,6 +147,18 @@ def sorted_partition(xs, order, first):
     return xs, order
 
 
+def nearest(d, k):
+    """The int64 indices of the k smallest entries on d's last axis, as a
+    stable argsort orders finite d: k argmin passes (the first minimum is
+    the lowest index), each setting its picks in d to +inf."""
+    picks = np.empty(d.shape[:-1] + (k,), dtype=np.int64)
+    for p in range(k):
+        pick = np.argmin(d, axis=-1)
+        picks[..., p] = pick
+        np.put_along_axis(d, pick[..., None], np.inf, axis=-1)
+    return picks
+
+
 def knn_vote(nearest_labels, n_classes):
     """Majority vote over each row of neighbor labels, nearest first.
 
@@ -176,5 +188,4 @@ def knn_predict(train, labels, test, k, n_classes):
     k = min(k, train.shape[0])
     diffs = test[:, None, :] - train[None, :, :]
     d2 = np.einsum("qmd,qmd->qm", diffs, diffs)
-    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return knn_vote(labels[nearest], n_classes)
+    return knn_vote(labels[nearest(d2, k)], n_classes)

@@ -93,12 +93,6 @@ class BoostedEnsemble:
     n_genes: int
     n_classes: int         # 0 for regression
 
-    @property
-    def task(self) -> str:
-        if self.n_classes == 0:
-            return "regression"
-        return "binary" if len(self.trees) == 1 else "multiclass"
-
 
 @dataclass(frozen=True)
 class ImportanceReport:

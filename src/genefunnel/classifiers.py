@@ -277,19 +277,20 @@ def _fit_linear_svms(models: list, datasets: list):
         models[q].biases[head] = b
 
 
-def predict(model: TrainedClassifier, ds: Dataset) -> np.ndarray:
-    if ds.n_genes != model.n_genes:
+def predict(model: TrainedClassifier, x) -> np.ndarray:
+    """Class indices for the rows of the (q, genes) query matrix x."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != model.n_genes:
         raise ValidationError(
-            f"model expects {model.n_genes} genes, dataset has {ds.n_genes}")
+            f"model expects {model.n_genes} genes, query has shape {x.shape}")
     spec = model.spec
 
     if spec.kind == "knn":
         return _kernels.knn_predict(model.train_values, model.train_labels,
-                                    ds.values, spec.knn_k, model.n_classes)
+                                    x, spec.knn_k, model.n_classes)
 
     if spec.kind == "gaussian_nb":
         # log prior + sum of log Gaussian densities, argmax ties to class 0
-        x = ds.values
         scores = np.empty((x.shape[0], model.n_classes))
         for k in range(model.n_classes):
             var = model.variances[k]
@@ -298,7 +299,7 @@ def predict(model: TrainedClassifier, ds: Dataset) -> np.ndarray:
             scores[:, k] = model.log_priors[k] + log_density.sum(axis=1)
         return np.argmax(scores, axis=1).astype(np.int64)
 
-    scores = ds.values @ model.weights.T + model.biases
+    scores = x @ model.weights.T + model.biases
     if model.n_classes == 2:
         return (scores[:, 0] >= 0.0).astype(np.int64)
     return np.argmax(scores, axis=1).astype(np.int64)

@@ -257,13 +257,15 @@ def _cmd_synth(args) -> int:
         seed=args.seed)
     result = pipeline.generate_synth(spec)
     ds = result.dataset
+    missing = np.zeros(ds.values.shape, dtype=bool)
+    missing[result.mask[:, 0], result.mask[:, 1]] = True
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.gene_ids) + ["label"])
-        for i in range(ds.n_samples):
-            row = [("" if (i, j) in result.mask else repr(float(ds.values[i, j])))
-                   for j in range(ds.n_genes)]
-            writer.writerow(row + [ds.class_names[ds.labels[i]]])
+        for values, gaps, label in zip(ds.values.tolist(), missing.tolist(),
+                                       ds.labels):
+            row = ["" if gap else repr(v) for v, gap in zip(values, gaps)]
+            writer.writerow(row + [ds.class_names[label]])
     if args.truth_out:
         pipeline.write_json_atomic(
             args.truth_out,

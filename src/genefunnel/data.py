@@ -78,21 +78,20 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Stratified k-fold assignments for a number of repetition rounds."""
+    """Stratified k-fold assignments for a number of repetition rounds:
+    ``fold_of[r, i]`` is the fold that holds sample i out in round r, in
+    a read-only (rounds, M) int64 array."""
 
     k: int
     rounds: int
-    assignments: tuple  # per round: tuple of k tuples of sample indices
+    fold_of: np.ndarray
     seed: int
 
     def splits(self):
         """Yield (round_idx, fold_idx, train_indices, test_indices)."""
-        all_idx = {i for fold in self.assignments[0] for i in fold}
-        for r, folds in enumerate(self.assignments):
-            for f, test in enumerate(folds):
-                test_set = set(test)
-                train = np.array(sorted(all_idx - test_set), dtype=np.int64)
-                yield r, f, train, np.array(sorted(test), dtype=np.int64)
+        for r, fold in enumerate(self.fold_of):
+            for f in range(self.k):
+                yield r, f, np.flatnonzero(fold != f), np.flatnonzero(fold == f)
 
 
 def _parses_as_float(text: str) -> bool:
@@ -104,11 +103,11 @@ def _parses_as_float(text: str) -> bool:
 
 
 def _parse_row(genes: list, missing_token: str, token_parses: bool, path,
-               line_no: int, row_index: int, mask: set) -> np.ndarray:
+               line_no: int, row_index: int, mask: list) -> np.ndarray:
     """The gene cells of one row as floats. Empty cells and cells equal to
-    ``missing_token`` (after stripping) go into ``mask`` as
-    ``(row_index, column)`` and read 0.0; any other cell that is not a
-    number is an error naming ``path:line_no``."""
+    ``missing_token`` (after stripping) are appended to ``mask`` as
+    ``(row_index, column)``, in column order, and read 0.0; any other cell
+    that is not a number is an error naming ``path:line_no``."""
     if token_parses:
         # a numeric token parses, so its cells are told apart by text
         genes = ["" if cell.strip() == missing_token else cell
@@ -127,19 +126,20 @@ def _parse_row(genes: list, missing_token: str, token_parses: bool, path,
             if text != "" and text != missing_token:
                 raise ParseError(f"{path}:{line_no}: non-numeric "
                                  f"cell {genes[col]!r}") from None
-            mask.add((row_index, col))
+            mask.append((row_index, col))
             row.append(0.0)
 
 
 def load_csv(path, label_column: str = "last", missing_token: str = "NA",
-             name: str | None = None) -> tuple[Dataset, frozenset]:
+             name: str | None = None) -> tuple[Dataset, np.ndarray]:
     """Parse a UTF-8 comma-separated file into a Dataset and a missing mask.
 
     The first row is the header (gene ids plus the label column name).
-    Empty cells or cells equal to ``missing_token`` are recorded in the
-    mask and zero-filled provisionally; any other cell must be a finite
-    number. Class labels map to contiguous indices in first-appearance
-    order.
+    Empty cells or cells equal to ``missing_token`` are missing: the mask
+    is a read-only (K, 2) int64 array of their (row, column) indices in
+    row-major order, and they are zero-filled provisionally. Any other
+    cell must be a finite number. Class labels map to contiguous indices
+    in first-appearance order.
     """
     if label_column not in ("first", "last"):
         raise ValidationError(f"label_column must be first or last, got {label_column!r}")
@@ -158,7 +158,7 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
             gene_ids = tuple(h for i, h in enumerate(header) if i != label_pos)
 
             token_parses = _parses_as_float(missing_token)
-            rows, line_nos, raw_labels, mask = [], [], [], set()
+            rows, line_nos, raw_labels, mask = [], [], [], []
             for line_no, cells in enumerate(reader, start=2):
                 if not cells:
                     continue
@@ -175,14 +175,9 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
 
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    class_names: list[str] = []
-    index_of: dict[str, int] = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lbl in enumerate(raw_labels):
-        if lbl not in index_of:
-            index_of[lbl] = len(class_names)
-            class_names.append(lbl)
-        labels[i] = index_of[lbl]
+    class_names = list(dict.fromkeys(raw_labels))  # first-appearance order
+    index_of = {lbl: c for c, lbl in enumerate(class_names)}
+    labels = np.array([index_of[lbl] for lbl in raw_labels], dtype=np.int64)
     if len(class_names) < 2:
         raise ValidationError(f"{path}: only one class present")
 
@@ -194,7 +189,9 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
                          f"{float(values[r, c])!r} in column {gene_ids[c]!r}")
     ds = Dataset(values, labels, gene_ids, tuple(class_names),
                  name=name if name is not None else str(path))
-    return ds, frozenset(mask)
+    mask = np.array(mask, dtype=np.int64).reshape(-1, 2)
+    mask.setflags(write=False)
+    return ds, mask
 
 
 # Bytes of one float64 block array of ``impute_knn``: partial distances
@@ -217,9 +214,12 @@ def _partial_d2(zeroed, observed, a, b):
     return np.einsum("ij,ij->i", flat, flat).reshape(diff.shape[:-1])
 
 
-def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
+def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
     """Replace each masked cell by the mean of that column over the
     nearest neighbors that observe it (KNNimpute).
+
+    ``mask`` is a (K, 2) integer array of missing (row, column) cells, in
+    any order and possibly repeated, as ``load_csv`` returns it.
 
     The distance from sample i to sample o uses only the ``cnt``
     coordinates observed in both: ``sqrt(d2 / (cnt / n))``, where ``d2``
@@ -242,19 +242,21 @@ def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
     """
     if n_neighbors < 1:
         raise ValidationError("n_neighbors must be >= 1")
-    if not mask:
+    cells = np.asarray(mask)
+    if cells.dtype.kind not in "iu" or cells.shape[1:] != (2,):
+        raise ValidationError(f"mask must be a (K, 2) integer array of (row, "
+                              f"column) cells, got {cells.dtype} {cells.shape}")
+    if not cells.size:
         return ds
     m, n = ds.values.shape
-    coords = list(mask)
-    cells = np.array(coords, dtype=np.int64).reshape(-1, 2)
-    rows, cols = cells[:, 0], cells[:, 1]
-    outside = (rows < 0) | (rows >= m) | (cols < 0) | (cols >= n)
+    # negative indices would wrap, so bounds come before any indexing
+    outside = ((cells < 0) | (cells >= (m, n))).any(axis=1)
     if outside.any():
-        raise ValidationError(
-            f"mask coordinate {coords[np.argmax(outside)]} out of bounds")
+        cell = tuple(cells[np.argmax(outside)].tolist())
+        raise ValidationError(f"mask coordinate {cell} out of bounds")
 
     observed = np.ones((m, n), dtype=bool)
-    observed[rows, cols] = False
+    observed[cells[:, 0], cells[:, 1]] = False
     empty = ~observed.any(axis=0)
     if empty.any():
         j = int(np.argmax(empty))
@@ -264,10 +266,8 @@ def impute_knn(ds: Dataset, mask: frozenset, n_neighbors: int = 5) -> Dataset:
 
     values = ds.values
     zeroed = np.where(observed, values, 0.0)
-    by_row = np.lexsort((cols, rows))
-    rows, cols = rows[by_row], cols[by_row]
-    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-    gap_rows = rows[starts]
+    rows, cols = np.nonzero(~observed)  # each cell once, row-major
+    gap_rows, starts = np.unique(rows, return_index=True)
     gapless = np.setdiff1d(np.arange(m), gap_rows, assume_unique=True)
 
     # partial distances, each pair with a gap row once: a block of gap rows
@@ -357,10 +357,12 @@ def normalize_minmax(ds: Dataset) -> Dataset:
 
 
 def make_folds(labels, k: int, rounds: int, seed: int) -> FoldPlan:
-    """Stratified k-fold plan, repeated ``rounds`` times.
+    """Stratified k-fold plan, repeated ``rounds`` times, as a FoldPlan
+    with a (rounds, M) ``fold_of`` array.
 
-    Shuffling depends only on (seed, round index); per-class counts across
-    folds differ by at most one.
+    Each class, shuffled, is dealt round-robin onto the folds from where
+    the previous class stopped. Shuffling depends only on (seed, round
+    index); per-class counts across folds differ by at most one.
     """
     labels = np.asarray(labels, dtype=np.int64)
     m = labels.size
@@ -372,20 +374,17 @@ def make_folds(labels, k: int, rounds: int, seed: int) -> FoldPlan:
         raise ValidationError("rounds must be >= 1")
     classes = np.unique(labels)
 
-    all_rounds = []
+    fold_of = np.empty((rounds, m), dtype=np.int64)
     for r in range(rounds):
         rng = np.random.default_rng([seed, r])
-        folds: list[list[int]] = [[] for _ in range(k)]
         assigned = 0
         for c in classes:
             members = np.flatnonzero(labels == c)
             rng.shuffle(members)
-            start = assigned % k
-            for i, idx in enumerate(members):
-                folds[(start + i) % k].append(int(idx))
+            fold_of[r, members] = (assigned + np.arange(members.size)) % k
             assigned += members.size
-        all_rounds.append(tuple(tuple(sorted(f)) for f in folds))
-    return FoldPlan(k=k, rounds=rounds, assignments=tuple(all_rounds), seed=seed)
+    fold_of.setflags(write=False)
+    return FoldPlan(k=k, rounds=rounds, fold_of=fold_of, seed=seed)
 
 
 def training_fold(ds: Dataset, rows) -> Dataset | None:

@@ -9,9 +9,8 @@ Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. Once per ``evolve`` it caches, for each internal
 fold, the per-gene squared differences between the fold's test rows and
 its training rows, so the squared distances of a whole batch of masks
-are one matrix product per fold. The k nearest training rows are picked
-by k argmin passes (distance ties go to the lower sample index) and
-``knn_vote`` applies the vote tie rule of the ``knn`` classifier. Test
+are one matrix product per fold. ``nearest`` and ``knn_vote`` pick the
+neighbours and vote with the tie rules of the ``knn`` classifier. Test
 rows are unlabeled queries, so any fold may lack a class. ``evolve``
 scores the new masks of each generation in one call, each distinct mask
 once; ``fitness`` scores one mask through the same kernel.
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import knn_vote
+from ._kernels import knn_vote, nearest
 from .data import Dataset, make_folds
 from .errors import ConfigError, ValidationError
 
@@ -183,17 +182,10 @@ class _FitnessKernel:
                     d = part
                 else:
                     d += part
-            d = d.reshape(-1, test.size, train.size)
-            # k argmin passes: the first minimum is the lowest row, so
-            # the picks come in (distance, row index) order
             k = min(self._knn_k, train.size)
-            nearest = np.empty(d.shape[:2] + (k,), dtype=np.int64)
-            for p in range(k):
-                pick = np.argmin(d, axis=2)
-                nearest[:, :, p] = pick
-                np.put_along_axis(d, pick[:, :, None], np.inf, axis=2)
+            picks = nearest(d.reshape(-1, test.size, train.size), k)
             del d
-            nearest_labels = self._labels[train][nearest]
+            nearest_labels = self._labels[train][picks]
             predicted = knn_vote(nearest_labels.reshape(-1, k),
                                  self._n_classes)
             correct = predicted.reshape(-1, test.size) == self._labels[test]

@@ -115,8 +115,10 @@ class SynthSpec:
 
 @dataclass(frozen=True)
 class SynthResult:
+    """``mask`` holds the missing cells as ``load_csv`` returns them: a
+    read-only (K, 2) int64 array of (row, column) in row-major order."""
     dataset: Dataset
-    mask: frozenset                 # missing cells
+    mask: np.ndarray
     informative_genes: tuple        # planted gene indices, ascending
 
 
@@ -138,7 +140,7 @@ def generate_synth(spec: SynthSpec) -> SynthResult:
     for j in informative:
         values[:, j] = (labels * separation
                         + rng.normal(0.0, spec.noise_sigma, size=m))
-    mask = set()
+    mask = np.empty((0, 2), dtype=np.int64)
     if spec.missing_fraction > 0.0:
         cells = rng.random((m, n)) < spec.missing_fraction
         empty = np.flatnonzero(cells.all(axis=0))
@@ -146,12 +148,13 @@ def generate_synth(spec: SynthSpec) -> SynthResult:
             raise ValidationError(
                 f"missing_fraction {spec.missing_fraction} left gene column "
                 f"{empty[0]} ('g{empty[0]:05d}') with no observed cell")
-        mask = {(int(i), int(j)) for i, j in zip(*np.nonzero(cells))}
+        mask = np.argwhere(cells)
+    mask.setflags(write=False)
     gene_ids = tuple(f"g{j:05d}" for j in range(n))
     class_names = tuple(f"class{k}" for k in range(c))
     ds = Dataset(values, labels, gene_ids, class_names,
                  name=f"synth-{spec.seed}")
-    return SynthResult(dataset=ds, mask=frozenset(mask),
+    return SynthResult(dataset=ds, mask=mask,
                        informative_genes=tuple(int(j) for j in informative))
 
 
@@ -224,7 +227,7 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
             summaries[spec.kind] = score_splits(spec, splits, skipped)
     runtimes["evaluation"] = _ms(time.perf_counter() - t2)
 
-    report = PipelineReport(
+    return PipelineReport(
         dataset_name=ds.name,
         n_samples=ds.n_samples,
         n_genes=ds.n_genes,
@@ -240,7 +243,6 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         seed=cfg.seed,
         ga_trace=selection.trace,
     )
-    return report
 
 
 def _ms(seconds: float) -> float:

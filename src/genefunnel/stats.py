@@ -133,7 +133,7 @@ def score_split(train_ds: Dataset, test_ds: Dataset,
                 spec: ClassifierSpec) -> MetricReport:
     """Train on one split, score the other."""
     model = train(spec, train_ds)
-    predicted = predict(model, test_ds)
+    predicted = predict(model, test_ds.values)
     return metrics(confusion(test_ds.labels, predicted, train_ds.n_classes))
 
 
@@ -142,16 +142,13 @@ def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
     on its held-out rows and summarize the folds.
 
     ``splits`` holds (training Dataset, held-out values, held-out labels)
-    triples. The held-out part may legitimately miss classes, so it is
-    scored as an unlabeled query set rather than a full Dataset.
+    triples; the held-out part may miss classes, so it stays a bare
+    matrix and label vector.
     """
     models = train_many(spec, [train_ds for train_ds, _, _ in splits])
-    results = []
-    for model, (train_ds, values, actual) in zip(models, splits):
-        query = Dataset(values, np.zeros(actual.size, dtype=np.int64),
-                        train_ds.gene_ids, ("query",), train_ds.name)
-        results.append(metrics(confusion(actual, predict(model, query),
-                                         model.n_classes)))
+    results = [metrics(confusion(actual, predict(model, values),
+                                 model.n_classes))
+               for model, (_, values, actual) in zip(models, splits)]
     means = {name: float(np.mean([getattr(r, name) for r in results]))
              for name in METRIC_NAMES}
     stds = {name: float(np.std([getattr(r, name) for r in results]))

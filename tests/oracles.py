@@ -205,18 +205,19 @@ def impute_knn_loop(ds, mask, n_neighbors=5):
     """KNN imputation with one Python step per (row with a gap, other row)
     pair: the partial distance of each pair from the compressed vector of
     coordinates observed in both, donors picked by scanning the sorted
-    order for each missing cell."""
+    order for each missing cell. ``mask`` holds (row, column) pairs."""
     if n_neighbors < 1:
         raise ValidationError("n_neighbors must be >= 1")
-    if not mask:
+    cells = sorted(set(map(tuple, np.asarray(mask).tolist())))
+    if not cells:
         return ds
     m, n = ds.values.shape
-    for (i, j) in mask:
+    for (i, j) in cells:
         if not (0 <= i < m and 0 <= j < n):
             raise ValidationError(f"mask coordinate {(i, j)} out of bounds")
 
     observed = np.ones((m, n), dtype=bool)
-    for (i, j) in mask:
+    for (i, j) in cells:
         observed[i, j] = False
     values = ds.values.copy()
 
@@ -231,7 +232,7 @@ def impute_knn_loop(ds, mask, n_neighbors=5):
         col_means[j] = values[obs, j].mean()
 
     missing_by_row: dict[int, list[int]] = {}
-    for (i, j) in sorted(mask):
+    for (i, j) in cells:
         missing_by_row.setdefault(i, []).append(j)
 
     for i, cols in missing_by_row.items():

@@ -17,13 +17,6 @@ def make_ds(x, labels):
                    tuple(f"c{k}" for k in range(c)))
 
 
-def query_ds(x):
-    """Unlabeled query set as a single-class Dataset (labels unused)."""
-    x = np.asarray(x, dtype=float)
-    return Dataset(x, np.zeros(x.shape[0], dtype=int),
-                   tuple(f"g{i}" for i in range(x.shape[1])), ("q",))
-
-
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -41,7 +34,7 @@ class TestSpecValidation:
 class TestKnn:
     def test_k1_reproduces_training_labels(self, separable_ds):
         model = train(ClassifierSpec(kind="knn", knn_k=1), separable_ds)
-        pred = predict(model, separable_ds)
+        pred = predict(model, separable_ds.values)
         assert np.array_equal(pred, separable_ds.labels)
 
     def test_five_sample_query_matches_bruteforce(self):
@@ -51,7 +44,7 @@ class TestKnn:
         ds = make_ds(train_x, labels)
         query = np.array([[2.0, 2.0]])
         model = train(ClassifierSpec(kind="knn", knn_k=3), ds)
-        got = predict(model, query_ds(query))
+        got = predict(model, query)
         expect = oracles.knn_label_bruteforce(train_x, labels, query[0], 3, 2)
         assert got[0] == expect
 
@@ -68,7 +61,7 @@ class TestKnn:
             ds = make_ds(x, labels)
             model = train(ClassifierSpec(kind="knn", knn_k=k), ds)
             queries = rng.normal(size=(5, n))
-            got = predict(model, query_ds(queries))
+            got = predict(model, queries)
             for q, pred in zip(queries, got):
                 assert pred == oracles.knn_label_bruteforce(
                     x, labels, q, k, c)
@@ -78,14 +71,13 @@ class TestKnn:
         x = rng.normal(size=(12, 3))
         labels = np.array([0, 1] * 6)
         queries = rng.normal(size=(6, 3))
-        qds = query_ds(queries)
         base = predict(train(ClassifierSpec(kind="knn", knn_k=3),
-                             make_ds(x, labels)), qds)
+                             make_ds(x, labels)), queries)
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(12)
             shuffled = predict(
                 train(ClassifierSpec(kind="knn", knn_k=3),
-                      make_ds(x[perm], labels[perm])), qds)
+                      make_ds(x[perm], labels[perm])), queries)
             assert np.array_equal(base, shuffled)
 
     def test_k_exceeds_samples(self, separable_ds):
@@ -112,7 +104,7 @@ class TestGaussianNb:
         x = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         labels = np.array([0, 0, 1, 1])
         model = train(ClassifierSpec(kind="gaussian_nb"), make_ds(x, labels))
-        pred = predict(model, query_ds(np.array([[0.0]])))
+        pred = predict(model, np.array([[0.0]]))
         assert pred[0] == 0
 
     def test_log_space_no_overflow_in_unit_range(self):
@@ -121,12 +113,12 @@ class TestGaussianNb:
         labels = np.array([0, 1, 2] * 10)
         ds = make_ds(x, labels)
         model = train(ClassifierSpec(kind="gaussian_nb"), ds)
-        pred = predict(model, ds)
+        pred = predict(model, ds.values)
         assert pred.shape == (30,) and set(pred) <= {0, 1, 2}
 
     def test_separates_obvious_classes(self, separable_ds):
         model = train(ClassifierSpec(kind="gaussian_nb"), separable_ds)
-        pred = predict(model, separable_ds)
+        pred = predict(model, separable_ds.values)
         assert np.mean(pred == separable_ds.labels) == 1.0
 
 
@@ -134,7 +126,7 @@ class TestLinearSvm:
     def test_separable_training_accuracy(self, separable_ds):
         model = train(ClassifierSpec(kind="linear_svm", svm_epochs=200,
                                      seed=0), separable_ds)
-        pred = predict(model, separable_ds)
+        pred = predict(model, separable_ds.values)
         assert np.mean(pred == separable_ds.labels) == 1.0
 
     def test_multiclass_one_vs_rest(self):
@@ -145,7 +137,7 @@ class TestLinearSvm:
         ds = make_ds(x, labels)
         model = train(ClassifierSpec(kind="linear_svm", seed=1), ds)
         assert model.weights.shape == (3, 2)
-        pred = predict(model, ds)
+        pred = predict(model, ds.values)
         assert np.mean(pred == labels) == 1.0
 
     def test_deterministic_given_seed(self, separable_ds):
@@ -348,7 +340,7 @@ class TestLinearSvmLockstep:
     def test_other_kinds_map_over_sets(self, kind):
         sets = fold_training_sets(planted(30, 4, 3, seed=9), 3, 1)
         spec = ClassifierSpec(kind=kind, knn_k=3)
-        query = query_ds(planted(12, 4, 3, seed=10).values)
+        query = planted(12, 4, 3, seed=10).values
         for model, ds in zip(train_many(spec, sets), sets):
             assert np.array_equal(predict(model, query),
                                   predict(train(spec, ds), query))
@@ -357,9 +349,10 @@ class TestLinearSvmLockstep:
 class TestCommon:
     def test_dimension_mismatch_rejected(self, separable_ds):
         model = train(ClassifierSpec(kind="knn"), separable_ds)
-        bad = make_ds(np.zeros((2, 5)), np.array([0, 1]))
-        with pytest.raises(ValidationError):
-            predict(model, bad)
+        # a wrong gene count, and one sample as a 1-D vector
+        for bad in (np.zeros((2, 5)), separable_ds.values[0]):
+            with pytest.raises(ValidationError, match="model expects"):
+                predict(model, bad)
 
     def test_every_class_must_appear(self):
         # Dataset construction itself enforces M >= C
@@ -374,6 +367,6 @@ class TestCommon:
                                           seed=12))
         ds = result.dataset
         model = train(ClassifierSpec(kind=kind, seed=0), ds)
-        acc = float(np.mean(predict(model, ds) == ds.labels))
+        acc = float(np.mean(predict(model, ds.values) == ds.labels))
         c = ds.n_classes
         assert acc >= 1.0 - 1.0 / c

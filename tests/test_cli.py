@@ -2,9 +2,12 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from genefunnel.cli import main
+from genefunnel.data import load_csv
+from genefunnel.pipeline import SynthSpec, generate_synth
 
 
 SELECT_FAST = [
@@ -42,6 +45,25 @@ class TestSynth:
                      "--missing-fraction", "0.1", "--seed", "1"])
         assert code == 0
         assert ",," in out.read_text()
+
+    def test_round_trip_through_load_csv(self, tmp_path):
+        # the CSV blanks exactly the drawn mask's cells and holds every
+        # other cell as repr(v), which reads back as the same float
+        out = tmp_path / "gaps.csv"
+        assert main(["synth", "--out", str(out), "--samples", "30",
+                     "--genes", "40", "--informative", "5", "--classes", "3",
+                     "--sigma", "0.5", "--missing-fraction", "0.1",
+                     "--seed", "3"]) == 0
+        want = generate_synth(SynthSpec(
+            m_samples=30, n_genes=40, n_informative=5, n_classes=3,
+            noise_sigma=0.5, missing_fraction=0.1, seed=3))
+        ds, mask = load_csv(out)
+        assert mask.size and np.array_equal(mask, want.mask)
+        observed = np.ones(ds.values.shape, dtype=bool)
+        observed[mask[:, 0], mask[:, 1]] = False
+        assert (ds.values[observed].tobytes()
+                == want.dataset.values[observed].tobytes())
+        assert np.array_equal(ds.labels, want.dataset.labels)
 
     def test_empty_gene_column_exits_1(self, tmp_path, capsys):
         # a draw this sparse masks every cell of some column, which every

@@ -23,18 +23,19 @@ class TestLoadCsv:
         assert ds.n_samples == 3 and ds.n_genes == 2 and ds.n_classes == 2
         assert ds.labels.tolist() == [0, 1, 0]
         assert ds.class_names == ("A", "B")
-        assert not mask
+        assert mask.shape == (0, 2)
 
     def test_missing_cell_recorded(self, tmp_path):
         path = write(tmp_path, "g1,g2,label\n1,2,A\n,4,B\n")
         ds, mask = load_csv(path)
-        assert mask == {(1, 0)}
+        assert mask.tolist() == [[1, 0]]
+        assert mask.dtype == np.int64 and not mask.flags.writeable
         assert ds.values[1, 0] == 0.0  # provisional zero fill
 
     def test_missing_token_configurable(self, tmp_path):
         path = write(tmp_path, "g1,g2,label\n1,?,A\n3,4,B\n")
         _, mask = load_csv(path, missing_token="?")
-        assert mask == {(0, 1)}
+        assert mask.tolist() == [[0, 1]]
 
     def test_label_column_first(self, tmp_path):
         path = write(tmp_path, "label,g1,g2\nA,1,2\nB,3,4\n")
@@ -86,7 +87,7 @@ class TestLoadCsv:
     def test_nan_as_missing_token(self, tmp_path):
         path = write(tmp_path, "g1,g2,label\n1,nan,A\n3,4,B\n")
         ds, mask = load_csv(path, missing_token="nan")
-        assert mask == {(0, 1)} and ds.values[0, 1] == 0.0
+        assert mask.tolist() == [[0, 1]] and ds.values[0, 1] == 0.0
 
     @pytest.mark.parametrize("label_column", ["first", "last"])
     def test_gaps_anywhere_in_a_row(self, tmp_path, label_column):
@@ -108,7 +109,7 @@ class TestLoadCsv:
                            [1e-3, 0.0, -0.0, 7.0, 8.0],
                            [1.0, 2.0, 3.0, 4.0, 5.0]])
         assert ds.values.tobytes() == expect.tobytes()
-        assert mask == {(0, 0), (0, 2), (0, 4), (1, 1)}
+        assert mask.tolist() == [[0, 0], [0, 2], [0, 4], [1, 1]]  # row-major
 
     def test_non_numeric_cell_after_a_gap(self, tmp_path):
         path = write(tmp_path, "g1,g2,g3,label\n1,2,3,A\nNA,, x1,B\n")
@@ -120,7 +121,7 @@ class TestLoadCsv:
         path = write(tmp_path, "g1,g2,g3,label\n"
                                "-999, -999 ,-999.0,A\n1,,2,B\n")
         ds, mask = load_csv(path, missing_token="-999")
-        assert mask == {(0, 0), (0, 1), (1, 1)}
+        assert mask.tolist() == [[0, 0], [0, 1], [1, 1]]
         assert ds.values.tolist() == [[0.0, 0.0, -999.0], [1.0, 0.0, 2.0]]
 
     def test_load_twice_identical(self, tmp_path):
@@ -153,17 +154,17 @@ class TestImputeKnn:
         # neighbors 0 and 2 are nearest to sample 1; their column-1 values
         # are 1.0 and 3.0
         ds = self.base()
-        out = impute_knn(ds, frozenset({(1, 1)}), n_neighbors=2)
+        out = impute_knn(ds, np.array([[1, 1]]), n_neighbors=2)
         assert out.values[1, 1] == pytest.approx(2.0)
 
     def test_empty_mask_identity(self):
         ds = self.base()
-        out = impute_knn(ds, frozenset(), n_neighbors=2)
+        out = impute_knn(ds, np.empty((0, 2), dtype=np.int64), n_neighbors=2)
         assert out is ds
 
     def test_non_missing_cells_bit_identical(self):
         ds = self.base()
-        out = impute_knn(ds, frozenset({(1, 1)}), n_neighbors=2)
+        out = impute_knn(ds, np.array([[1, 1]]), n_neighbors=2)
         expected = ds.values.copy()
         expected[1, 1] = out.values[1, 1]
         np.testing.assert_array_equal(out.values, expected)
@@ -174,7 +175,7 @@ class TestImputeKnn:
         mask = {(2, 1), (4, 3)}
         ds = Dataset(values, np.array([0, 1] * 3),
                      tuple("abcd"), ("x", "y"))
-        out = impute_knn(ds, frozenset(mask), n_neighbors=2)
+        out = impute_knn(ds, np.array(sorted(mask)), n_neighbors=2)
 
         n = 4
         observed = np.ones((6, n), dtype=bool)
@@ -197,16 +198,40 @@ class TestImputeKnn:
 
     def test_column_without_observations_rejected(self):
         ds = self.base()
-        mask = frozenset({(i, 1) for i in range(4)})
+        mask = np.array([(i, 1) for i in range(4)])
         with pytest.raises(ValidationError):
             impute_knn(ds, mask, n_neighbors=2)
+
+    @pytest.mark.parametrize("mask", [
+        np.array([[1.5, 1.0]]), np.array([[1.0, 1.0]]),
+        np.array([[True, True]]), np.array([1, 1]), np.array([[1, 1, 0]]),
+        np.empty(0, dtype=np.int64), np.array([["1", "1"]]),
+        frozenset({(1, 1)})], ids=[
+        "fraction", "integral_float", "bool", "flat_pair", "triple",
+        "empty_1d", "text", "frozenset"])
+    def test_malformed_mask_rejected(self, mask):
+        # np.asarray(mask, dtype=np.int64) would read 1.5 as cell (1, 1)
+        with pytest.raises(ValidationError,
+                           match=r"^mask must be a \(K, 2\) integer array "
+                                 r"of \(row, column\) cells, got [^\n]*$"):
+            impute_knn(self.base(), mask, n_neighbors=2)
+
+    def test_duplicate_and_unordered_cells_are_harmless(self):
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(10, 6))
+        ds, mask = _masked(values, rng.random(values.shape) < 0.2)
+        want = impute_knn(ds, mask, 3)
+        for cells in (np.vstack([mask, mask[::2]]), mask[::-1],
+                      rng.permutation(mask), mask.astype(np.int32)):
+            got = impute_knn(ds, cells, 3)
+            assert got.values.tobytes() == want.values.tobytes()
 
 
 def _masked(values, missing):
     m, n = values.shape
     ds = Dataset(values, np.arange(m) % 2, tuple(f"g{j}" for j in range(n)),
                  ("x", "y"))
-    return ds, frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(missing)))
+    return ds, np.argwhere(missing)
 
 
 class TestImputeKnnOracle:
@@ -289,10 +314,11 @@ class TestImputeKnnOracle:
     def test_more_neighbors_than_donors(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(8, 5))
-        ds, mask = _masked(values, rng.random((8, 5)) < 0.25)
+        missing = rng.random((8, 5)) < 0.25
+        ds, mask = _masked(values, missing)
         out = self.check(ds, mask, 50)
-        i, j = min(mask)
-        donors = [o for o in range(8) if (o, j) not in mask]
+        i, j = mask[0]
+        donors = np.flatnonzero(~missing[:, j])
         assert out.values[i, j] == pytest.approx(values[donors, j].mean())
 
     def test_gapless_rows_before_between_and_after_gap_rows(self):
@@ -404,12 +430,12 @@ class TestImputeKnnOracle:
         for bad in [(4, 0), (0, 3), (-1, 1)]:
             with pytest.raises(ValidationError,
                                match=f"coordinate {re.escape(str(bad))} out"):
-                impute_knn(ds, frozenset({(0, 0), bad}), 2)
+                impute_knn(ds, np.array([(0, 0), bad]), 2)
 
     def test_bad_neighbor_count_with_empty_mask(self):
         ds, _ = _masked(np.ones((4, 3)), np.zeros((4, 3), dtype=bool))
         with pytest.raises(ValidationError, match="n_neighbors"):
-            impute_knn(ds, frozenset(), 0)
+            impute_knn(ds, np.empty((0, 2), dtype=np.int64), 0)
 
 
 class TestNormalize:
@@ -454,10 +480,8 @@ class TestNormalize:
 class TestMakeFolds:
     def test_basic_stratification(self):
         plan = make_folds([0, 0, 1, 1], k=2, rounds=1, seed=0)
-        for fold in plan.assignments[0]:
-            labels = [0, 0, 1, 1]
-            counts = [labels[i] for i in fold]
-            assert sorted(counts) == [0, 1]
+        for _, _, _, test in plan.splits():
+            assert sorted(np.array([0, 0, 1, 1])[test]) == [0, 1]
 
     def test_100_train_test_pairs(self):
         labels = [0, 1] * 30
@@ -468,21 +492,60 @@ class TestMakeFolds:
         labels = [0, 1, 2] * 7
         a = make_folds(labels, k=3, rounds=4, seed=42)
         b = make_folds(labels, k=3, rounds=4, seed=42)
-        assert a.assignments == b.assignments
+        assert np.array_equal(a.fold_of, b.fold_of)
 
     def test_partition_properties(self):
         rng = np.random.default_rng(9)
         labels = rng.integers(0, 3, size=29)
         labels[:3] = [0, 1, 2]
         plan = make_folds(labels, k=5, rounds=3, seed=1)
-        for folds in plan.assignments:
-            flat = [i for fold in folds for i in fold]
-            assert sorted(flat) == list(range(29))
+        assert plan.fold_of.shape == (3, 29)
+        assert plan.fold_of.dtype == np.int64
+        assert not plan.fold_of.flags.writeable
+        for fold in plan.fold_of:
+            assert set(fold.tolist()) == set(range(5))
             # per-class counts across folds differ by at most 1
             for c in range(3):
-                per_fold = [sum(1 for i in fold if labels[i] == c)
-                            for fold in folds]
+                per_fold = np.bincount(fold[labels == c], minlength=5)
                 assert max(per_fold) - min(per_fold) <= 1
+        for r, f, train, test in plan.splits():
+            # each round's test folds partition the samples
+            assert (np.sort(np.concatenate([train, test]))
+                    == np.arange(29)).all()
+            assert (plan.fold_of[r, test] == f).all()
+
+    def test_golden_splits_three_classes(self):
+        # the splits() of the tuple-based plan that fold_of replaced
+        plan = make_folds([0, 0, 0, 1, 1, 1, 1, 2, 2], k=3, rounds=2, seed=5)
+        got = [(r, f, train.tolist(), test.tolist())
+               for r, f, train, test in plan.splits()]
+        assert got == [
+            (0, 0, [0, 2, 3, 6, 7, 8], [1, 4, 5]),
+            (0, 1, [0, 1, 4, 5, 6, 8], [2, 3, 7]),
+            (0, 2, [1, 2, 3, 4, 5, 7], [0, 6, 8]),
+            (1, 0, [1, 2, 3, 4, 7, 8], [0, 5, 6]),
+            (1, 1, [0, 1, 4, 5, 6, 7], [2, 3, 8]),
+            (1, 2, [0, 2, 3, 5, 6, 8], [1, 4, 7])]
+
+    def test_golden_splits_60_binary(self):
+        plan = make_folds(np.arange(60) % 2, k=5, rounds=2, seed=11)
+        tests = [
+            [1, 4, 8, 11, 12, 33, 36, 38, 44, 45, 53, 55],
+            [0, 2, 6, 9, 20, 21, 22, 31, 35, 47, 50, 59],
+            [10, 13, 14, 17, 27, 29, 37, 40, 42, 48, 57, 58],
+            [5, 7, 15, 16, 18, 19, 26, 30, 32, 34, 39, 51],
+            [3, 23, 24, 25, 28, 41, 43, 46, 49, 52, 54, 56],
+            [1, 6, 7, 9, 11, 12, 20, 22, 32, 37, 42, 59],
+            [16, 17, 18, 19, 35, 40, 41, 46, 51, 54, 55, 56],
+            [5, 24, 26, 29, 36, 38, 43, 45, 47, 52, 57, 58],
+            [2, 3, 10, 21, 25, 27, 30, 31, 34, 44, 48, 49],
+            [0, 4, 8, 13, 14, 15, 23, 28, 33, 39, 50, 53]]
+        splits = list(plan.splits())
+        assert [(r, f) for r, f, _, _ in splits] == [
+            (r, f) for r in range(2) for f in range(5)]
+        for (_, _, train, test), want in zip(splits, tests):
+            assert test.tolist() == want
+            assert train.tolist() == sorted(set(range(60)) - set(want))
 
     def test_k_larger_than_m_rejected(self):
         with pytest.raises(ValidationError):

@@ -34,7 +34,8 @@ class TestSynth:
     def test_no_mask_by_default(self):
         result = generate_synth(SynthSpec(m_samples=20, n_genes=30,
                                           n_informative=5, seed=0))
-        assert result.mask == frozenset()
+        assert result.mask.shape == (0, 2)
+        assert result.mask.dtype == np.int64
         assert result.dataset.values.shape == (20, 30)
         assert len(result.informative_genes) == 5
 
@@ -45,6 +46,10 @@ class TestSynth:
         frac = len(result.mask) / (20 * 30)
         assert 0.03 <= frac <= 0.2
         assert all(0 <= i < 20 and 0 <= j < 30 for i, j in result.mask)
+        # a read-only (K, 2) int64 array of distinct cells, row-major
+        assert result.mask.dtype == np.int64
+        assert not result.mask.flags.writeable
+        assert (np.diff(result.mask @ [30, 1]) > 0).all()
         # masked dataset stays loadable through the imputer
         imputed = impute_knn(result.dataset, result.mask, n_neighbors=3)
         assert np.isfinite(imputed.values).all()

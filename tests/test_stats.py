@@ -182,10 +182,8 @@ def per_fold_summary(ds, subset, spec, plan):
         model = train(spec, Dataset(sub.values[train_idx],
                                     sub.labels[train_idx], sub.gene_ids,
                                     sub.class_names))
-        query = Dataset(sub.values[test_idx], np.zeros(test_idx.size, int),
-                        sub.gene_ids, ("q",))
         results.append(metrics(confusion(sub.labels[test_idx],
-                                         predict(model, query),
+                                         predict(model, sub.values[test_idx]),
                                          sub.n_classes)).as_dict())
     names = results[0].keys()
     return {"fold_results": results, "skipped_folds": skipped,
