@@ -94,7 +94,7 @@ class BoostedEnsemble:
     n_classes: int         # 0 for regression
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImportanceReport:
     total_gain: np.ndarray   # per gene
     split_count: np.ndarray  # per gene

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable samples x genes matrix with class labels and gene ids."""
 
@@ -76,7 +76,7 @@ class Dataset:
         return len(self.class_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
     """Stratified k-fold assignments for a number of repetition rounds:
     ``fold_of[r, i]`` is the fold that holds sample i out in round r, in

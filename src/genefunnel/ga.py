@@ -6,14 +6,16 @@ to the chromosome with fewer selected genes, both in tournaments and in
 final-best selection.
 
 Every fitness value comes from one batched numpy kernel,
-``_FitnessKernel``. Once per ``evolve`` it caches, for each internal
-fold, the per-gene squared differences between the fold's test rows and
-its training rows, so the squared distances of a whole batch of masks
-are one matrix product per fold. ``nearest`` and ``knn_vote`` pick the
-neighbours and vote with the tie rules of the ``knn`` classifier. Test
-rows are unlabeled queries, so any fold may lack a class. ``evolve``
-scores the new masks of each generation in one call, each distinct mask
-once; ``fitness`` scores one mask through the same kernel.
+``_FitnessKernel``. It splits each internal fold's test rows into row
+blocks of at least one row, so the squared distances of a whole batch
+of masks are one matrix product per block with the block's per-gene
+squared differences. Those tensors are cached once per ``evolve`` when
+they all fit ``_BLOCK_BYTES``, and rebuilt for each chunk of masks
+otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and vote
+with the tie rules of the ``knn`` classifier. Test rows are unlabeled
+queries, so any fold may lack a class. ``evolve`` scores the new masks
+of each generation in one call, each distinct mask once; ``fitness``
+scores one mask through the same kernel.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class Chromosome:
     bits: np.ndarray                 # uint8 mask over the stage-1 genes
     cached_fitness: float | None = None
@@ -118,8 +120,9 @@ def init_population(n_prime: int, cfg: GaConfig,
     return pop
 
 
-# Largest float64 block the fitness kernel holds: the pair tensors of one
-# gene block, or the distances of one chunk of masks to one fold.
+# Float64 budget of the fitness kernel: one row block's pair tensor, and
+# one chunk of masks' distances to a block, stay within it, except that a
+# block holds at least one test row and a chunk at least one mask.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -128,36 +131,39 @@ class _FitnessKernel:
 
     The fold plan has one round, so each sample is a test query in
     exactly one fold, and that fold's training rows are all the others.
-    Per fold, a gene-major tensor T[j, a*|train| + b] holds
-    (x[test[a], j] - x[train[b], j])**2, so the squared distances of a
-    chunk of masks are one product ``masks @ T``. Chunks and gene blocks
-    keep every array within _BLOCK_BYTES; with more than one gene block,
-    each chunk sums its distances block by block and rebuilds the
-    tensors, which are cached only when all genes fit in one block.
+    Each fold's test rows are cut into blocks of as many rows as fit
+    _BLOCK_BYTES, and at least one, so a block exceeds the budget when
+    one row's tensor (8*N'*|train| bytes) does. Per block, a gene-major
+    tensor T[j, a*|train| + b] holds (x[test[a], j] - x[train[b], j])**2,
+    so the squared distances of a chunk of masks are one product
+    ``masks @ T``, and the block adds its correct votes into its fold.
+    The tensors are cached when they all fit _BLOCK_BYTES (every fold is
+    then one block), and rebuilt for each chunk otherwise.
     """
 
     def __init__(self, ds: Dataset, cfg: GaConfig):
-        m = ds.n_samples
-        k = min(cfg.fitness_folds, m)  # leave-one-out fallback
+        n = ds.n_genes
+        k = min(cfg.fitness_folds, ds.n_samples)  # leave-one-out fallback
         plan = make_folds(ds.labels, k=k, rounds=1, seed=cfg.seed)
-        self._splits = [(test, train) for _, _, train, test in plan.splits()]
+        self._fold_sizes = np.bincount(plan.fold_of[0], minlength=k)
+        self._blocks = []  # (fold, test rows, train rows)
+        for _, f, train, test in plan.splits():
+            rows = max(1, _BLOCK_BYTES // (8 * n * train.size))
+            self._blocks += [(f, test[a:a + rows], train)
+                             for a in range(0, test.size, rows)]
         self._x = ds.values
         self._labels = ds.labels
         self._n_classes = ds.n_classes
         self._knn_k = cfg.fitness_knn_k
-        pairs = [test.size * train.size for test, train in self._splits]
+        pairs = [test.size * train.size for _, test, train in self._blocks]
         self._chunk = max(1, _BLOCK_BYTES // (8 * max(pairs)))
-        n = ds.n_genes
-        step = max(1, _BLOCK_BYTES // (8 * sum(pairs)))
-        self._gene_blocks = [slice(a, min(a + step, n))
-                             for a in range(0, n, step)]
-        self._tensors = ([self._pair_tensor(test, train, self._gene_blocks[0])
-                          for test, train in self._splits]
-                         if len(self._gene_blocks) == 1 else None)
+        self._tensors = ([self._pair_tensor(test, train)
+                          for _, test, train in self._blocks]
+                         if 8 * n * sum(pairs) <= _BLOCK_BYTES else None)
 
-    def _pair_tensor(self, test, train, genes: slice) -> np.ndarray:
-        xq = self._x[test, genes].T
-        xt = self._x[train, genes].T
+    def _pair_tensor(self, test, train) -> np.ndarray:
+        xq = self._x[test].T
+        xt = self._x[train].T
         t = xq[:, :, None] - xt[:, None, :]
         np.square(t, out=t)
         return t.reshape(t.shape[0], -1)
@@ -171,25 +177,18 @@ class _FitnessKernel:
 
     def _score_chunk(self, masks: np.ndarray) -> list[float]:
         weights = masks.astype(np.float64)
-        accuracies = np.empty((masks.shape[0], len(self._splits)))
-        for f, (test, train) in enumerate(self._splits):
-            d = None
-            for genes in self._gene_blocks:
-                tensor = (self._tensors[f] if self._tensors is not None
-                          else self._pair_tensor(test, train, genes))
-                part = weights[:, genes] @ tensor
-                if d is None:
-                    d = part
-                else:
-                    d += part
+        correct = np.zeros((masks.shape[0], self._fold_sizes.size))
+        for b, (f, test, train) in enumerate(self._blocks):
+            tensor = (self._tensors[b] if self._tensors is not None
+                      else self._pair_tensor(test, train))
             k = min(self._knn_k, train.size)
-            picks = nearest(d.reshape(-1, test.size, train.size), k)
-            del d
-            nearest_labels = self._labels[train][picks]
-            predicted = knn_vote(nearest_labels.reshape(-1, k),
+            picks = nearest((weights @ tensor).reshape(-1, test.size,
+                                                       train.size), k)
+            predicted = knn_vote(self._labels[train][picks].reshape(-1, k),
                                  self._n_classes)
-            correct = predicted.reshape(-1, test.size) == self._labels[test]
-            accuracies[:, f] = np.mean(correct, axis=1)
+            hits = predicted.reshape(-1, test.size) == self._labels[test]
+            correct[:, f] += np.sum(hits, axis=1)
+        accuracies = correct / self._fold_sizes
         return [float(np.mean(row)) for row in accuracies]
 
 

@@ -113,7 +113,7 @@ class SynthSpec:
             raise ValidationError("need at least two samples per class")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthResult:
     """``mask`` holds the missing cells as ``load_csv`` returns them: a
     read-only (K, 2) int64 array of (row, column) in row-major order."""

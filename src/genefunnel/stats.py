@@ -34,7 +34,7 @@ METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f_score")
 EXACT_LIMIT = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     counts: np.ndarray  # (C, C), rows = actual, cols = predicted
 

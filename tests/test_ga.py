@@ -171,7 +171,7 @@ class TestFitness:
 
 class TestFitnessChunks:
     """A batch must score the same whether it is one block or spans
-    several mask chunks and gene blocks."""
+    several mask chunks and row blocks, cached or rebuilt per chunk."""
 
     @pytest.fixture
     def dyadic_ds(self):
@@ -184,27 +184,45 @@ class TestFitnessChunks:
         return Dataset(x, labels, tuple(f"g{i}" for i in range(n)),
                        ("a", "b", "c"))
 
+    CFG = GaConfig(population_size=16, iterations=6, fitness_knn_k=4,
+                   fitness_folds=3, seed=3)
+
     def test_small_budget_gives_identical_results(self, dyadic_ds,
                                                   monkeypatch):
-        ds = dyadic_ds
-        cfg = GaConfig(population_size=16, iterations=6, fitness_knn_k=4,
-                       fitness_folds=3, seed=3)
+        ds, cfg = dyadic_ds, self.CFG
         masks = random_masks(np.random.default_rng(13), 20, ds.n_genes)
         one_block = ga._FitnessKernel(ds, cfg)
-        assert len(one_block._gene_blocks) == 1
+        assert len(one_block._blocks) == 3
+        assert one_block._tensors is not None
         scores = one_block.scores(masks)
         best, trace = evolve(ds, cfg)
 
-        # 10 test and 20 training rows per fold: 9 masks per chunk of
-        # 200 distances each, and 3 genes per block of 600 pairs per gene
-        monkeypatch.setattr(ga, "_BLOCK_BYTES", 3 * 600 * 8 + 5)
+        # 10 test and 20 training rows per fold: one row's tensor holds
+        # 7 * 20 floats, so 3 rows fit per block, each fold ends in a
+        # 1-row block, and 7 masks of 60 distances each fit per chunk
+        monkeypatch.setattr(ga, "_BLOCK_BYTES", 3 * 7 * 20 * 8 + 5)
         blocked = ga._FitnessKernel(ds, cfg)
-        assert blocked._chunk == 9 and len(blocked._gene_blocks) == 3
+        sizes = [test.size for _, test, _ in blocked._blocks]
+        assert sizes == [3, 3, 3, 1] * 3
+        assert blocked._chunk == 7 and blocked._tensors is None
         assert blocked.scores(masks) == scores
         assert scores == [oracle_fitness(b, ds, cfg) for b in masks]
         best_b, trace_b = evolve(ds, cfg)
         assert np.array_equal(best.bits, best_b.bits)
         assert vars(trace) == vars(trace_b)
+
+    def test_cache_boundary(self, dyadic_ds, monkeypatch):
+        ds, cfg = dyadic_ds, self.CFG
+        masks = random_masks(np.random.default_rng(14), 12, ds.n_genes)
+        scores = ga._FitnessKernel(ds, cfg).scores(masks)
+        # every tensor together: 7 genes by 3 folds of 10 x 20 pairs
+        exact = 8 * 7 * 3 * 10 * 20
+        for budget, cached in ((exact, True), (exact - 1, False)):
+            monkeypatch.setattr(ga, "_BLOCK_BYTES", budget)
+            kernel = ga._FitnessKernel(ds, cfg)
+            assert len(kernel._blocks) == 3
+            assert (kernel._tensors is not None) == cached
+            assert kernel.scores(masks) == scores
 
 
 class TestTournament:

@@ -12,7 +12,8 @@ from genefunnel.pipeline import (PipelineConfig, SynthSpec, config_from_dict,
                                  report_from_json, report_to_json,
                                  report_to_markdown, run_pipeline,
                                  write_json_atomic)
-from genefunnel.stats import METRIC_NAMES, cross_validate, score_split
+from genefunnel.stats import (METRIC_NAMES, ConfusionMatrix, cross_validate,
+                              score_split)
 
 
 def small_config(seed=0, protocol="paper"):
@@ -282,3 +283,20 @@ class TestSerialization:
         write_json_atomic(out, text)
         assert out.read_text() == text
         assert not (tmp_path / "small_report.json.tmp").exists()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Dataset(np.eye(2), [0, 1], ("g0", "g1"), ("a", "b")),
+    lambda: make_folds([0, 1, 0, 1], k=2, rounds=1, seed=0),
+    lambda: generate_synth(SynthSpec(m_samples=6, n_genes=12, seed=1)),
+    lambda: ConfusionMatrix(np.eye(2, dtype=np.int64)),
+    lambda: boosting.ImportanceReport(np.ones(2), np.ones(2), np.arange(2)),
+    lambda: ga.Chromosome(np.array([1, 0, 1], dtype=np.uint8)),
+], ids=["Dataset", "FoldPlan", "SynthResult", "ConfusionMatrix",
+        "ImportanceReport", "Chromosome"])
+def test_array_holders_compare_and_hash_by_identity(make):
+    # a generated __eq__ would compare the numpy fields as a tuple and
+    # raise, and would leave the instances unhashable
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
