@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import boosting, ga, pipeline
-from .classifiers import ClassifierSpec
+from .classifiers import KINDS, ClassifierSpec
 from .data import impute_knn, load_csv, make_folds, normalize_minmax
 from .errors import GeneFunnelError, ValidationError
 from .stats import METRIC_NAMES, cross_validate, wilcoxon_signed_rank
@@ -41,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text):
-    """argparse type of every ``--seed``: a non-negative integer."""
+    """argparse type of ``--seed``: a non-negative integer."""
     try:
         value = int(text)
         if value >= 0:
@@ -52,36 +53,16 @@ def _seed(text):
         f"expected a non-negative integer, got {text!r}")
 
 
-def _add_data_flags(p):
-    p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--label-column", choices=("first", "last"), default="last")
-    p.add_argument("--missing-token", default="NA")
-    p.add_argument("--impute-neighbors", type=int, default=5)
-
-
-def _add_boost_flags(p):
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--subsample", type=float, default=0.75)
-    p.add_argument("--eta", type=float, default=0.3, help="learning rate")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-
-
-def _add_ga_flags(p):
-    p.add_argument("--pop", type=int, default=100)
-    p.add_argument("--gens", type=int, default=50)
-    p.add_argument("--cx-prob", type=float, default=0.8)
-    p.add_argument("--mut-prob", type=float, default=0.01)
-    p.add_argument("--tournament", type=int, default=2)
-    p.add_argument("--knn-k", type=int, default=5)
-
-
-def _add_eval_flags(p):
-    p.add_argument("--cv-k", type=int, default=10)
-    p.add_argument("--cv-rounds", type=int, default=10)
-    p.add_argument("--classifiers", default="linear_svm,gaussian_nb",
-                   help="comma-separated: knn, gaussian_nb, linear_svm")
+def _field_flags(cls, flags) -> argparse.ArgumentParser:
+    """A parent parser of ``flags``, each mapped to the field of config
+    dataclass ``cls`` it sets. A flag stores its value under the field's
+    name, so ``_build`` finds it there, and takes the field's default and
+    that default's type."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag, name in flags.items():
+        default = getattr(cls, name)
+        p.add_argument(flag, dest=name, type=type(default), default=default)
+    return p
 
 
 def build_parser() -> _Parser:
@@ -89,33 +70,49 @@ def build_parser() -> _Parser:
                      description="Two-stage gene selection and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[], help="emit a synthetic benchmark CSV")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0)
+    data = _field_flags(pipeline.PipelineConfig,
+                        {"--impute-neighbors": "impute_neighbors"})
+    data.add_argument("--data", required=True, help="input CSV path")
+    data.add_argument("--label-column", choices=("first", "last"),
+                      default="last")
+    data.add_argument("--missing-token", default="NA")
+    boost = _field_flags(boosting.BoostParams, {
+        "--trees": "n_estimators", "--max-depth": "max_depth",
+        "--subsample": "subsample", "--eta": "learning_rate",
+        "--lambda": "lam", "--gamma": "gamma"})
+    search = _field_flags(ga.GaConfig, {
+        "--pop": "population_size", "--gens": "iterations",
+        "--cx-prob": "crossover_prob", "--mut-prob": "mutation_prob",
+        "--tournament": "tournament_size", "--knn-k": "fitness_knn_k"})
+    evaluation = _field_flags(pipeline.PipelineConfig,
+                              {"--cv-k": "cv_k", "--cv-rounds": "cv_rounds"})
+    evaluation.add_argument(
+        "--classifiers", help="comma-separated: " + ", ".join(KINDS),
+        default=",".join(spec.kind for spec
+                         in pipeline.PipelineConfig().eval_classifiers))
+
+    p = sub.add_parser("synth", help="emit a synthetic benchmark CSV",
+                       parents=[_field_flags(pipeline.SynthSpec, {
+                           "--samples": "m_samples", "--genes": "n_genes",
+                           "--informative": "n_informative",
+                           "--classes": "n_classes", "--sigma": "noise_sigma",
+                           "--missing-fraction": "missing_fraction"}), seed])
     p.add_argument("--out", required=True)
-    p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--genes", type=int, default=500)
-    p.add_argument("--informative", type=int, default=10)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--missing-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--truth-out", help="write planted gene indices as JSON")
     p.set_defaults(run=_cmd_synth)
 
-    p = sub.add_parser("rank", help="stage 1 only: importance report")
-    _add_data_flags(p)
-    _add_boost_flags(p)
-    p.add_argument("--seed", type=_seed, default=0)
+    p = sub.add_parser("rank", help="stage 1 only: importance report",
+                       parents=[data, boost, seed])
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.add_argument("--csv", dest="csv_out", help="also write ranking as CSV")
     p.set_defaults(run=_cmd_rank)
 
-    p = sub.add_parser("select", help="full pipeline: report JSON + markdown")
-    _add_data_flags(p)
-    _add_boost_flags(p)
-    _add_ga_flags(p)
-    _add_eval_flags(p)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--protocol", choices=("paper", "nested"), default="paper")
+    p = sub.add_parser("select", help="full pipeline: report JSON + markdown",
+                       parents=[data, boost, search, evaluation, seed])
+    p.add_argument("--protocol", choices=("paper", "nested"),
+                   default=pipeline.PipelineConfig.protocol)
     p.add_argument("--config", help="JSON or key=value config file; flags win")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--markdown-out", help="markdown table path")
@@ -125,12 +122,10 @@ def build_parser() -> _Parser:
                         "(breaks byte-for-byte reproducibility)")
     p.set_defaults(run=_cmd_select)
 
-    p = sub.add_parser("evaluate", help="CV of a given gene-subset file")
-    _add_data_flags(p)
-    _add_eval_flags(p)
+    p = sub.add_parser("evaluate", help="CV of a given gene-subset file",
+                       parents=[data, evaluation, seed])
     p.add_argument("--genes", required=True,
                    help="JSON list or newline-separated gene indices")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.set_defaults(run=_cmd_evaluate)
 
@@ -145,11 +140,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.set_defaults(run=_cmd_compare)
 
-    p = sub.add_parser("trace", help="run selection and emit the GA trace CSV")
-    _add_data_flags(p)
-    _add_boost_flags(p)
-    _add_ga_flags(p)
-    p.add_argument("--seed", type=_seed, default=0)
+    p = sub.add_parser("trace", help="run selection and emit the GA trace CSV",
+                       parents=[data, boost, search, seed])
     p.add_argument("--trace-out", required=True)
     p.set_defaults(run=_cmd_trace)
 
@@ -165,23 +157,33 @@ def _load_prepared(args):
     return normalize_minmax(ds)
 
 
-def _boost_params(args) -> boosting.BoostParams:
-    return boosting.BoostParams(
-        n_estimators=args.trees, max_depth=args.max_depth,
-        subsample=args.subsample, learning_rate=args.eta,
-        lam=args.lam, gamma=args.gamma, seed=args.seed)
+def _build(cls, args, **values):
+    """Config dataclass ``cls`` from each of its fields that ``args`` holds
+    under the field's name, then ``values``; a field whose flag the command
+    lacks keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if hasattr(args, f.name)}
+    return cls(**{**given, **values})
 
 
-def _ga_config(args) -> ga.GaConfig:
-    return ga.GaConfig(
-        population_size=args.pop, iterations=args.gens,
-        crossover_prob=args.cx_prob, mutation_prob=args.mut_prob,
-        tournament_size=args.tournament, fitness_knn_k=args.knn_k,
-        seed=args.seed)
+def _pipeline_config(args) -> pipeline.PipelineConfig:
+    """The config that ``rank``, ``select`` and ``trace`` run under."""
+    values = {}
+    if hasattr(args, "classifiers"):
+        values["eval_classifiers"] = _eval_specs(args)
+    return _build(pipeline.PipelineConfig, args,
+                  boost=_build(boosting.BoostParams, args),
+                  ga=_build(ga.GaConfig, args), **values)
 
 
 def _eval_specs(args) -> tuple:
+    """The evaluation classifiers that ``--classifiers`` names; naming none,
+    or one twice, is an error."""
     kinds = [k.strip() for k in args.classifiers.split(",") if k.strip()]
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise ValidationError(f"--classifiers must name one or more of "
+                              f"{', '.join(KINDS)}, each once; got "
+                              f"{args.classifiers!r}")
     return tuple(ClassifierSpec(kind=k, seed=args.seed) for k in kinds)
 
 
@@ -213,8 +215,10 @@ def _config_value(action, val):
 
 def _config_defaults(path, parser) -> dict:
     """The config file's values by dest, each converted and checked as
-    ``parser``'s flag would; a file that is not UTF-8, an unknown key or
-    a value the flag rejects raises GeneFunnelError naming the file."""
+    ``parser``'s flag would. A key is a long flag name without its leading
+    ``--``, written with ``-`` or ``_``. A file that is not UTF-8, an
+    unknown key or a value the flag rejects raises GeneFunnelError naming
+    the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -234,15 +238,15 @@ def _config_defaults(path, parser) -> dict:
     if not isinstance(values, dict):
         raise GeneFunnelError(f"{path}: expected a JSON object or key=value "
                               "lines")
-    actions = {a.dest: a for a in parser._actions if a.option_strings
-               and a.dest not in ("help", "config")}
+    actions = {flag: a for a in parser._actions for flag in a.option_strings
+               if a.dest not in ("help", "config")}
     defaults = {}
     for key, val in values.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
+        action = actions.get("--" + key.replace("_", "-"))
+        if action is None:
             raise GeneFunnelError(f"{path}: unknown config key {key!r}")
         try:
-            defaults[attr] = _config_value(actions[attr], val)
+            defaults[action.dest] = _config_value(action, val)
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise GeneFunnelError(
                 f"{path}: bad value for config key {key!r}: {exc}") from exc
@@ -250,12 +254,7 @@ def _config_defaults(path, parser) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    spec = pipeline.SynthSpec(
-        m_samples=args.samples, n_genes=args.genes,
-        n_informative=args.informative, n_classes=args.classes,
-        noise_sigma=args.sigma, missing_fraction=args.missing_fraction,
-        seed=args.seed)
-    result = pipeline.generate_synth(spec)
+    result = pipeline.generate_synth(_build(pipeline.SynthSpec, args))
     ds = result.dataset
     missing = np.zeros(ds.values.shape, dtype=bool)
     missing[result.mask[:, 0], result.mask[:, 1]] = True
@@ -276,7 +275,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_rank(args) -> int:
     ds = _load_prepared(args)
-    model = boosting.fit(ds, ds.labels, _boost_params(args))
+    model = boosting.fit(ds, ds.labels, _pipeline_config(args).boost)
     report = boosting.importances(model)
     doc = {
         "dataset_name": ds.name,
@@ -298,12 +297,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_select(args) -> int:
+    cfg = _pipeline_config(args)
     ds = _load_prepared(args)
-    cfg = pipeline.PipelineConfig(
-        boost=_boost_params(args), ga=_ga_config(args),
-        eval_classifiers=_eval_specs(args), cv_k=args.cv_k,
-        cv_rounds=args.cv_rounds, protocol=args.protocol,
-        impute_neighbors=args.impute_neighbors, seed=args.seed)
     report = pipeline.run_pipeline(ds, cfg)
     text = pipeline.report_to_json(report, include_timings=args.timings)
     _emit(text, args.out)
@@ -451,9 +446,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    cfg = _pipeline_config(args)
     ds = _load_prepared(args)
-    cfg = pipeline.PipelineConfig(boost=_boost_params(args),
-                                  ga=_ga_config(args))
     ga.trace_to_csv(pipeline.select_genes(ds, cfg).trace, args.trace_out)
     return EXIT_OK
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from genefunnel.cli import main
+from genefunnel import boosting, ga
+from genefunnel.cli import _build, _pipeline_config, build_parser, main
 from genefunnel.data import load_csv
-from genefunnel.pipeline import SynthSpec, generate_synth
+from genefunnel.pipeline import (PipelineConfig, SynthSpec, config_to_dict,
+                                 generate_synth)
 
 
 SELECT_FAST = [
@@ -240,6 +243,99 @@ class TestMalformedConfig:
                      *SELECT_FAST]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(cfg) in err
+
+
+# each select flag that sets a config field: a value that is neither its
+# default nor SELECT_FAST's (fractional for a float field, so that an int
+# flag type would reject it), and where the report's config holds it
+CONFIG_FLAGS = [
+    ("--impute-neighbors", "3", ("impute_neighbors",), 3),
+    ("--trees", "7", ("boost", "n_estimators"), 7),
+    ("--max-depth", "4", ("boost", "max_depth"), 4),
+    ("--subsample", "0.85", ("boost", "subsample"), 0.85),
+    ("--eta", "0.25", ("boost", "learning_rate"), 0.25),
+    ("--lambda", "0.5", ("boost", "lam"), 0.5),
+    ("--gamma", "0.125", ("boost", "gamma"), 0.125),
+    ("--pop", "12", ("ga", "population_size"), 12),
+    ("--gens", "3", ("ga", "iterations"), 3),
+    ("--cx-prob", "0.65", ("ga", "crossover_prob"), 0.65),
+    ("--mut-prob", "0.05", ("ga", "mutation_prob"), 0.05),
+    ("--tournament", "3", ("ga", "tournament_size"), 3),
+    ("--knn-k", "3", ("ga", "fitness_knn_k"), 3),
+    ("--cv-k", "3", ("cv_k",), 3),
+    ("--cv-rounds", "2", ("cv_rounds",), 2),
+    ("--classifiers", "gaussian_nb,knn", ("eval_classifiers", 1, "kind"),
+     "knn"),
+    ("--seed", "5", ("seed",), 5),
+    ("--protocol", "nested", ("protocol",), "nested"),
+]
+
+
+class TestTuningFlags:
+    @pytest.mark.parametrize("flag, value, path, expected", CONFIG_FLAGS,
+                             ids=[f[0][2:] for f in CONFIG_FLAGS])
+    def test_config_key_equals_flag(self, synth_csv, tmp_path, flag, value,
+                                    path, expected):
+        data, _ = synth_csv
+        base = ["select", "--data", str(data)]
+        if flag in SELECT_FAST:
+            i = SELECT_FAST.index(flag)
+            base += SELECT_FAST[:i] + SELECT_FAST[i + 2:]
+        else:
+            base += SELECT_FAST
+        # keys with "-" are covered by TestSelect; here they use "_"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n")
+        from_file, from_flag = tmp_path / "file.json", tmp_path / "flag.json"
+        assert main(base + ["--config", str(cfg),
+                            "--out", str(from_file)]) == 0
+        assert main(base + [flag, value, "--out", str(from_flag)]) == 0
+        config = json.loads(from_flag.read_text())["config"]
+        assert json.loads(from_file.read_text())["config"] == config
+        for key in path:
+            config = config[key]
+        assert config == expected
+
+    def test_every_config_flag_is_covered(self):
+        other = {"--help", "--config", "--data", "--label-column",
+                 "--missing-token", "--out", "--markdown-out", "--trace-out",
+                 "--timings"}
+        select = build_parser().commands["select"]
+        flags = {s for a in select._actions for s in a.option_strings
+                 if s.startswith("--")}
+        assert flags - other == {f[0] for f in CONFIG_FLAGS}
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        parser = build_parser()
+        args = parser.parse_args(["select", "--data", "d.csv",
+                                  "--seed", "5"])
+        specs = PipelineConfig().eval_classifiers
+        assert config_to_dict(_pipeline_config(args)) == config_to_dict(
+            PipelineConfig(
+                boost=boosting.BoostParams(seed=5), ga=ga.GaConfig(seed=5),
+                eval_classifiers=tuple(dataclasses.replace(s, seed=5)
+                                       for s in specs),
+                seed=5))
+        args = parser.parse_args(["synth", "--out", "s.csv", "--seed", "5"])
+        assert _build(SynthSpec, args) == SynthSpec(seed=5)
+
+    @pytest.mark.parametrize("command", ["select", "evaluate"])
+    @pytest.mark.parametrize("kinds", ["", ",", "knn,knn"],
+                             ids=["empty", "comma", "twice"])
+    def test_classifiers_naming_none_or_one_twice_exits_1(
+            self, synth_csv, tmp_path, capsys, command, kinds):
+        data, _ = synth_csv
+        genes = tmp_path / "genes.json"
+        genes.write_text("[0, 1, 2]")
+        # SELECT_FAST ends with "--classifiers", "knn"
+        flags = (SELECT_FAST[:-1] if command == "select"
+                 else ["--genes", str(genes), "--classifiers"])
+        out = tmp_path / "r.json"
+        assert main([command, "--data", str(data), *flags, kinds,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--classifiers" in err
+        assert not out.exists()
 
 
 class TestEvaluate:
