@@ -1,5 +1,7 @@
 """Gradient-boosted regression trees with a second-order regularized
-objective, used both as a predictor and as the stage-1 gene ranker.
+objective: the stage-1 gene ranker. The ensemble is fitted only for the
+split gains it accumulates; classification is left to the evaluation
+classifiers.
 
 Split search is exact greedy over every feature and every midpoint
 between consecutive distinct values. Per-gene importance is the total
@@ -7,9 +9,8 @@ accepted split gain, which drives the nonzero-importance gene filter.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +27,8 @@ __all__ = [
     "leaf_weight",
     "split_gain",
     "fit",
-    "predict",
-    "predict_raw",
     "importances",
     "select_nonzero",
-    "model_to_json",
-    "model_from_json",
 ]
 
 HESS_FLOOR = 1e-16
@@ -55,10 +52,10 @@ class BoostParams:
             raise ConfigError("max_depth must be >= 1")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError("subsample must be in (0, 1]")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.lam < 0 or self.gamma < 0:
-            raise ConfigError("lam and gamma must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lam, self.gamma)):
+            raise ConfigError("lam and gamma must be finite and >= 0")
         if self.loss not in ("squared", "logistic"):
             raise ConfigError(f"unknown loss {self.loss!r}")
 
@@ -239,36 +236,6 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
                            n_genes=ds.n_genes, n_classes=n_classes)
 
 
-def predict_raw(model: BoostedEnsemble, ds: Dataset) -> np.ndarray:
-    """Raw additive scores, one row per sample, one column per head."""
-    if ds.n_genes != model.n_genes:
-        raise ValidationError(
-            f"model expects {model.n_genes} genes, dataset has {ds.n_genes}")
-    x = ds.values
-    out = np.empty((x.shape[0], len(model.trees)))
-    for head, head_trees in enumerate(model.trees):
-        raw = np.full(x.shape[0], model.base_score[head])
-        for tree in head_trees:
-            raw += model.params.learning_rate * _tree_values(tree, x)
-        out[:, head] = raw
-    return out
-
-
-def predict(model: BoostedEnsemble, ds: Dataset) -> np.ndarray:
-    """Class indices for classification heads, raw scores for regression.
-
-    Binary: class 1 only when the raw score is strictly positive, so the
-    p = 0.5 tie goes to class 0. Multiclass: argmax over one-vs-rest
-    scores, ties to the lowest class index.
-    """
-    raw = predict_raw(model, ds)
-    if model.n_classes == 0:
-        return raw[:, 0]
-    if raw.shape[1] == 1:
-        return (raw[:, 0] > 0.0).astype(np.int64)
-    return np.argmax(raw, axis=1).astype(np.int64)
-
-
 def importances(model: BoostedEnsemble) -> ImportanceReport:
     """Total accepted split gain and split count per gene, over all heads."""
     total = np.zeros(model.n_genes)
@@ -291,45 +258,3 @@ def select_nonzero(report: ImportanceReport) -> np.ndarray:
     if kept.size == 0:
         raise ValidationError("no gene has positive importance")
     return kept.astype(np.int64)
-
-
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    if "weight" in d:
-        return TreeNode(weight=d["weight"])
-    return TreeNode(feature=d["feature"], threshold=d["threshold"],
-                    gain=d["gain"], left=_node_from_dict(d["left"]),
-                    right=_node_from_dict(d["right"]))
-
-
-def model_to_json(model: BoostedEnsemble) -> str:
-    doc = {
-        "params": asdict(model.params),
-        "base_score": model.base_score.tolist(),
-        "n_genes": model.n_genes,
-        "n_classes": model.n_classes,
-        "trees": [[_node_to_dict(t) for t in head] for head in model.trees],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str) -> BoostedEnsemble:
-    doc = json.loads(text)
-    return BoostedEnsemble(
-        trees=[[_node_from_dict(t) for t in head] for head in doc["trees"]],
-        base_score=np.asarray(doc["base_score"]),
-        params=BoostParams(**doc["params"]),
-        n_genes=doc["n_genes"],
-        n_classes=doc["n_classes"],
-    )

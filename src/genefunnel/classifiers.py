@@ -7,6 +7,7 @@ train in one lockstep pass (``_pegasos``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +36,13 @@ class ClassifierSpec:
             raise ConfigError(f"unknown classifier kind {self.kind!r}")
         if self.knn_k < 1:
             raise ConfigError("knn_k must be >= 1")
-        if self.svm_c <= 0:
-            raise ConfigError("svm_c must be > 0")
+        if not (math.isfinite(self.svm_c) and self.svm_c > 0):
+            raise ConfigError("svm_c must be finite and > 0")
         if self.svm_epochs < 1:
             raise ConfigError("svm_epochs must be >= 1")
-        if self.nb_var_smoothing < 0:
-            raise ConfigError("nb_var_smoothing must be >= 0")
+        if not (math.isfinite(self.nb_var_smoothing)
+                and self.nb_var_smoothing >= 0):
+            raise ConfigError("nb_var_smoothing must be finite and >= 0")
 
 
 @dataclass

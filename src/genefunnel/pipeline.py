@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -101,8 +102,8 @@ class SynthSpec:
             raise ValidationError("n_genes must be at least 1")
         if self.n_informative < 0:
             raise ValidationError("n_informative must be non-negative")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be non-negative")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValidationError("noise_sigma must be finite and non-negative")
         if self.n_informative > self.n_genes:
             raise ValidationError("n_informative exceeds n_genes")
         if not 0.0 <= self.missing_fraction < 1.0:
@@ -253,15 +254,6 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     doc = dataclasses.asdict(cfg)
     doc["eval_classifiers"] = list(doc["eval_classifiers"])
     return doc
-
-
-def config_from_dict(d: dict) -> PipelineConfig:
-    values = {f.name: d[f.name] for f in dataclasses.fields(PipelineConfig)}
-    values["boost"] = boosting.BoostParams(**values["boost"])
-    values["ga"] = ga.GaConfig(**values["ga"])
-    values["eval_classifiers"] = tuple(
-        ClassifierSpec(**s) for s in values["eval_classifiers"])
-    return PipelineConfig(**values)
 
 
 def _report_fields() -> list:

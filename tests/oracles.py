@@ -126,6 +126,33 @@ def assert_same_tree(node, oracle, atol=1e-9):
     assert_same_tree(node.right, right, atol)
 
 
+def ensemble_scores(model, x):
+    """Raw additive scores of a fitted ensemble, (samples, heads): each
+    sample walks every tree from its root, and its score for a head is the
+    base score plus learning_rate times each reached leaf's weight."""
+    x = np.asarray(x, dtype=float)
+    scores = np.empty((x.shape[0], len(model.trees)))
+    for i, row in enumerate(x):
+        for head, trees in enumerate(model.trees):
+            score = float(model.base_score[head])
+            for node in trees:
+                while not node.is_leaf:
+                    node = (node.left if row[node.feature] <= node.threshold
+                            else node.right)
+                score += model.params.learning_rate * node.weight
+            scores[i, head] = score
+    return scores
+
+
+def ensemble_labels(model, x):
+    """Class indices from the raw scores: one head gives class 1 only on
+    a score > 0, several heads the argmax (ties to the lowest class)."""
+    scores = ensemble_scores(model, x)
+    if scores.shape[1] == 1:
+        return (scores[:, 0] > 0.0).astype(np.int64)
+    return np.argmax(scores, axis=1)
+
+
 def finite_diff_grads(loss_fn, y, r, eps=1e-5):
     """Central finite differences of a scalar loss in its raw argument."""
     f = loss_fn

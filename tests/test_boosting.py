@@ -4,8 +4,7 @@ import pytest
 import oracles
 from genefunnel.boosting import (BoostParams, BoostedEnsemble, TreeNode, fit,
                                  grad_hess, importances, leaf_weight,
-                                 model_from_json, model_to_json, predict,
-                                 predict_raw, select_nonzero, split_gain)
+                                 select_nonzero, split_gain)
 from genefunnel.data import Dataset
 from genefunnel.errors import ConfigError, ValidationError
 
@@ -16,6 +15,14 @@ def make_ds(x, labels=None):
         labels = np.arange(x.shape[0]) % 2
     return Dataset(x, np.asarray(labels),
                    tuple(f"g{i}" for i in range(x.shape[1])), ("a", "b"))
+
+
+class TestParams:
+    @pytest.mark.parametrize("name", ["learning_rate", "lam", "gamma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            BoostParams(**{name: value})
 
 
 class TestGradHess:
@@ -114,7 +121,7 @@ class TestFit:
         assert tree.left.weight == pytest.approx(left.mean() - base)
         assert tree.right.weight == pytest.approx(right.mean() - base)
         # stump prediction is the least-squares child mean
-        pred = predict_raw(model, ds)[:, 0]
+        pred = oracles.ensemble_scores(model, x)[:, 0]
         for xi, pi in zip(x[:, 0], pred):
             group = left if xi <= tree.threshold else right
             assert pi == pytest.approx(group.mean())
@@ -124,7 +131,8 @@ class TestFit:
         params = BoostParams(n_estimators=20, max_depth=2, subsample=1.0,
                              loss="logistic", seed=0)
         model = fit(separable_ds, separable_ds.labels, params)
-        assert (predict(model, separable_ds) == separable_ds.labels).all()
+        assert (oracles.ensemble_labels(model, separable_ds.values)
+                == separable_ds.labels).all()
 
     def test_matches_exhaustive_oracle_small_instances(self):
         rng = np.random.default_rng(3)
@@ -151,7 +159,7 @@ class TestFit:
         params = BoostParams(n_estimators=10, subsample=0.75, seed=5)
         a = fit(separable_ds, separable_ds.labels, params)
         b = fit(separable_ds, separable_ds.labels, params)
-        assert model_to_json(a) == model_to_json(b)
+        assert a.trees == b.trees
 
     def test_training_loss_monotone_in_rounds(self):
         rng = np.random.default_rng(6)
@@ -162,7 +170,7 @@ class TestFit:
         for t in (1, 3, 6, 10):
             params = BoostParams(n_estimators=t, max_depth=2, subsample=1.0,
                                  learning_rate=0.5, loss="squared", seed=0)
-            raw = predict_raw(fit(ds, y, params), ds)[:, 0]
+            raw = oracles.ensemble_scores(fit(ds, y, params), x)[:, 0]
             errors.append(((raw - y) ** 2).sum())
         for e1, e2 in zip(errors, errors[1:]):
             assert e2 <= e1 + 1e-12
@@ -188,34 +196,7 @@ class TestFit:
         params = BoostParams(n_estimators=15, subsample=1.0, seed=0)
         model = fit(ds, labels, params)
         assert len(model.trees) == 3
-        assert (predict(model, ds) == labels).all()
-
-
-class TestPredict:
-    def manual_model(self):
-        tree = TreeNode(feature=0, threshold=0.5, gain=1.0,
-                        left=TreeNode(weight=-2.0), right=TreeNode(weight=2.0))
-        params = BoostParams(n_estimators=1, learning_rate=1.0)
-        return BoostedEnsemble(trees=[[tree]], base_score=np.array([0.0]),
-                               params=params, n_genes=2, n_classes=2)
-
-    def test_manual_tree_signs(self):
-        model = self.manual_model()
-        ds = make_ds([[0.3, 0.0], [0.9, 0.0]], labels=[0, 1])
-        assert predict(model, ds).tolist() == [0, 1]
-
-    def test_zero_score_tie_goes_to_class_zero(self):
-        params = BoostParams(n_estimators=1, learning_rate=1.0)
-        model = BoostedEnsemble(trees=[[TreeNode(weight=0.0)]],
-                                base_score=np.array([0.0]), params=params,
-                                n_genes=2, n_classes=2)
-        ds = make_ds([[0.1, 0.2], [5.0, 6.0]], labels=[0, 1])
-        assert predict(model, ds).tolist() == [0, 0]
-
-    def test_gene_count_mismatch(self):
-        model = self.manual_model()
-        with pytest.raises(ValidationError):
-            predict(model, make_ds([[1.0], [2.0]], labels=[0, 1]))
+        assert (oracles.ensemble_labels(model, x) == labels).all()
 
 
 class TestImportances:
@@ -274,12 +255,3 @@ class TestSelectNonzero:
     def test_all_zero_is_an_error(self):
         with pytest.raises(ValidationError):
             select_nonzero(self.make_report([0.0, 0.0]))
-
-
-def test_model_json_round_trip(separable_ds):
-    params = BoostParams(n_estimators=5, subsample=0.75, seed=1)
-    model = fit(separable_ds, separable_ds.labels, params)
-    clone = model_from_json(model_to_json(model))
-    assert model_to_json(clone) == model_to_json(model)
-    np.testing.assert_array_equal(predict(clone, separable_ds),
-                                  predict(model, separable_ds))

@@ -24,7 +24,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"knn_k": 0}, {"svm_c": 0.0}, {"svm_epochs": 0},
-        {"nb_var_smoothing": -1.0},
+        {"nb_var_smoothing": -1.0}, {"svm_c": float("nan")},
+        {"svm_c": float("inf")}, {"nb_var_smoothing": float("nan")},
     ])
     def test_bad_params(self, kwargs):
         with pytest.raises(ConfigError):

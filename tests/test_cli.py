@@ -467,10 +467,16 @@ class TestBadNumbers:
         ["synth", "--out", "{out}", "--informative", "-1", "--genes", "5"],
         ["synth", "--out", "{out}", "--sigma", "-1"],
         ["synth", "--out", "{out}", "--genes", "0", "--informative", "0"],
+        ["rank", "--data", "{data}", "--lambda", "nan", "--out", "{out}"],
+        ["select", "--data", "{data}", "--eta", "inf", "--out", "{out}"],
+        ["rank", "--data", "{data}", "--gamma", "nan", "--out", "{out}"],
+        ["synth", "--out", "{out}", "--sigma", "nan"],
     ], ids=["synth_seed", "rank_seed", "select_seed", "evaluate_seed",
             "trace_seed", "select_trees_not_int", "compare_metric",
             "compare_alpha_above_1", "compare_alpha_negative",
-            "synth_informative", "synth_sigma", "synth_no_genes"])
+            "synth_informative", "synth_sigma", "synth_no_genes",
+            "rank_lambda_nan", "select_eta_inf", "rank_gamma_nan",
+            "synth_sigma_nan"])
     def test_exits_1_with_one_line(self, synth_csv, report_doc, tmp_path,
                                    capsys, argv):
         for d in ("a", "b"):
