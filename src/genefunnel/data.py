@@ -138,8 +138,9 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
     Empty cells or cells equal to ``missing_token`` are missing: the mask
     is a read-only (K, 2) int64 array of their (row, column) indices in
     row-major order, and they are zero-filled provisionally. Any other
-    cell must be a finite number. Class labels map to contiguous indices
-    in first-appearance order.
+    cell must be a finite number. Gene ids must be distinct. Class labels
+    map to contiguous indices in first-appearance order; an empty label
+    or one equal to ``missing_token`` is an error.
     """
     if label_column not in ("first", "last"):
         raise ValidationError(f"label_column must be first or last, got {label_column!r}")
@@ -156,6 +157,13 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
                     f"{path}: need at least one gene column and a label column")
             label_pos = 0 if label_column == "first" else n_cols - 1
             gene_ids = tuple(h for i, h in enumerate(header) if i != label_pos)
+            first_col: dict[str, int] = {}
+            for col, gene in enumerate(gene_ids):
+                if gene in first_col:
+                    raise ParseError(f"{path}: gene id {gene!r} repeats "
+                                     f"in gene columns {first_col[gene]} "
+                                     f"and {col}")
+                first_col[gene] = col
 
             token_parses = _parses_as_float(missing_token)
             rows, line_nos, raw_labels, mask = [], [], [], []
@@ -165,7 +173,11 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
                 if len(cells) != n_cols:
                     raise ParseError(f"{path}:{line_no}: expected {n_cols} "
                                      f"columns, got {len(cells)}")
-                raw_labels.append(cells[label_pos].strip())
+                label = cells[label_pos].strip()
+                if label in ("", missing_token):
+                    raise ParseError(f"{path}:{line_no}: missing class "
+                                     f"label {cells[label_pos]!r}")
+                raw_labels.append(label)
                 genes = cells[1:] if label_pos == 0 else cells[:-1]
                 rows.append(_parse_row(genes, missing_token, token_parses,
                                        path, line_no, len(rows), mask))

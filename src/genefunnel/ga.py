@@ -1,9 +1,12 @@
 """Wrapper-stage search: a genetic algorithm over binary gene masks.
 
 Fitness is internal stratified-CV KNN accuracy of the masked dataset.
-The subset-size objective enters lexicographically: ties on fitness go
-to the chromosome with fewer selected genes, both in tournaments and in
-final-best selection.
+The subset-size objective enters lexicographically through one order,
+``_rank_key``: higher fitness, then fewer selected genes, then lower
+population index. ``evolve`` ranks each generation once by it; the
+elites and the generation's best come from that ranking, and
+tournaments pick by the same key. The best-ever chromosome breaks the
+last tie by bitstring instead, since it compares across generations.
 
 Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. It splits each internal fold's test rows into row
@@ -53,9 +56,6 @@ class Chromosome:
 
     def key(self) -> bytes:
         return self.bits.tobytes()
-
-    def copy(self) -> "Chromosome":
-        return Chromosome(self.bits.copy(), self.cached_fitness)
 
 
 @dataclass(frozen=True)
@@ -209,21 +209,19 @@ def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig) -> float:
     return chrom.cached_fitness
 
 
-def _fitter(a: Chromosome, idx_a: int, b: Chromosome, idx_b: int) -> bool:
-    """True when a beats b: higher fitness, then fewer bits, then lower index."""
-    return ((a.cached_fitness, -a.n_selected(), -idx_a)
-            > (b.cached_fitness, -b.n_selected(), -idx_b))
+def _rank_key(pop: list[Chromosome], i: int) -> tuple:
+    """The GA's one order on a scored population: higher fitness, then
+    fewer selected genes, then lower index."""
+    c = pop[i]
+    return (-c.cached_fitness, c.n_selected(), i)
 
 
 def tournament_select(pop: list[Chromosome], cfg: GaConfig,
                       rng: np.random.Generator) -> Chromosome:
-    """Best of tournament_size uniform draws (with replacement)."""
+    """Best by ``_rank_key`` of tournament_size uniform draws (with
+    replacement)."""
     picks = rng.integers(0, len(pop), size=cfg.tournament_size)
-    best = int(picks[0])
-    for p in picks[1:]:
-        if _fitter(pop[int(p)], int(p), pop[best], best):
-            best = int(p)
-    return pop[best]
+    return pop[min(picks.tolist(), key=lambda i: _rank_key(pop, i))]
 
 
 def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
@@ -246,14 +244,6 @@ def mutate(c: Chromosome, cfg: GaConfig, rng: np.random.Generator) -> Chromosome
     return Chromosome(_repair(bits, rng))
 
 
-def _generation_best(pop: list[Chromosome]) -> Chromosome:
-    best, best_idx = pop[0], 0
-    for i, c in enumerate(pop[1:], start=1):
-        if _fitter(c, i, best, best_idx):
-            best, best_idx = c, i
-    return best
-
-
 def _lexi_key(c: Chromosome) -> tuple:
     return (-c.cached_fitness, c.n_selected(), tuple(c.bits))
 
@@ -266,53 +256,39 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     kernel = _FitnessKernel(ds_stage1, cfg)
     memo: dict[bytes, float] = {}
 
-    def evaluate(pop: list[Chromosome]):
-        fresh: dict[bytes, list[Chromosome]] = {}
-        for c in pop:
-            if c.cached_fitness is None:
-                key = c.key()
-                if key in memo:
-                    c.cached_fitness = memo[key]
-                else:
-                    fresh.setdefault(key, []).append(c)
-        if not fresh:
-            return
-        masks = np.array([same[0].bits for same in fresh.values()])
-        for (key, same), value in zip(fresh.items(), kernel.scores(masks)):
-            memo[key] = value
-            for c in same:
-                c.cached_fitness = value
+    def evaluate(pop: list[Chromosome]) -> list[int]:
+        """Score the masks not seen before, in first-seen order, and
+        return the indices of ``pop`` sorted by ``_rank_key``."""
+        keys = [c.key() for c in pop]
+        new = {key: c.bits for key, c in zip(keys, pop) if key not in memo}
+        if new:
+            scores = kernel.scores(np.array(list(new.values())))
+            memo.update(zip(new, scores))
+        for key, c in zip(keys, pop):
+            c.cached_fitness = memo[key]
+        return sorted(range(len(pop)), key=lambda i: _rank_key(pop, i))
 
     pop = init_population(ds_stage1.n_genes, cfg, rng)
+    ranked = evaluate(pop)
+    best_ever = pop[ranked[0]]
     trace = GaTrace()
-    evaluate(pop)
-    best_ever = _generation_best(pop).copy()
-    gen_best = best_ever
-    trace.record(0, gen_best.cached_fitness,
-                 float(np.mean([c.cached_fitness for c in pop])),
-                 gen_best.n_selected())
-
-    for gen in range(1, cfg.iterations + 1):
-        elite_order = sorted(range(len(pop)),
-                             key=lambda i: (-pop[i].cached_fitness,
-                                            pop[i].n_selected(), i))
-        next_pop = [pop[i].copy() for i in elite_order[:cfg.elitism_count]]
-        while len(next_pop) < cfg.population_size:
-            p1 = tournament_select(pop, cfg, rng)
-            p2 = tournament_select(pop, cfg, rng)
-            c1, c2 = uniform_crossover(p1, p2, cfg, rng)
-            next_pop.append(mutate(c1, cfg, rng))
-            if len(next_pop) < cfg.population_size:
-                next_pop.append(mutate(c2, cfg, rng))
-        pop = next_pop
-        evaluate(pop)
-        gen_best = _generation_best(pop)
-        if _lexi_key(gen_best) < _lexi_key(best_ever):
-            best_ever = gen_best.copy()
+    for gen in range(cfg.iterations + 1):
+        if gen:
+            # scored chromosomes are never mutated, so elites are shared
+            next_pop = [pop[i] for i in ranked[:cfg.elitism_count]]
+            while len(next_pop) < cfg.population_size:
+                p1 = tournament_select(pop, cfg, rng)
+                p2 = tournament_select(pop, cfg, rng)
+                c1, c2 = uniform_crossover(p1, p2, cfg, rng)
+                next_pop.append(mutate(c1, cfg, rng))
+                if len(next_pop) < cfg.population_size:
+                    next_pop.append(mutate(c2, cfg, rng))
+            pop = next_pop
+            ranked = evaluate(pop)
+            best_ever = min(best_ever, pop[ranked[0]], key=_lexi_key)
         trace.record(gen, best_ever.cached_fitness,
                      float(np.mean([c.cached_fitness for c in pop])),
                      best_ever.n_selected())
-
     return best_ever, trace
 
 

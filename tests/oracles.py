@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from genefunnel.data import Dataset
+from genefunnel import ga
+from genefunnel.data import Dataset, make_folds
 from genefunnel.errors import ValidationError
 
 
@@ -187,6 +188,98 @@ def knn_label_bruteforce(train, labels, query, k, n_classes):
 def all_subsets(n):
     for r in range(1, n + 1):
         yield from itertools.combinations(range(n), r)
+
+
+def oracle_fitness(bits, ds, cfg):
+    """Per-fold loop over the brute-force KNN oracle: the internal-CV
+    accuracy that the batched GA fitness kernel must reproduce bit for
+    bit."""
+    x = ds.values[:, np.flatnonzero(bits)]
+    plan = make_folds(ds.labels, k=min(cfg.fitness_folds, ds.n_samples),
+                      rounds=1, seed=cfg.seed)
+    accuracies = []
+    for _, _, train_idx, test_idx in plan.splits():
+        k = min(cfg.fitness_knn_k, train_idx.size)
+        predicted = [knn_label_bruteforce(
+            x[train_idx], ds.labels[train_idx], x[q], k, ds.n_classes)
+            for q in test_idx]
+        accuracies.append(float(np.mean(
+            np.array(predicted) == ds.labels[test_idx])))
+    return float(np.mean(accuracies))
+
+
+def _ranks_above(pop, i, j):
+    """True when pop[i] ranks above pop[j]: higher fitness, then fewer
+    selected genes, then lower index."""
+    a, b = pop[i], pop[j]
+    if a.cached_fitness != b.cached_fitness:
+        return a.cached_fitness > b.cached_fitness
+    if a.bits.sum() != b.bits.sum():
+        return a.bits.sum() < b.bits.sum()
+    return i < j
+
+
+def _best_of(pop, indices):
+    best = indices[0]
+    for i in indices[1:]:
+        if _ranks_above(pop, i, best):
+            best = i
+    return best
+
+
+def evolve_reference(ds, cfg):
+    """``ga.evolve`` written out as a pairwise loop, with ``ga``'s own
+    operators drawing from one generator in the same order.
+
+    Tournaments, elites and each generation's best are pairwise scans
+    by ``_ranks_above``; elites are picked one at a time from the rest
+    and copied; every mask is scored by ``oracle_fitness``. The best-ever
+    chromosome is a copy, replaced only by a generation's best that is
+    smaller in (-fitness, set-bit count, bitstring).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    scores = {}
+
+    def score(pop):
+        for c in pop:
+            key = tuple(c.bits)
+            if key not in scores:
+                scores[key] = oracle_fitness(c.bits, ds, cfg)
+            c.cached_fitness = scores[key]
+
+    def copy(c):
+        return ga.Chromosome(c.bits.copy(), c.cached_fitness)
+
+    def order(c):
+        return (-c.cached_fitness, int(c.bits.sum()), tuple(c.bits))
+
+    trace = ga.GaTrace()
+    pop = ga.init_population(ds.n_genes, cfg, rng)
+    for gen in range(cfg.iterations + 1):
+        if gen > 0:
+            rest = list(range(len(pop)))
+            next_pop = []
+            for _ in range(cfg.elitism_count):
+                elite = _best_of(pop, rest)
+                rest.remove(elite)
+                next_pop.append(copy(pop[elite]))
+            while len(next_pop) < cfg.population_size:
+                parents = [pop[_best_of(pop, rng.integers(
+                    0, len(pop), size=cfg.tournament_size).tolist())]
+                    for _ in range(2)]
+                c1, c2 = ga.uniform_crossover(*parents, cfg, rng)
+                next_pop.append(ga.mutate(c1, cfg, rng))
+                if len(next_pop) < cfg.population_size:
+                    next_pop.append(ga.mutate(c2, cfg, rng))
+            pop = next_pop
+        score(pop)
+        gen_best = pop[_best_of(pop, list(range(len(pop))))]
+        if gen == 0 or order(gen_best) < order(best_ever):
+            best_ever = copy(gen_best)
+        trace.record(gen, best_ever.cached_fitness,
+                     float(np.mean([c.cached_fitness for c in pop])),
+                     int(best_ever.bits.sum()))
+    return best_ever, trace
 
 
 def pegasos_binary(x, y_pm, spec, rng):

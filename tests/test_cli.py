@@ -412,6 +412,8 @@ class TestMalformedInputs:
         ("csv", b"g1,g2,label\n1,2,A\n3,4,A\n", ()),
         ("csv", b"", ()),
         ("csv", b"g1,g2,label\n", ()),
+        ("csv", b"g1,g1,g2,label\n1,2,3,A\n4,5,6,B\n", ("'g1'", "0 and 1")),
+        ("csv", b"g1,g2,label\n1,2,A\n3,4,\n5,6,B\n", (":3:",)),
         ("genes", b"0\nabc\n", ("'abc'",)),
         ("genes", b'{"genes": [0]}', ()),
         ("genes", b'"abc"', ()),
@@ -425,7 +427,8 @@ class TestMalformedInputs:
         ("genes", b"", ()),
     ], ids=["csv_not_utf8", "csv_ragged", "csv_non_numeric",
             "csv_non_finite", "csv_all_na_column", "csv_one_class",
-            "csv_empty", "csv_header_only", "genes_bad_token",
+            "csv_empty", "csv_header_only", "csv_duplicate_gene_id",
+            "csv_missing_label", "genes_bad_token",
             "genes_json_object", "genes_json_string", "genes_string_entry",
             "genes_float_entry", "genes_bool_entry", "genes_null_entry",
             "genes_not_utf8", "genes_out_of_bounds", "genes_negative",

@@ -84,6 +84,31 @@ class TestLoadCsv:
                                              r".* in column 'g2'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label_column", ["first", "last"])
+    def test_repeated_gene_id_names_both_columns(self, tmp_path,
+                                                 label_column):
+        text = ("g1,g2,g1,label\n1,2,3,A\n4,5,6,B\n"
+                if label_column == "last"
+                else "label,g1,g2,g1\nA,1,2,3\nB,4,5,6\n")
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError, match=r"data\.csv: gene id 'g1' "
+                                             r"repeats in gene columns "
+                                             r"0 and 2"):
+            load_csv(path, label_column=label_column)
+
+    @pytest.mark.parametrize("label, token", [
+        ("", "NA"), ("  ", "NA"), ("NA", "NA"), (" NA ", "NA"), ("?", "?")])
+    def test_missing_label_reports_line(self, tmp_path, label, token):
+        path = write(tmp_path, f"g1,g2,label\n1,2,A\n3,4,B\n5,6,{label}\n")
+        with pytest.raises(ParseError, match=r"data\.csv:4: missing class "
+                                             r"label"):
+            load_csv(path, missing_token=token)
+
+    def test_label_equal_to_another_token_is_a_class(self, tmp_path):
+        path = write(tmp_path, "g1,label\n1,NA\n2,B\n")
+        ds, _ = load_csv(path, missing_token="?")
+        assert ds.class_names == ("NA", "B")
+
     def test_nan_as_missing_token(self, tmp_path):
         path = write(tmp_path, "g1,g2,label\n1,nan,A\n3,4,B\n")
         ds, mask = load_csv(path, missing_token="nan")

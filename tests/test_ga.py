@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from genefunnel import ga
-from genefunnel.data import Dataset, make_folds
+from genefunnel.data import Dataset
 from genefunnel.errors import ConfigError, ValidationError
 from genefunnel.ga import (Chromosome, GaConfig, decode, evolve, fitness,
                            init_population, mutate, tournament_select,
@@ -12,23 +12,6 @@ from genefunnel.ga import (Chromosome, GaConfig, decode, evolve, fitness,
 
 def chrom(bits):
     return Chromosome(np.asarray(bits, dtype=np.uint8))
-
-
-def oracle_fitness(bits, ds, cfg):
-    """Per-fold loop over the brute-force KNN oracle: the internal-CV
-    accuracy that the batched kernel must reproduce bit for bit."""
-    x = ds.values[:, np.flatnonzero(bits)]
-    plan = make_folds(ds.labels, k=min(cfg.fitness_folds, ds.n_samples),
-                      rounds=1, seed=cfg.seed)
-    accuracies = []
-    for _, _, train_idx, test_idx in plan.splits():
-        k = min(cfg.fitness_knn_k, train_idx.size)
-        predicted = [oracles.knn_label_bruteforce(
-            x[train_idx], ds.labels[train_idx], x[q], k, ds.n_classes)
-            for q in test_idx]
-        accuracies.append(float(np.mean(
-            np.array(predicted) == ds.labels[test_idx])))
-    return float(np.mean(accuracies))
 
 
 def random_dataset(rng, m, n, c, duplicate_rows=False):
@@ -149,7 +132,7 @@ class TestFitness:
         cfg = GaConfig(fitness_knn_k=knn_k, fitness_folds=folds, seed=m)
         masks = random_masks(rng, 12, n)
         masks[7] = masks[2]  # one batch holding the same mask twice
-        expected = [oracle_fitness(b, ds, cfg) for b in masks]
+        expected = [oracles.oracle_fitness(b, ds, cfg) for b in masks]
         assert ga._FitnessKernel(ds, cfg).scores(masks) == expected
         assert [fitness(chrom(b), ds, cfg) for b in masks] == expected
 
@@ -165,8 +148,8 @@ class TestFitness:
                      tuple(f"g{i}" for i in range(6)), ("a", "b", "c"))
         cfg = GaConfig(seed=1)
         for bits in random_masks(rng, 8, 6):
-            assert fitness(chrom(bits), ds, cfg) == oracle_fitness(bits, ds,
-                                                                   cfg)
+            assert (fitness(chrom(bits), ds, cfg)
+                    == oracles.oracle_fitness(bits, ds, cfg))
 
 
 class TestFitnessChunks:
@@ -206,7 +189,7 @@ class TestFitnessChunks:
         assert sizes == [3, 3, 3, 1] * 3
         assert blocked._chunk == 7 and blocked._tensors is None
         assert blocked.scores(masks) == scores
-        assert scores == [oracle_fitness(b, ds, cfg) for b in masks]
+        assert scores == [oracles.oracle_fitness(b, ds, cfg) for b in masks]
         best_b, trace_b = evolve(ds, cfg)
         assert np.array_equal(best.bits, best_b.bits)
         assert vars(trace) == vars(trace_b)
@@ -406,9 +389,31 @@ class TestEvolve:
         seen = [bytes(row) for batch in batches for row in batch]
         assert len(seen) == len(set(seen)) <= 7
         monkeypatch.undo()
-        fits = {bytes(b): oracle_fitness(b, ds, cfg)
+        fits = {bytes(b): oracles.oracle_fitness(b, ds, cfg)
                 for batch in batches for b in batch}
         assert trace.best_fitness[-1] == max(fits.values())
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("tournament_size", [1, 2, 3])
+    @pytest.mark.parametrize("elitism_count", [0, 1, 3])
+    def test_matches_pairwise_reference(self, elitism_count,
+                                        tournament_size, n_classes):
+        # 18 samples on a coarse grid: fitness takes few values, so the
+        # size, index and bitstring tie-breaks all decide some picks
+        rng = np.random.default_rng(10 * n_classes + tournament_size)
+        labels = np.arange(18) % n_classes
+        x = rng.integers(0, 3, size=(18, 6)) + labels[:, None] * (
+            rng.random(6) < 0.5)
+        ds = Dataset(x, labels, tuple(f"g{i}" for i in range(6)),
+                     tuple(f"c{i}" for i in range(n_classes)))
+        cfg = GaConfig(population_size=10, iterations=8,
+                       tournament_size=tournament_size,
+                       elitism_count=elitism_count, fitness_knn_k=3,
+                       fitness_folds=3, seed=elitism_count)
+        best, trace = evolve(ds, cfg)
+        ref_best, ref_trace = oracles.evolve_reference(ds, cfg)
+        assert np.array_equal(best.bits, ref_best.bits)
+        assert vars(trace) == vars(ref_trace)
 
     def test_trace_csv_round_trip(self, ga_toy_ds, tmp_path):
         cfg = GaConfig(population_size=10, iterations=3, seed=1)
