@@ -29,14 +29,15 @@ def best_split(x, g, h, lam, gamma):
     m, n = x.shape
     if m < 2 or n == 0:
         return -1, 0.0, 0.0
-    xs, order = sort_columns(x)
-    return best_split_sorted(xs, order, g, h, float(g.sum()), float(h.sum()),
-                             lam, gamma)
+    xs, order, tied = sort_columns(x)
+    return best_split_sorted(xs, order, tied, g, h, float(g.sum()),
+                             float(h.sum()), lam, gamma)
 
 
 def sort_columns(x):
     """Each column of the (m, n) matrix x, stably sorted, feature-major:
-    returns xs (n, m) with the values and order (n, m) with their rows."""
+    returns xs (n, m) with the values, order (n, m) with their rows and
+    tied, an (n,) bool flag of the features that hold a tied value."""
     m, n = x.shape
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1)
@@ -47,11 +48,11 @@ def sort_columns(x):
     # The default sort is the fastest but may put tied values (0.0 and
     # -0.0 too) out of row order; only features holding a tie need the
     # stable sort.
-    tied = np.flatnonzero((xs[:, 1:] == xs[:, :-1]).any(axis=1))
-    if tied.size:
+    tied = (xs[:, 1:] == xs[:, :-1]).any(axis=1)
+    if tied.any():
         order[tied] = np.argsort(xt[tied], axis=1, kind="stable")
         xs[tied] = np.take_along_axis(xt[tied], order[tied], axis=1)
-    return xs, order
+    return xs, order, tied
 
 
 # Bytes of one (genes, rows) float64 array of ``best_split_sorted``: it
@@ -61,13 +62,20 @@ def sort_columns(x):
 _SCAN_BYTES = 1 << 20
 
 
-def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
+def best_split_sorted(xs, order, tied, g, h, total_g, total_h, lam, gamma):
     """``best_split`` over columns that are already sorted.
 
     xs: (n, m) node values, each feature's row ascending with ties in row
     order; order: the same shape, the index into g and h of each value;
-    total_g, total_h: the node's gradient and hessian sums. Same return
-    value and tie rules as ``best_split``.
+    tied: (n,) bool, True at least for every feature whose row of xs
+    holds two equal values; total_g, total_h: the node's gradient and
+    hessian sums. Same return value and tie rules as ``best_split``.
+
+    Only flagged features are searched for equal neighbours, between
+    which no cut is allowed. ``boosting.fit`` flags the features with a
+    tie among a tree's rows (``sort_columns``) and keeps the flags for
+    every node of the tree: a node's sorted column is a subsequence of
+    its tree's, so it holds a tie only where its tree does.
 
     The features are scanned in blocks of whole rows of xs (see
     ``_SCAN_BYTES``), each block in one pass, in a feature-major layout,
@@ -86,8 +94,9 @@ def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
     block = max(1, _SCAN_BYTES // (8 * m))
     best_feat, best_cut, best_gain = -1, 0, -np.inf
     for lo in range(0, n, block):
-        gains = _split_gains(xs[lo:lo + block], order[lo:lo + block], g, h,
-                             total_g, total_h, lam, gamma, parent)
+        gains = _split_gains(xs[lo:lo + block], order[lo:lo + block],
+                             tied[lo:lo + block], g, h, total_g, total_h,
+                             lam, gamma, parent)
         feat, cut = divmod(int(np.argmax(gains)), m)
         gain = float(gains[feat, cut])
         if gain > best_gain:
@@ -98,9 +107,11 @@ def best_split_sorted(xs, order, g, h, total_g, total_h, lam, gamma):
     return best_feat, thr, best_gain
 
 
-def _split_gains(xs, order, g, h, total_g, total_h, lam, gamma, parent):
+def _split_gains(xs, order, tied, g, h, total_g, total_h, lam, gamma,
+                 parent):
     """The (n, m) gain of every cut of every feature of one block; -inf
-    where no cut is (between equal values, and after the last row)."""
+    where no cut is (between equal values of a ``tied`` feature, and
+    after the last row)."""
     # Arrays are (n, m), contiguous and updated in place. Column i is the
     # cut that sends sorted rows 0..i left.
     left_g = g[order]
@@ -126,7 +137,10 @@ def _split_gains(xs, order, g, h, total_g, total_h, lam, gamma, parent):
         gains -= gamma
     del right
     # no threshold separates equal values
-    gains[:, :-1][xs[:, :-1] == xs[:, 1:]] = -np.inf
+    feats = np.flatnonzero(tied)
+    if feats.size:
+        rows, cuts = np.nonzero(xs[feats, :-1] == xs[feats, 1:])
+        gains[feats[rows], cuts] = -np.inf
     gains[:, -1] = -np.inf
     return gains
 

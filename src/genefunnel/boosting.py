@@ -129,17 +129,18 @@ def split_gain(gl: float, hl: float, gr: float, hr: float,
 
 
 def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-          xs: np.ndarray | None, order: np.ndarray | None, depth: int,
-          params: BoostParams) -> TreeNode:
+          xs: np.ndarray | None, order: np.ndarray | None,
+          tied: np.ndarray, depth: int, params: BoostParams) -> TreeNode:
     """Grow the subtree over ``rows`` (ascending). xs/order hold the
-    node's columns sorted by value, as ``_kernels.best_split_sorted``
-    takes them; they are None when the node is at max_depth."""
+    node's columns sorted by value and tied the tree's tie flags, as
+    ``_kernels.best_split_sorted`` takes them; xs/order are None when
+    the node is at max_depth."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     if depth >= params.max_depth or rows.size < 2:
         return TreeNode(weight=leaf_weight(g_sum, h_sum, params.lam))
     feat, thr, gain = _kernels.best_split_sorted(
-        xs, order, g, h, g_sum, h_sum, params.lam, params.gamma)
+        xs, order, tied, g, h, g_sum, h_sum, params.lam, params.gamma)
     if feat < 0 or gain <= 0.0:
         return TreeNode(weight=leaf_weight(g_sum, h_sum, params.lam))
     go_left = x[rows, feat] <= thr
@@ -151,8 +152,9 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
         n_left = int(go_left.sum())
         left_cols = xs[:, :n_left], order[:, :n_left]
         right_cols = xs[:, n_left:], order[:, n_left:]
-    left = _grow(x, g, h, rows[go_left], *left_cols, depth + 1, params)
-    right = _grow(x, g, h, rows[~go_left], *right_cols, depth + 1, params)
+    left = _grow(x, g, h, rows[go_left], *left_cols, tied, depth + 1, params)
+    right = _grow(x, g, h, rows[~go_left], *right_cols, tied, depth + 1,
+                  params)
     return TreeNode(feature=int(feat), threshold=float(thr), gain=float(gain),
                     left=left, right=right)
 
@@ -218,9 +220,10 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
             rows = np.sort(rng.choice(m, size=n_sub, replace=False))
         else:
             rows = np.arange(m)
-        # each tree sorts its rows' columns once; nodes split the orders
-        # (int32 row indices halve the orders held along the tree's path)
-        xs, local = _kernels.sort_columns(x[rows])
+        # each tree sorts its rows' columns once and flags their ties;
+        # nodes split the orders and keep the flags (int32 row indices
+        # halve the orders held along the tree's path)
+        xs, local, tied = _kernels.sort_columns(x[rows])
         order = rows.astype(np.int32)[local]
         del local
         for head, y in enumerate(y_heads):
@@ -228,7 +231,7 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
             h = np.empty(m)
             for i in rows:
                 g[i], h[i] = grad_hess(params.loss, y[i], raw[head][i])
-            tree = _grow(x, g, h, rows, xs, order, 0, params)
+            tree = _grow(x, g, h, rows, xs, order, tied, 0, params)
             trees[head].append(tree)
             raw[head] += params.learning_rate * _tree_values(tree, x)
 

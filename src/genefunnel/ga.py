@@ -120,9 +120,9 @@ def init_population(n_prime: int, cfg: GaConfig,
     return pop
 
 
-# Float64 budget of the fitness kernel: one row block's pair tensor, and
-# one chunk of masks' distances to a block, stay within it, except that a
-# block holds at least one test row and a chunk at least one mask.
+# Float64 budget of the fitness kernel: one block's pair tensor, and one
+# chunk of masks' distances to the largest block, stay within it, except
+# that a block holds at least one test row and a chunk at least one mask.
 _BLOCK_BYTES = 2 << 20
 
 
@@ -131,40 +131,65 @@ class _FitnessKernel:
 
     The fold plan has one round, so each sample is a test query in
     exactly one fold, and that fold's training rows are all the others.
-    Each fold's test rows are cut into blocks of as many rows as fit
-    _BLOCK_BYTES, and at least one, so a block exceeds the budget when
-    one row's tensor (8*N'*|train| bytes) does. Per block, a gene-major
-    tensor T[j, a*|train| + b] holds (x[test[a], j] - x[train[b], j])**2,
-    so the squared distances of a chunk of masks are one product
-    ``masks @ T``, and the block adds its correct votes into its fold.
-    The tensors are cached when they all fit _BLOCK_BYTES (every fold is
-    then one block), and rebuilt for each chunk otherwise.
+    Every fold's test rows form one query list, in fold order; each query
+    is paired with its own fold's training rows, padded to the largest
+    fold's count W by repeating its last training row. A gene-major
+    tensor T[j, a*W + b] holds (x[query a, j] - x[train b of a, j])**2,
+    so the squared distances of a chunk of masks to a run of queries are
+    one product ``masks @ T``; padded pairs then get +inf added, so no
+    real distance changes bits and no padded neighbour is ever picked.
+
+    A block is a run of the query list of as many queries as fit
+    _BLOCK_BYTES (8*N'*W bytes each, and at least one), also cut where
+    k = min(fitness_knn_k, |train|) changes. When every query fits
+    (8*N'*|queries|*W bytes), the block tensors are cached, which leaves
+    one block unless k changes; otherwise they are rebuilt for each
+    chunk of masks. A chunk holds as many masks as have distances to the
+    largest block within _BLOCK_BYTES. Each block makes one product, one
+    ``nearest``, one label gather and one ``knn_vote`` per chunk, and
+    each chunk one per-fold tally of the hits.
     """
 
     def __init__(self, ds: Dataset, cfg: GaConfig):
         n = ds.n_genes
         k = min(cfg.fitness_folds, ds.n_samples)  # leave-one-out fallback
         plan = make_folds(ds.labels, k=k, rounds=1, seed=cfg.seed)
-        self._fold_sizes = np.bincount(plan.fold_of[0], minlength=k)
-        self._blocks = []  # (fold, test rows, train rows)
-        for _, f, train, test in plan.splits():
-            rows = max(1, _BLOCK_BYTES // (8 * n * train.size))
-            self._blocks += [(f, test[a:a + rows], train)
-                             for a in range(0, test.size, rows)]
-        self._x = ds.values
-        self._labels = ds.labels
+        splits = [(test, train) for _, _, train, test in plan.splits()]
+        self._fold_sizes = np.array([test.size for test, _ in splits])
+        sizes = np.array([train.size for _, train in splits])
+        width = int(sizes.max())
+        padded = np.array([np.concatenate(
+            [train, train[-1:].repeat(width - train.size)])
+            for _, train in splits])
+        fold = np.repeat(np.arange(sizes.size), self._fold_sizes)
+        self._queries = np.concatenate([test for test, _ in splits])
+        self._train = padded[fold]
+        self._far = np.where(np.arange(width) < sizes[fold, None], 0.0, np.inf)
+        self._train_labels = ds.labels[self._train]
+        self._truth = ds.labels[self._queries]
+        self._fold_starts = np.cumsum(self._fold_sizes) - self._fold_sizes
+        self._xt = np.ascontiguousarray(ds.values.T)
         self._n_classes = ds.n_classes
-        self._knn_k = cfg.fitness_knn_k
-        pairs = [test.size * train.size for _, test, train in self._blocks]
-        self._chunk = max(1, _BLOCK_BYTES // (8 * max(pairs)))
-        self._tensors = ([self._pair_tensor(test, train)
-                          for _, test, train in self._blocks]
-                         if 8 * n * sum(pairs) <= _BLOCK_BYTES else None)
+        self._width = width
 
-    def _pair_tensor(self, test, train) -> np.ndarray:
-        xq = self._x[test].T
-        xt = self._x[train].T
-        t = xq[:, :, None] - xt[:, None, :]
+        q = self._queries.size
+        ks = np.minimum(cfg.fitness_knn_k, sizes)[fold]
+        cuts = [0, *(np.flatnonzero(np.diff(ks)) + 1).tolist(), q]
+        per_block = max(1, _BLOCK_BYTES // (8 * n * width))
+        self._blocks = [(a, min(a + per_block, hi), int(ks[lo]))
+                        for lo, hi in zip(cuts, cuts[1:])
+                        for a in range(lo, hi, per_block)]
+        largest = max(hi - lo for lo, hi, _ in self._blocks)
+        self._chunk = max(1, _BLOCK_BYTES // (8 * largest * width))
+        self._offsets = (np.arange(largest) * width)[:, None]
+        self._tensors = ([self._pair_tensor(lo, hi)
+                          for lo, hi, _ in self._blocks]
+                         if 8 * n * q * width <= _BLOCK_BYTES else None)
+
+    def _pair_tensor(self, lo: int, hi: int) -> np.ndarray:
+        xq = self._xt[:, self._queries[lo:hi]]
+        t = self._xt[:, self._train[lo:hi]]
+        np.subtract(xq[:, :, None], t, out=t)
         np.square(t, out=t)
         return t.reshape(t.shape[0], -1)
 
@@ -177,19 +202,20 @@ class _FitnessKernel:
 
     def _score_chunk(self, masks: np.ndarray) -> list[float]:
         weights = masks.astype(np.float64)
-        correct = np.zeros((masks.shape[0], self._fold_sizes.size))
-        for b, (f, test, train) in enumerate(self._blocks):
+        hits = np.empty((masks.shape[0], self._queries.size), dtype=bool)
+        for b, (lo, hi, k) in enumerate(self._blocks):
             tensor = (self._tensors[b] if self._tensors is not None
-                      else self._pair_tensor(test, train))
-            k = min(self._knn_k, train.size)
-            picks = nearest((weights @ tensor).reshape(-1, test.size,
-                                                       train.size), k)
-            predicted = knn_vote(self._labels[train][picks].reshape(-1, k),
-                                 self._n_classes)
-            hits = predicted.reshape(-1, test.size) == self._labels[test]
-            correct[:, f] += np.sum(hits, axis=1)
-        accuracies = correct / self._fold_sizes
-        return [float(np.mean(row)) for row in accuracies]
+                      else self._pair_tensor(lo, hi))
+            d = (weights @ tensor).reshape(-1, hi - lo, self._width)
+            d += self._far[lo:hi]
+            picks = nearest(d, k)
+            picks += self._offsets[:hi - lo]
+            labels = self._train_labels[lo:hi].ravel()[picks]
+            predicted = knn_vote(labels.reshape(-1, k), self._n_classes)
+            hits[:, lo:hi] = (predicted.reshape(-1, hi - lo)
+                              == self._truth[lo:hi])
+        correct = np.add.reduceat(hits, self._fold_starts, axis=1)
+        return (correct / self._fold_sizes).mean(axis=1).tolist()
 
 
 def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from genefunnel import _kernels
 from genefunnel.boosting import (BoostParams, BoostedEnsemble, TreeNode, fit,
                                  grad_hess, importances, leaf_weight,
                                  select_nonzero, split_gain)
@@ -197,6 +198,42 @@ class TestFit:
         model = fit(ds, labels, params)
         assert len(model.trees) == 3
         assert (oracles.ensemble_labels(model, x) == labels).all()
+
+
+class TestTieFlags:
+    """``fit`` flags the features that hold a tie once per tree and
+    masks equal neighbours only in them; flagging every feature must
+    grow the same trees."""
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_same_trees_as_every_feature_flagged(self, monkeypatch,
+                                                 n_classes):
+        rng = np.random.default_rng(30 + n_classes)
+        m = 48
+        labels = np.arange(m) % n_classes
+        rng.shuffle(labels)
+        # integer values: narrow ranges tie, permutations never do
+        x = np.column_stack(
+            [rng.integers(0, hi, size=m) + labels for hi in (2, 3, 5, 8)]
+            + [rng.permutation(m) + 100 * labels for _ in range(3)])
+        ds = Dataset(x.astype(float), labels,
+                     tuple(f"g{i}" for i in range(x.shape[1])),
+                     tuple(f"c{i}" for i in range(n_classes)))
+        tied = _kernels.sort_columns(ds.values)[2]
+        assert tied.any() and not tied.all()
+        params = BoostParams(n_estimators=8, max_depth=3, subsample=0.75,
+                             seed=n_classes)
+        model = fit(ds, labels, params)
+
+        sort_columns = _kernels.sort_columns
+
+        def flag_every_feature(x):
+            xs, order, tied = sort_columns(x)
+            return xs, order, np.ones_like(tied)
+
+        monkeypatch.setattr(_kernels, "sort_columns", flag_every_feature)
+        assert fit(ds, labels, params).trees == model.trees
+        assert len(model.trees) == (1 if n_classes == 2 else n_classes)
 
 
 class TestImportances:

@@ -154,7 +154,9 @@ class TestFitness:
 
 class TestFitnessChunks:
     """A batch must score the same whether it is one block or spans
-    several mask chunks and row blocks, cached or rebuilt per chunk."""
+    several mask chunks and blocks, cached or rebuilt per chunk; blocks
+    are runs of the query list of every fold, padded to the largest
+    training fold."""
 
     @pytest.fixture
     def dyadic_ds(self):
@@ -175,18 +177,18 @@ class TestFitnessChunks:
         ds, cfg = dyadic_ds, self.CFG
         masks = random_masks(np.random.default_rng(13), 20, ds.n_genes)
         one_block = ga._FitnessKernel(ds, cfg)
-        assert len(one_block._blocks) == 3
+        assert one_block._blocks == [(0, 30, 4)]
         assert one_block._tensors is not None
         scores = one_block.scores(masks)
         best, trace = evolve(ds, cfg)
 
-        # 10 test and 20 training rows per fold: one row's tensor holds
-        # 7 * 20 floats, so 3 rows fit per block, each fold ends in a
-        # 1-row block, and 7 masks of 60 distances each fit per chunk
+        # 3 folds of 10 test and 20 training rows: one query's tensor
+        # holds 7 * 20 floats, so 3 queries fit per block, and blocks run
+        # across folds (the fourth holds fold 0's last query and fold 1's
+        # first two); 7 masks of 60 distances each fit per chunk
         monkeypatch.setattr(ga, "_BLOCK_BYTES", 3 * 7 * 20 * 8 + 5)
         blocked = ga._FitnessKernel(ds, cfg)
-        sizes = [test.size for _, test, _ in blocked._blocks]
-        assert sizes == [3, 3, 3, 1] * 3
+        assert blocked._blocks == [(a, a + 3, 4) for a in range(0, 30, 3)]
         assert blocked._chunk == 7 and blocked._tensors is None
         assert blocked.scores(masks) == scores
         assert scores == [oracles.oracle_fitness(b, ds, cfg) for b in masks]
@@ -198,14 +200,54 @@ class TestFitnessChunks:
         ds, cfg = dyadic_ds, self.CFG
         masks = random_masks(np.random.default_rng(14), 12, ds.n_genes)
         scores = ga._FitnessKernel(ds, cfg).scores(masks)
-        # every tensor together: 7 genes by 3 folds of 10 x 20 pairs
-        exact = 8 * 7 * 3 * 10 * 20
-        for budget, cached in ((exact, True), (exact - 1, False)):
+        # 8 * N' * sum |test| * max |train|: 7 genes, 30 queries, each
+        # with 20 training rows
+        exact = 8 * 7 * 30 * 20
+        for budget, blocks in ((exact, [(0, 30, 4)]),
+                               (exact - 1, [(0, 29, 4), (29, 30, 4)])):
             monkeypatch.setattr(ga, "_BLOCK_BYTES", budget)
             kernel = ga._FitnessKernel(ds, cfg)
-            assert len(kernel._blocks) == 3
-            assert (kernel._tensors is not None) == cached
+            assert kernel._blocks == blocks
+            assert (kernel._tensors is not None) == (budget == exact)
             assert kernel.scores(masks) == scores
+
+    def test_padding_is_never_a_neighbour(self, monkeypatch):
+        # 20 rows in 3 folds of 7, 7 and 6 test rows: the first two
+        # folds train on 13 rows, padded to 14 by repeating the last one,
+        # whose copy ties it and so would be the next neighbour picked
+        rng = np.random.default_rng(17)
+        ds = random_dataset(rng, 20, 5, 2)
+        cfg = GaConfig(fitness_knn_k=3, fitness_folds=3, seed=4)
+        masks = random_masks(rng, 40, 5)
+        expected = [oracles.oracle_fitness(b, ds, cfg) for b in masks]
+        for budget in (ga._BLOCK_BYTES, 8 * 5 * 14 * 4):
+            monkeypatch.setattr(ga, "_BLOCK_BYTES", budget)
+            kernel = ga._FitnessKernel(ds, cfg)
+            assert kernel._width == 14
+            assert np.isinf(kernel._far).sum() == 14
+            assert kernel.scores(masks) == expected
+            kernel._far[:] = 0.0  # the padding at its real distance
+            assert kernel.scores(masks) != expected
+
+    def test_k_capped_in_some_folds_only(self, monkeypatch):
+        # 7 rows in 5 folds train on 5, 5, 6, 6 and 6 rows, so k = 6 is
+        # capped at 5 in the first two folds, and blocks are cut there
+        rng = np.random.default_rng(21)
+        ds = random_dataset(rng, 7, 4, 2)
+        cfg = GaConfig(fitness_knn_k=6, fitness_folds=5, seed=7)
+        masks = random_masks(rng, 10, 4)
+        expected = [oracles.oracle_fitness(b, ds, cfg) for b in masks]
+        kernel = ga._FitnessKernel(ds, cfg)
+        assert kernel._blocks == [(0, 4, 5), (4, 7, 6)]
+        assert kernel._tensors is not None
+        assert kernel.scores(masks) == expected
+        # one query per block
+        monkeypatch.setattr(ga, "_BLOCK_BYTES", 8 * 4 * 6)
+        kernel = ga._FitnessKernel(ds, cfg)
+        assert kernel._blocks == [(a, a + 1, 5 if a < 4 else 6)
+                                  for a in range(7)]
+        assert kernel._tensors is None
+        assert kernel.scores(masks) == expected
 
 
 class TestTournament:

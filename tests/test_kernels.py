@@ -77,12 +77,15 @@ class TestFallbackAgainstOracles:
         for _ in range(50):
             x = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5],
                            size=(int(rng.integers(1, 30)), 7))
-            xs, order = _kernels.sort_columns(x)
+            xs, order, tied = _kernels.sort_columns(x)
             want = np.argsort(x.T, axis=1, kind="stable")
             assert np.array_equal(order, want)
             want_xs = np.take_along_axis(x.T, want, axis=1)
             assert np.array_equal(xs, want_xs)
             assert np.array_equal(np.signbit(xs), np.signbit(want_xs))
+            # a feature is flagged exactly when two of its values are equal
+            assert tied.tolist() == [np.unique(col).size < col.size
+                                     for col in x.T]
 
     def test_sorted_partition_matches_sorting_each_part(self):
         # both parts must come out exactly as a stable sort of their own
