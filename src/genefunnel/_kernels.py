@@ -3,11 +3,14 @@
 ``best_split_sorted`` is the only split scan. ``best_split`` sorts one
 node's columns and scans them; ``boosting.fit`` sorts once per tree
 (``sort_columns``) and hands each child its part of the sorted orders
-(``sorted_partition``).
+(``sorted_partition``). ``sort_columns`` also flags the features that
+hold a tied value, and the scan looks for equal neighbours only in
+flagged features; a tree's flags hold for all its nodes.
 
 ``nearest`` and ``knn_vote`` are the only KNN neighbour-pick and vote
 rules: ``knn_predict`` calls them for the ``knn`` evaluation classifier,
-and so does the GA's batched fitness kernel.
+and so does the GA's batched fitness kernel, over padded rows whose
++inf distances ``nearest`` never picks while k real ones remain.
 """
 import numpy as np
 

@@ -9,13 +9,17 @@ tournaments pick by the same key. The best-ever chromosome breaks the
 last tie by bitstring instead, since it compares across generations.
 
 Every fitness value comes from one batched numpy kernel,
-``_FitnessKernel``. It splits each internal fold's test rows into row
-blocks of at least one row, so the squared distances of a whole batch
-of masks are one matrix product per block with the block's per-gene
-squared differences. Those tensors are cached once per ``evolve`` when
-they all fit ``_BLOCK_BYTES``, and rebuilt for each chunk of masks
-otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and vote
-with the tie rules of the ``knn`` classifier. Test rows are unlabeled
+``_FitnessKernel``. It lists every internal fold's test rows in fold
+order, each with its own fold's training rows padded to the largest
+fold's count, and cuts the list into blocks that fit ``_BLOCK_BYTES``
+and share one neighbour count k. The squared distances of a whole chunk
+of masks to a block are one matrix product with the block's per-gene
+squared differences, after which padded pairs get +inf. Those tensors
+are cached once per ``evolve`` when they all fit ``_BLOCK_BYTES`` (one
+block, unless k differs between folds), and rebuilt for each chunk of
+masks otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and
+vote with the tie rules of the ``knn`` classifier, once per block, and
+each fold's hits are tallied once per chunk. Test rows are unlabeled
 queries, so any fold may lack a class. ``evolve`` scores the new masks
 of each generation in one call, each distinct mask once; ``fitness``
 scores one mask through the same kernel.
@@ -164,6 +168,7 @@ class _FitnessKernel:
         fold = np.repeat(np.arange(sizes.size), self._fold_sizes)
         self._queries = np.concatenate([test for test, _ in splits])
         self._train = padded[fold]
+        # added to each distance: 0 for a real pair, +inf for padding
         self._far = np.where(np.arange(width) < sizes[fold, None], 0.0, np.inf)
         self._train_labels = ds.labels[self._train]
         self._truth = ds.labels[self._queries]
@@ -209,7 +214,7 @@ class _FitnessKernel:
             d = (weights @ tensor).reshape(-1, hi - lo, self._width)
             d += self._far[lo:hi]
             picks = nearest(d, k)
-            picks += self._offsets[:hi - lo]
+            picks += self._offsets[:hi - lo]  # into the block's labels, flat
             labels = self._train_labels[lo:hi].ravel()[picks]
             predicted = knn_vote(labels.reshape(-1, k), self._n_classes)
             hits[:, lo:hi] = (predicted.reshape(-1, hi - lo)
