@@ -2,8 +2,9 @@
 linear SVM trained by seeded stochastic subgradient descent on the hinge
 loss. All three sit behind one train/predict interface; ``train_many``
 trains the models of many training sets at once, and ``train`` is its
-one-set case. The SVMs of all sets and heads, whatever their gene counts,
-train in one lockstep pass (``_pegasos``).
+one-set case. ``_pegasos`` takes the training sets and trains the SVMs
+of all their heads, whatever their gene counts, in one lockstep pass,
+drawing every visit order once per call.
 """
 from __future__ import annotations
 
@@ -64,24 +65,30 @@ class TrainedClassifier:
 
 # Bytes that one lockstep chunk of ``_pegasos`` spends on its per-step
 # arrays: the gathered sample rows, the shrink factors and the update
-# vectors, (P, Nmax + 1) each, plus a few (P,) vectors (orders, rows,
-# targets, step sizes). The buffers are allocated once per call and
-# refilled by every chunk; a chunk holds at least one step.
+# vectors, (P, Nmax + 1) each, plus a few (P,) vectors (rows, targets,
+# step sizes). The buffers are allocated once per call and refilled by
+# every chunk; a chunk holds at least one step. The visit table sits
+# outside this budget at (max steps) x keys x 8 bytes: 86 KB on the
+# 60x500 benchmark, about 0.96 MB for a 4-class 10x10 CV at 75 rows and
+# 200 epochs.
 _CHUNK_BYTES = 128 << 10
 
 
-def _pegasos(spec: ClassifierSpec, datasets: list,
-             heads: list) -> tuple[list, np.ndarray]:
-    """Pegasos-style primal hinge descent on many binary problems of any
-    gene counts, trained in one lockstep pass; returns the weights of
-    each problem (a list of (N_p,) arrays) and the biases (P,).
+def _pegasos(spec: ClassifierSpec, datasets: list) -> list[tuple]:
+    """Pegasos-style primal hinge descent for the linear SVMs of many
+    training sets of any gene counts, trained in one lockstep pass;
+    returns each set's (weights (H, N), biases (H,)).
 
-    Problem p trains on ``datasets[p]`` with y = +1 for its positive class
-    (class 1 of binary data, else class ``heads[p]``, one-vs-rest) and
-    y = -1 for the rest. Objective (per sample): lam/2*||w||^2 + mean
-    hinge, with lam = 1/(svm_c * M), i.e. hinge sum + ||w||^2/(2*svm_c)
-    overall. Bias is unregularized. Each epoch visits the samples in the
-    order of one ``permutation(M)`` of ``default_rng([spec.seed, head])``.
+    A set has one head for binary data (y = +1 for class 1) and one
+    one-vs-rest head per class otherwise (y = +1 for class h); each head
+    of each set is one binary problem. Objective (per sample): lam/2*||w||^2
+    + mean hinge, with lam = 1/(svm_c * M), i.e. hinge sum +
+    ||w||^2/(2*svm_c) overall. Bias is unregularized. Each epoch visits
+    the samples in the order of one ``permutation(M)`` of
+    ``default_rng([spec.seed, head])``; problems of one head and one
+    training size share that order, so each (head, size) key draws all
+    its epochs' orders once per call into one (max steps, keys) visit
+    table, which holds sample 0 after the key's last step.
 
     The weights of all problems sit in one zero-padded (P, Nmax + 1)
     matrix, bias in the last column, with the problems of one width in
@@ -99,39 +106,46 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
     run all its steps takes exact no-op steps until the longest ends:
     shrink 1.0 and update -0.0 (``x + -0.0`` is ``x``, -0.0 included).
     """
+    heads = [1 if ds.n_classes == 2 else ds.n_classes for ds in datasets]
+    # (set, head) problems, in contiguous row blocks of one width each
+    problems = sorted(((q, head) for q, h in enumerate(heads)
+                       for head in range(h)),
+                      key=lambda qh: datasets[qh[0]].n_genes)
+    fitted = [(np.empty((h, ds.n_genes)), np.empty(h))
+              for ds, h in zip(datasets, heads)]
+    if not problems:
+        return fitted
     epochs = spec.svm_epochs
-    n_problems = len(datasets)
-    # contiguous row blocks of one width each
-    by_width = sorted(range(n_problems), key=lambda p: datasets[p].n_genes)
-    widths = [datasets[p].n_genes for p in by_width]
+    n_problems = len(problems)
+    widths = [datasets[q].n_genes for q, _ in problems]
     n_max = widths[-1]
-    # the rows of each distinct training set, stacked once, zero-padded,
-    # with 1.0 in the bias column
-    unique = list({id(ds): ds for ds in datasets}.values())
-    starts = np.cumsum([0] + [ds.n_samples for ds in unique])
-    first_row = {id(ds): int(start) for ds, start in zip(unique, starts)}
+    # the rows of every training set, stacked once, zero-padded, with 1.0
+    # in the bias column
+    starts = np.cumsum([0] + [ds.n_samples for ds in datasets])
     xa = np.zeros((int(starts[-1]), n_max + 1))
     xa[:, n_max] = 1.0
-    for ds, start in zip(unique, starts):
+    for ds, start in zip(datasets, starts):
         xa[start:start + ds.n_samples, :ds.n_genes] = ds.values
     # sign[r, c]: the target of row r when class c is the positive one
-    labels_all = np.concatenate([ds.labels for ds in unique])
-    n_classes = max(ds.n_classes for ds in unique)
+    labels_all = np.concatenate([ds.labels for ds in datasets])
+    n_classes = max(ds.n_classes for ds in datasets)
     sign = np.where(labels_all[:, None] == np.arange(n_classes), 1.0, -1.0)
 
-    sizes = [datasets[p].n_samples for p in by_width]
+    sizes = [datasets[q].n_samples for q, _ in problems]
     steps = epochs * np.array(sizes)
-    offset = np.array([first_row[id(datasets[p])] for p in by_width])
-    positive = np.array([1 if datasets[p].n_classes == 2 else heads[p]
-                         for p in by_width])
+    offset = starts[[q for q, _ in problems]]
+    positive = np.array([1 if datasets[q].n_classes == 2 else head
+                         for q, head in problems])
     lam = np.array([1.0 / (spec.svm_c * m) for m in sizes])
-    # problems of one head and one size share their sample order
+    total = int(steps.max())
     keys = {}
-    key_of = np.array([keys.setdefault((heads[p], m), len(keys))
-                       for p, m in zip(by_width, sizes)])
-    rngs = [np.random.default_rng([spec.seed, head]) for head, _ in keys]
-    key_steps = [epochs * m for _, m in keys]
-    pending = [np.empty(0, dtype=np.int64) for _ in keys]
+    key_of = np.array([keys.setdefault((head, m), len(keys))
+                       for (_, head), m in zip(problems, sizes)])
+    visits = np.zeros((total, len(keys)), dtype=np.int64)
+    for key, (head, m) in enumerate(keys):
+        rng = np.random.default_rng([spec.seed, head])
+        for epoch in range(epochs):
+            visits[epoch * m:(epoch + 1) * m, key] = rng.permutation(m)
 
     # each row is one problem's weights with its bias in the last column:
     # the shrink multiplies the bias by 1.0 and the hinge step adds eta*y
@@ -142,15 +156,12 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
                     if widths[p] != widths[p - 1]] + [n_problems]
     blocks = [(lo, hi, widths[lo]) for lo, hi in zip(bounds, bounds[1:])]
 
-    total = int(steps.max())
     chunk = min(total, max(1, _CHUNK_BYTES
                            // (8 * n_problems * (3 * n_max + 8))))
     # per-chunk buffers, refilled in place; full (steps, problems,
     # Nmax + 1) shapes, since an in-place multiply by a broadcast column
     # takes numpy's slower strided loop. The shrink factor of the bias
-    # column stays 1.0. A key that has run all its steps keeps earlier,
-    # in-range entries in ``order``; its problems take no-op steps.
-    order = np.zeros((chunk, len(keys)), dtype=np.int64)
+    # column stays 1.0.
     rows = np.empty((chunk, n_problems), dtype=np.int64)
     y = np.empty((chunk, n_problems))
     x = np.empty((chunk, n_problems, n_max + 1))
@@ -171,16 +182,7 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
     finish = int(steps.min())
     for s0 in range(0, total, chunk):
         n = min(chunk, total - s0)
-        for key, (_, m) in enumerate(keys):
-            take = min(n, key_steps[key] - s0)
-            if take <= 0:
-                continue
-            while pending[key].size < take:
-                pending[key] = np.concatenate(
-                    [pending[key], rngs[key].permutation(m)])
-            order[:take, key] = pending[key][:take]
-            pending[key] = pending[key][take:]
-        np.add(offset, order[:n, key_of], rows[:n])
+        np.add(offset, visits[s0:s0 + n, key_of], rows[:n])
         # every row index is in range; unlike the default 'raise', 'clip'
         # writes straight into the buffer instead of through a temporary
         np.take(xa, rows[:n], axis=0, out=x[:n], mode="clip")
@@ -202,12 +204,11 @@ def _pegasos(spec: ClassifierSpec, datasets: list,
             np.less(margin, 1.0, hit)
             np.multiply(wb, sc, wb)
             np.add(wb, uc, wb, where=hit_col)
-    weights = [None] * n_problems
-    for row, p in enumerate(by_width):
-        weights[p] = wb[row, :widths[row]]
-    biases = np.empty(n_problems)
-    biases[by_width] = bias
-    return weights, biases
+    for row, (q, head) in enumerate(problems):
+        weights, biases = fitted[q]
+        weights[head] = wb[row, :widths[row]]
+        biases[head] = bias[row]
+    return fitted
 
 
 def train(spec: ClassifierSpec, ds: Dataset) -> TrainedClassifier:
@@ -238,7 +239,9 @@ def train_many(spec: ClassifierSpec, datasets) -> list[TrainedClassifier]:
         for model, ds in zip(models, datasets):
             _fit_gaussian_nb(model, ds)
     else:
-        _fit_linear_svms(models, datasets)
+        for model, (weights, biases) in zip(models,
+                                            _pegasos(spec, datasets)):
+            model.weights, model.biases = weights, biases
     return models
 
 
@@ -257,26 +260,6 @@ def _fit_gaussian_nb(model: TrainedClassifier, ds: Dataset):
     model.log_priors = np.log(priors)
     model.means = means
     model.variances = variances
-
-
-def _fit_linear_svms(models: list, datasets: list):
-    """One head for binary data, one-vs-rest heads for multiclass; every
-    head of every set, whatever its gene count, is one problem of a single
-    ``_pegasos`` pass."""
-    problems = []
-    for q, model in enumerate(models):
-        heads = 1 if model.n_classes == 2 else model.n_classes
-        model.weights = np.empty((heads, model.n_genes))
-        model.biases = np.empty(heads)
-        problems.extend((q, head) for head in range(heads))
-    if not problems:
-        return
-    weights, biases = _pegasos(models[0].spec,
-                               [datasets[q] for q, _ in problems],
-                               [head for _, head in problems])
-    for (q, head), w, b in zip(problems, weights, biases):
-        models[q].weights[head] = w
-        models[q].biases[head] = b
 
 
 def predict(model: TrainedClassifier, x) -> np.ndarray:

@@ -5,8 +5,7 @@ The subset-size objective enters lexicographically through one order,
 ``_rank_key``: higher fitness, then fewer selected genes, then lower
 population index. ``evolve`` ranks each generation once by it; the
 elites and the generation's best come from that ranking, and
-tournaments pick by the same key. The best-ever chromosome breaks the
-last tie by bitstring instead, since it compares across generations.
+tournaments pick by the same key.
 
 Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. It lists every internal fold's test rows in fold
@@ -84,8 +83,9 @@ class GaConfig:
             raise ConfigError("probabilities must be in [0, 1]")
         if not 1 <= self.tournament_size <= self.population_size:
             raise ConfigError("tournament_size must be in 1..population_size")
-        if not 0 <= self.elitism_count < self.population_size:
-            raise ConfigError("elitism_count must be < population_size")
+        if not 1 <= self.elitism_count < self.population_size:
+            raise ConfigError(
+                "elitism_count must be in 1..population_size-1")
         if self.fitness_knn_k < 1 or self.fitness_folds < 2:
             raise ConfigError("fitness_knn_k >= 1 and fitness_folds >= 2 required")
 
@@ -275,14 +275,11 @@ def mutate(c: Chromosome, cfg: GaConfig, rng: np.random.Generator) -> Chromosome
     return Chromosome(_repair(bits, rng))
 
 
-def _lexi_key(c: Chromosome) -> tuple:
-    return (-c.cached_fitness, c.n_selected(), tuple(c.bits))
-
-
 def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
-    """Generational GA loop with elitism; returns the best-ever chromosome
-    (fitness desc, set-bit count asc, bitstring asc) and a per-generation
-    trace."""
+    """Generational GA loop with elitism; returns the last generation's
+    best by ``_rank_key`` and a per-generation trace. The first elite
+    sits at index 0, so it wins every tie, and each generation's best is
+    the best so far."""
     rng = np.random.default_rng(cfg.seed)
     kernel = _FitnessKernel(ds_stage1, cfg)
     memo: dict[bytes, float] = {}
@@ -301,7 +298,6 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
 
     pop = init_population(ds_stage1.n_genes, cfg, rng)
     ranked = evaluate(pop)
-    best_ever = pop[ranked[0]]
     trace = GaTrace()
     for gen in range(cfg.iterations + 1):
         if gen:
@@ -316,11 +312,11 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
                     next_pop.append(mutate(c2, cfg, rng))
             pop = next_pop
             ranked = evaluate(pop)
-            best_ever = min(best_ever, pop[ranked[0]], key=_lexi_key)
-        trace.record(gen, best_ever.cached_fitness,
+        best = pop[ranked[0]]
+        trace.record(gen, best.cached_fitness,
                      float(np.mean([c.cached_fitness for c in pop])),
-                     best_ever.n_selected())
-    return best_ever, trace
+                     best.n_selected())
+    return best, trace
 
 
 def decode(best: Chromosome, stage1_genes) -> np.ndarray:

@@ -36,7 +36,7 @@ class TestConfig:
         {"population_size": 1}, {"iterations": -1},
         {"crossover_prob": 1.5}, {"mutation_prob": -0.1},
         {"tournament_size": 0}, {"tournament_size": 101},
-        {"elitism_count": 100}, {"fitness_folds": 1},
+        {"elitism_count": 100}, {"elitism_count": 0}, {"fitness_folds": 1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigError):
@@ -437,11 +437,11 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     @pytest.mark.parametrize("tournament_size", [1, 2, 3])
-    @pytest.mark.parametrize("elitism_count", [0, 1, 3])
+    @pytest.mark.parametrize("elitism_count", [1, 2, 3])
     def test_matches_pairwise_reference(self, elitism_count,
                                         tournament_size, n_classes):
         # 18 samples on a coarse grid: fitness takes few values, so the
-        # size, index and bitstring tie-breaks all decide some picks
+        # size and index tie-breaks both decide some picks
         rng = np.random.default_rng(10 * n_classes + tournament_size)
         labels = np.arange(18) % n_classes
         x = rng.integers(0, 3, size=(18, 6)) + labels[:, None] * (
