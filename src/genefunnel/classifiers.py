@@ -69,8 +69,8 @@ class TrainedClassifier:
 # step sizes). The buffers are allocated once per call and refilled by
 # every chunk; a chunk holds at least one step. The visit table sits
 # outside this budget at (max steps) x keys x 8 bytes: 86 KB on the
-# 60x500 benchmark, about 0.96 MB for a 4-class 10x10 CV at 75 rows and
-# 200 epochs.
+# paper-60x500 benchmark workload, 41 KB on nested-4class, about 0.96 MB
+# for a 4-class 10x10 CV at 75 rows and 200 epochs.
 _CHUNK_BYTES = 128 << 10
 
 
