@@ -138,6 +138,8 @@ def _pegasos(spec: ClassifierSpec, datasets: list) -> list[tuple]:
                          for q, head in problems])
     lam = np.array([1.0 / (spec.svm_c * m) for m in sizes])
     total = int(steps.max())
+    # problems of one head and one size share their visit order; a key's
+    # column holds sample 0 after its last step
     keys = {}
     key_of = np.array([keys.setdefault((head, m), len(keys))
                        for (_, head), m in zip(problems, sizes)])
