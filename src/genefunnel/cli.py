@@ -23,9 +23,10 @@ import numpy as np
 
 from . import boosting, ga, pipeline
 from .classifiers import KINDS, ClassifierSpec
-from .data import impute_knn, load_csv, make_folds, normalize_minmax
+from .data import impute_knn, load_csv, make_folds, normalize_minmax, project
 from .errors import GeneFunnelError, ValidationError
-from .stats import METRIC_NAMES, cross_validate, wilcoxon_signed_rank
+from .stats import (METRIC_NAMES, fold_splits, score_splits,
+                    wilcoxon_signed_rank)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -350,11 +351,13 @@ def _cmd_evaluate(args) -> int:
                 f"{args.genes}: gene index {index} is outside "
                 f"0..{ds.n_genes - 1} ({ds.name} has {ds.n_genes} genes)")
     plan = make_folds(ds.labels, args.cv_k, args.cv_rounds, args.seed)
+    specs = _eval_specs(args)
+    splits, skipped = fold_splits(project(ds, subset), plan)
     doc = {"schema_version": pipeline.SCHEMA_VERSION, "dataset_name": ds.name,
-           "genes": subset, "summaries": {}}
-    for spec in _eval_specs(args):
-        doc["summaries"][spec.kind] = cross_validate(subset, ds, spec,
-                                                     plan).as_dict()
+           "genes": subset,
+           "summaries": {spec.kind: score_splits(spec, splits,
+                                                 skipped).as_dict()
+                         for spec in specs}}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,22 +131,104 @@ def _parse_row(genes: list, missing_token: str, token_parses: bool, path,
             row.append(0.0)
 
 
+def _parse_complete(fh, n_cols: int, label_pos: int, missing_token: str):
+    """The (values, labels, class names) of the rest of ``fh`` in one numpy
+    C pass, or None unless every row is complete: ``n_cols`` fields, a
+    label and finite numbers only, at least one row and two classes.
+
+    Gaps and errors are left to ``_parse_rows``, the one source of the gap
+    mask and of every error message. So is any file whose missing token
+    parses as a float: its missing cells are told apart by their text,
+    which the C parser does not see."""
+    if _parses_as_float(missing_token):
+        return None
+    codes: dict[str, int] = {}
+
+    def label(cell):
+        text = cell.strip()
+        if text in ("", missing_token):
+            raise ValueError(text)
+        return codes.setdefault(text, len(codes))  # first-appearance order
+
+    try:
+        with warnings.catch_warnings():
+            # a file with no data rows is reported by _parse_rows
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", quotechar='"',
+                               comments=None, dtype=np.float64, ndmin=2,
+                               converters={label_pos: label})
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if not table.shape[0] or table.shape[1] != n_cols or len(codes) < 2:
+        return None
+    values = np.delete(table, label_pos, axis=1)
+    if not np.isfinite(values).all():
+        return None
+    return values, table[:, label_pos].astype(np.int64), tuple(codes)
+
+
+def _parse_rows(reader, path, n_cols: int, label_pos: int,
+                missing_token: str, gene_ids: tuple):
+    """The (values, labels, class names, gap mask) of the rest of the
+    ``csv.reader`` ``reader``, one row at a time; every malformed row or
+    cell is a ParseError naming ``path`` and its line."""
+    token_parses = _parses_as_float(missing_token)
+    rows, line_nos, raw_labels, mask = [], [], [], []
+    for line_no, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != n_cols:
+            raise ParseError(f"{path}:{line_no}: expected {n_cols} "
+                             f"columns, got {len(cells)}")
+        label = cells[label_pos].strip()
+        if label in ("", missing_token):
+            raise ParseError(f"{path}:{line_no}: missing class "
+                             f"label {cells[label_pos]!r}")
+        raw_labels.append(label)
+        genes = cells[1:] if label_pos == 0 else cells[:-1]
+        rows.append(_parse_row(genes, missing_token, token_parses,
+                               path, line_no, len(rows), mask))
+        line_nos.append(line_no)
+
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    class_names = list(dict.fromkeys(raw_labels))  # first-appearance order
+    index_of = {lbl: c for c, lbl in enumerate(class_names)}
+    labels = np.array([index_of[lbl] for lbl in raw_labels], dtype=np.int64)
+    if len(class_names) < 2:
+        raise ValidationError(f"{path}: only one class present")
+
+    values = np.vstack(rows)
+    # float() accepts nan and inf; one whole-matrix check keeps them out
+    if not np.isfinite(values).all():
+        r, c = np.argwhere(~np.isfinite(values))[0]
+        raise ParseError(f"{path}:{line_nos[r]}: non-finite cell "
+                         f"{float(values[r, c])!r} in column {gene_ids[c]!r}")
+    mask = np.array(mask, dtype=np.int64).reshape(-1, 2)
+    return values, labels, tuple(class_names), mask
+
+
 def load_csv(path, label_column: str = "last", missing_token: str = "NA",
              name: str | None = None) -> tuple[Dataset, np.ndarray]:
     """Parse a UTF-8 comma-separated file into a Dataset and a missing mask.
 
-    The first row is the header (gene ids plus the label column name).
+    The first row is the header (gene ids plus the label column name). A
+    leading byte-order mark is dropped, and lines may end in CRLF.
     Empty cells or cells equal to ``missing_token`` are missing: the mask
     is a read-only (K, 2) int64 array of their (row, column) indices in
     row-major order, and they are zero-filled provisionally. Any other
     cell must be a finite number. Gene ids must be distinct. Class labels
     map to contiguous indices in first-appearance order; an empty label
     or one equal to ``missing_token`` is an error.
+
+    A file with no gap and no error is parsed in one numpy pass; any
+    other file is parsed again, row by row, which finds its gaps and
+    reports its first error by line.
     """
     if label_column not in ("first", "last"):
         raise ValidationError(f"label_column must be first or last, got {label_column!r}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -165,43 +248,20 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
                                      f"and {col}")
                 first_col[gene] = col
 
-            token_parses = _parses_as_float(missing_token)
-            rows, line_nos, raw_labels, mask = [], [], [], []
-            for line_no, cells in enumerate(reader, start=2):
-                if not cells:
-                    continue
-                if len(cells) != n_cols:
-                    raise ParseError(f"{path}:{line_no}: expected {n_cols} "
-                                     f"columns, got {len(cells)}")
-                label = cells[label_pos].strip()
-                if label in ("", missing_token):
-                    raise ParseError(f"{path}:{line_no}: missing class "
-                                     f"label {cells[label_pos]!r}")
-                raw_labels.append(label)
-                genes = cells[1:] if label_pos == 0 else cells[:-1]
-                rows.append(_parse_row(genes, missing_token, token_parses,
-                                       path, line_no, len(rows), mask))
-                line_nos.append(line_no)
+            parsed = _parse_complete(fh, n_cols, label_pos, missing_token)
+            if parsed is None:
+                fh.seek(0)
+                next(reader)  # the header, already checked
+                values, labels, class_names, mask = _parse_rows(
+                    reader, path, n_cols, label_pos, missing_token, gene_ids)
+            else:
+                values, labels, class_names = parsed
+                mask = np.empty((0, 2), dtype=np.int64)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
 
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    class_names = list(dict.fromkeys(raw_labels))  # first-appearance order
-    index_of = {lbl: c for c, lbl in enumerate(class_names)}
-    labels = np.array([index_of[lbl] for lbl in raw_labels], dtype=np.int64)
-    if len(class_names) < 2:
-        raise ValidationError(f"{path}: only one class present")
-
-    values = np.vstack(rows)
-    # float() accepts nan and inf; one whole-matrix check keeps them out
-    if not np.isfinite(values).all():
-        r, c = np.argwhere(~np.isfinite(values))[0]
-        raise ParseError(f"{path}:{line_nos[r]}: non-finite cell "
-                         f"{float(values[r, c])!r} in column {gene_ids[c]!r}")
-    ds = Dataset(values, labels, gene_ids, tuple(class_names),
+    ds = Dataset(values, labels, gene_ids, class_names,
                  name=name if name is not None else str(path))
-    mask = np.array(mask, dtype=np.int64).reshape(-1, 2)
     mask.setflags(write=False)
     return ds, mask
 

@@ -20,8 +20,7 @@ from . import boosting, ga
 from .classifiers import ClassifierSpec
 from .data import Dataset, make_folds, project
 from .errors import PipelineError, ValidationError
-from .stats import (METRIC_NAMES, CvSummary, cross_validate, fold_splits,
-                    score_splits)
+from .stats import METRIC_NAMES, CvSummary, fold_splits, score_splits
 
 __all__ = [
     "PipelineConfig",
@@ -208,24 +207,24 @@ def _derive_seed(seed: int, offset: tuple) -> int:
 def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
     """Execute the two-stage selection and the CV evaluation harness.
 
-    The input is expected to be imputed and normalized already.
+    The input is expected to be imputed and normalized already. The fold
+    plan depends only on the labels and the config, so a plan that cannot
+    be made fails before any selection runs.
     """
+    plan = make_folds(ds.labels, cfg.cv_k, cfg.cv_rounds, cfg.seed)
     selection = select_genes(ds, cfg)
     stage1, final = selection.stage1, selection.final
     runtimes = dict(selection.runtimes)
 
     t2 = time.perf_counter()
-    plan = make_folds(ds.labels, cfg.cv_k, cfg.cv_rounds, cfg.seed)
-    summaries = {}
     if cfg.protocol == "paper":
-        for spec in cfg.eval_classifiers:
-            summaries[spec.kind] = cross_validate(final, ds, spec, plan)
+        splits, skipped = fold_splits(project(ds, final), plan)
     else:
         # both selection stages are re-run inside each outer training fold
         splits, skipped = fold_splits(ds, plan, lambda train_ds, r, f: (
             select_genes(train_ds, cfg, seed_offset=(r, f)).final))
-        for spec in cfg.eval_classifiers:
-            summaries[spec.kind] = score_splits(spec, splits, skipped)
+    summaries = {spec.kind: score_splits(spec, splits, skipped)
+                 for spec in cfg.eval_classifiers}
     runtimes["evaluation"] = _ms(time.perf_counter() - t2)
 
     return PipelineReport(

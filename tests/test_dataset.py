@@ -1,9 +1,11 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+from genefunnel import data
 from genefunnel.data import (Dataset, apply_minmax, impute_knn, load_csv,
                              make_folds, minmax_stats, normalize_minmax,
                              project)
@@ -162,6 +164,114 @@ class TestLoadCsv:
         a = normalize_minmax(impute_knn(first, m1, 3))
         b = normalize_minmax(impute_knn(second, m2, 3))
         np.testing.assert_array_equal(a.values, b.values)
+
+
+    @pytest.mark.parametrize("g2", ["4", "NA"])
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    def test_byte_order_mark_and_crlf(self, tmp_path, label_column, g2):
+        rows = [["g1", "g2", "label"], ["1", "2", "A"], ["3", g2, "B"]]
+        if label_column == "first":
+            rows = [row[-1:] + row[:-1] for row in rows]
+        path = tmp_path / "data.csv"
+        path.write_bytes(("\ufeff" + "".join(",".join(row) + "\r\n"
+                                              for row in rows)).encode())
+        ds, mask = load_csv(path, label_column=label_column)
+        assert ds.gene_ids == ("g1", "g2") and ds.class_names == ("A", "B")
+        assert ds.values.tolist() == [[1.0, 2.0], [3.0, 4.0 if g2 == "4"
+                                                   else 0.0]]
+        assert mask.tolist() == ([] if g2 == "4" else [[1, 1]])
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("one-pass parse refused")
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the row parser ran on a complete file")
+
+
+class TestParsePaths:
+    """A complete file parsed in one numpy pass loads exactly as the row
+    parser loads it; the row parser is reached by making np.loadtxt
+    raise."""
+
+    VARIANTS = ["quoted_crlf_blank", "padded", "signs", "repr", "%.6g"]
+
+    @staticmethod
+    def write_variant(tmp_path, variant, label_column):
+        values = np.random.default_rng(5).normal(scale=50.0, size=(6, 4))
+        fmt = (lambda v: "%.6g" % v) if variant == "%.6g" else repr
+        cells = [[fmt(float(v)) for v in row] for row in values]
+        if variant == "signs":
+            cells[0][0], cells[1][1], cells[2][2] = "+.5", "1E5", "-0"
+        elif variant == "padded":
+            pads = (" ", "\t", "  ", "")
+            cells = [[pads[(i + j) % 4] + c + pads[(i + 2 * j) % 3]
+                      for j, c in enumerate(row)]
+                     for i, row in enumerate(cells)]
+        rows = [[f"g{j}" for j in range(4)] + ["label"]]
+        rows += [row + [label] for row, label in zip(cells, "bacbac")]
+        if label_column == "first":
+            rows = [row[-1:] + row[:-1] for row in rows]
+        eol = "\n"
+        if variant == "quoted_crlf_blank":
+            rows = [[f'"{c}"' for c in row] for row in rows]
+            rows[2:2] = rows[5:5] = [[]]
+            eol = "\r\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes("".join(",".join(row) + eol for row in rows).encode())
+        return path
+
+    @staticmethod
+    def row_parsed(monkeypatch, path, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "loadtxt", _refuse)
+            return load_csv(path, **kwargs)
+
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_pass_matches_row_parser(self, tmp_path, monkeypatch,
+                                         variant, label_column):
+        path = self.write_variant(tmp_path, variant, label_column)
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_parse_rows", _unreachable)
+            fast, fast_mask = load_csv(path, label_column=label_column)
+        rows, rows_mask = self.row_parsed(monkeypatch, path,
+                                          label_column=label_column)
+        assert fast.values.tobytes() == rows.values.tobytes()
+        assert fast.values.shape == rows.values.shape == (6, 4)
+        assert fast.labels.tolist() == rows.labels.tolist() == [0, 1, 2] * 2
+        assert fast.class_names == rows.class_names == ("b", "a", "c")
+        assert fast.gene_ids == rows.gene_ids == ("g0", "g1", "g2", "g3")
+        for mask in (fast_mask, rows_mask):
+            assert mask.shape == (0, 2) and mask.dtype == np.int64
+            assert not mask.flags.writeable
+        if variant == "signs":
+            assert fast.values[:3, :3].diagonal().tolist() == [0.5, 1e5, 0.0]
+            assert np.signbit(fast.values[2, 2])
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\u0663.5"])
+    def test_cells_only_float_reads(self, tmp_path, cell):
+        path = write(tmp_path, f"g1,g2,label\n{cell},2,A\n3,4,B\n")
+        ds, mask = load_csv(path)
+        assert ds.values[0, 0] == float(cell) and mask.shape == (0, 2)
+
+    @pytest.mark.parametrize("text", ["g1,g2,label\n",
+                                      "g1,g2,label\r\n\r\n\n"])
+    def test_header_only_reports_no_data_rows_alone(self, tmp_path, text):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"data\.csv: no data rows$"):
+                load_csv(path)
+
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    def test_rows_wider_than_the_header(self, tmp_path, label_column):
+        header = "g1,g2,label" if label_column == "last" else "label,g1,g2"
+        path = write(tmp_path, header + "\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(ParseError, match=r"data\.csv:2: expected 3 "
+                                             r"columns, got 4$"):
+            load_csv(path, label_column=label_column)
 
 
 class TestImputeKnn:

@@ -195,6 +195,20 @@ class TestRunPipeline:
                 "^every fold was skipped; cannot summarize$")):
             run_pipeline(ds, cfg)
 
+    @pytest.mark.parametrize("protocol", ["paper", "nested"])
+    def test_bad_fold_plan_fails_before_selection(self, planted, monkeypatch,
+                                                  protocol):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("selection ran before the fold plan")
+
+        monkeypatch.setattr(boosting, "fit", unreachable)
+        cfg = dataclasses.replace(small_config(protocol=protocol), cv_k=50)
+        m = planted.dataset.n_samples
+        assert m < 50
+        with pytest.raises(ValidationError,
+                           match=f"^k=50 exceeds sample count {m}$"):
+            run_pipeline(planted.dataset, cfg)
+
 
 class TestNestedEvaluation:
     def test_matches_per_fold_loop(self):
