@@ -353,11 +353,10 @@ def _cmd_evaluate(args) -> int:
     plan = make_folds(ds.labels, args.cv_k, args.cv_rounds, args.seed)
     specs = _eval_specs(args)
     splits, skipped = fold_splits(project(ds, subset), plan)
+    summaries = {spec.kind: score_splits(spec, splits, skipped).as_dict()
+                 for spec in specs}
     doc = {"schema_version": pipeline.SCHEMA_VERSION, "dataset_name": ds.name,
-           "genes": subset,
-           "summaries": {spec.kind: score_splits(spec, splits,
-                                                 skipped).as_dict()
-                         for spec in specs}}
+           "genes": subset, "summaries": summaries}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 

@@ -256,6 +256,15 @@ class TestParsePaths:
         ds, mask = load_csv(path)
         assert ds.values[0, 0] == float(cell) and mask.shape == (0, 2)
 
+    @pytest.mark.parametrize("token", ["-999", "0"])
+    def test_numeric_missing_token_without_empty_cells(self, tmp_path,
+                                                      token):
+        # every cell reads as a number, so only the text marks the gap
+        path = write(tmp_path, f"g1,g2,label\n{token},1,A\n2,3,B\n")
+        ds, mask = load_csv(path, missing_token=token)
+        assert mask.tolist() == [[0, 0]]
+        assert ds.values.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
     @pytest.mark.parametrize("text", ["g1,g2,label\n",
                                       "g1,g2,label\r\n\r\n\n"])
     def test_header_only_reports_no_data_rows_alone(self, tmp_path, text):
