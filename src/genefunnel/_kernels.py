@@ -1,8 +1,8 @@
 """The hot kernels, in numpy; each has this one implementation.
 
-``best_split_sorted`` is the only split scan. ``best_split`` sorts one
-node's columns and scans them; ``boosting.fit`` sorts once per tree
-(``sort_columns``) and hands each child its part of the sorted orders
+``best_split`` is the only split search, and it scans columns that are
+already sorted: ``boosting.fit`` sorts once per tree (``sort_columns``)
+and hands each child its part of the sorted orders
 (``sorted_partition``). ``sort_columns`` also flags the features that
 hold a tied value, and the scan looks for equal neighbours only in
 flagged features; a tree's flags hold for all its nodes.
@@ -13,28 +13,6 @@ and so does the GA's batched fitness kernel, over padded rows whose
 +inf distances ``nearest`` never picks while k real ones remain.
 """
 import numpy as np
-
-
-def best_split(x, g, h, lam, gamma):
-    """Exact greedy split search over all features and midpoint thresholds.
-
-    x: (m, n) float64 node matrix; g, h: per-row gradient/hessian sums.
-    Returns (feature, threshold, gain) for the highest strictly positive
-    gain, ties broken by lower feature index then lower threshold, or
-    (-1, 0.0, 0.0) when no split improves the objective.
-
-    Sorts every column (``sort_columns``) and scans them with
-    ``best_split_sorted``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    m, n = x.shape
-    if m < 2 or n == 0:
-        return -1, 0.0, 0.0
-    xs, order, tied = sort_columns(x)
-    return best_split_sorted(xs, order, tied, g, h, float(g.sum()),
-                             float(h.sum()), lam, gamma)
 
 
 def sort_columns(x):
@@ -58,21 +36,25 @@ def sort_columns(x):
     return xs, order, tied
 
 
-# Bytes of one (genes, rows) float64 array of ``best_split_sorted``: it
+# Bytes of one (genes, rows) float64 array of ``best_split``: it
 # scans the genes of a node in blocks of at most _SCAN_BYTES / 8 cells,
 # holding about four block-sized arrays at once. Every node of 60x500 and
 # 80x200 data fits one block; a 150-row node of 5000 genes takes six.
 _SCAN_BYTES = 1 << 20
 
 
-def best_split_sorted(xs, order, tied, g, h, total_g, total_h, lam, gamma):
-    """``best_split`` over columns that are already sorted.
+def best_split(xs, order, tied, g, h, total_g, total_h, lam, gamma):
+    """Exact greedy split search over sorted columns: every feature, every
+    midpoint threshold between consecutive distinct values.
 
     xs: (n, m) node values, each feature's row ascending with ties in row
     order; order: the same shape, the index into g and h of each value;
     tied: (n,) bool, True at least for every feature whose row of xs
-    holds two equal values; total_g, total_h: the node's gradient and
-    hessian sums. Same return value and tie rules as ``best_split``.
+    holds two equal values; g, h: per-row gradient and hessian; total_g,
+    total_h: the node's gradient and hessian sums. Returns (feature,
+    threshold, gain) for the highest strictly positive gain, ties broken
+    by lower feature index then lower threshold, or (-1, 0.0, 0.0) when
+    no split improves the objective.
 
     Only flagged features are searched for equal neighbours, between
     which no cut is allowed. ``boosting.fit`` flags the features with a
@@ -152,7 +134,7 @@ def sorted_partition(xs, order, first):
     """Stably move the rows flagged in ``first`` to the front of each
     feature's sorted columns, so both parts stay sorted.
 
-    xs, order: as for ``best_split_sorted``; first: bool per row index.
+    xs, order: as for ``best_split``; first: bool per row index.
     Returns the reordered (xs, order).
     """
     n, m = order.shape

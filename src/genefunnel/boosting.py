@@ -133,15 +133,15 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
           tied: np.ndarray, depth: int, params: BoostParams) -> TreeNode:
     """Grow the subtree over ``rows`` (ascending). xs/order hold the
     node's columns sorted by value and tied the tree's tie flags, as
-    ``_kernels.best_split_sorted`` takes them; xs/order are None when
-    the node is at max_depth."""
+    ``_kernels.best_split`` takes them; xs/order are None when the node
+    is at max_depth."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     if depth >= params.max_depth or rows.size < 2:
         return TreeNode(weight=leaf_weight(g_sum, h_sum, params.lam))
-    feat, thr, gain = _kernels.best_split_sorted(
+    feat, thr, gain = _kernels.best_split(
         xs, order, tied, g, h, g_sum, h_sum, params.lam, params.gamma)
-    if feat < 0 or gain <= 0.0:
+    if feat < 0:  # no split with a strictly positive gain
         return TreeNode(weight=leaf_weight(g_sum, h_sum, params.lam))
     go_left = x[rows, feat] <= thr
     left_cols = right_cols = (None, None)

@@ -171,10 +171,13 @@ def _parse_rows(reader, path, n_cols: int, label_pos: int,
                 missing_token: str, gene_ids: tuple):
     """The (values, labels, class names, gap mask) of the rest of the
     ``csv.reader`` ``reader``, one row at a time; every malformed row or
-    cell is a ParseError naming ``path`` and its line."""
+    cell is a ParseError naming ``path`` and the physical line its
+    record starts on (a quoted cell may span lines)."""
     token_parses = _parses_as_float(missing_token)
     rows, line_nos, raw_labels, mask = [], [], [], []
-    for line_no, cells in enumerate(reader, start=2):
+    next_line = reader.line_num + 1
+    for cells in reader:
+        line_no, next_line = next_line, reader.line_num + 1
         if not cells:
             continue
         if len(cells) != n_cols:
@@ -251,6 +254,7 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
             parsed = _parse_complete(fh, n_cols, label_pos, missing_token)
             if parsed is None:
                 fh.seek(0)
+                reader = csv.reader(fh)  # counts lines from the rewind
                 next(reader)  # the header, already checked
                 values, labels, class_names, mask = _parse_rows(
                     reader, path, n_cols, label_pos, missing_token, gene_ids)

@@ -236,6 +236,31 @@ class TestTieFlags:
         assert len(model.trees) == (1 if n_classes == 2 else n_classes)
 
 
+class TestSplitSearchEntryPoint:
+    def test_every_tree_scans_through_best_split(self, monkeypatch,
+                                                  separable_ds):
+        # the benchmark's tracer wraps _kernels.best_split by name, so
+        # stage 1 must look it up there at every node
+        params = BoostParams(n_estimators=6, max_depth=2, seed=3)
+        expected = importances(fit(separable_ds, separable_ds.labels, params))
+        best_split = _kernels.best_split
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return best_split(*args)
+
+        monkeypatch.setattr(_kernels, "best_split", counted)
+        got = importances(fit(separable_ds, separable_ds.labels, params))
+        # each scan gets every gene's sorted column over the node's rows,
+        # and each tree scans its root: all of its 15 subsampled rows
+        assert {genes for genes, _ in calls} == {separable_ds.n_genes}
+        assert [rows for _, rows in calls].count(15) == params.n_estimators
+        assert got.total_gain.tobytes() == expected.total_gain.tobytes()
+        assert np.array_equal(got.split_count, expected.split_count)
+        assert np.array_equal(got.ranking, expected.ranking)
+
+
 class TestImportances:
     def test_never_split_ensemble_is_identity_ranking(self):
         ds = make_ds(np.ones((6, 3)))

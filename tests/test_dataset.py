@@ -106,6 +106,19 @@ class TestLoadCsv:
                                              r"label"):
             load_csv(path, missing_token=token)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("3,B", "expected 3 columns, got 2"),
+        ("3,4,", "missing class label ''"),
+        ("3,x,B", "non-numeric cell 'x'"),
+        ("3,inf,B", "non-finite cell inf in column 'g2'")])
+    def test_line_after_a_quoted_newline(self, tmp_path, bad, message):
+        # the first label spans lines 2-3, so the third record starts on
+        # line 5
+        path = write(tmp_path, f'g1,g2,label\n1,2,"A\nB"\n3,4,B\n{bad}\n')
+        with pytest.raises(ParseError, match=rf"^.*data\.csv:5: "
+                                             rf"{re.escape(message)}$"):
+            load_csv(path)
+
     def test_label_equal_to_another_token_is_a_class(self, tmp_path):
         path = write(tmp_path, "g1,label\n1,NA\n2,B\n")
         ds, _ = load_csv(path, missing_token="?")

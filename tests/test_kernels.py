@@ -5,6 +5,14 @@ import oracles
 from genefunnel import _kernels
 
 
+def split(x, g, h, lam, gamma):
+    """``_kernels.best_split`` on a raw (m, n) node matrix: its columns
+    sorted by ``sort_columns``, the node sums taken over all rows."""
+    xs, order, tied = _kernels.sort_columns(x)
+    return _kernels.best_split(xs, order, tied, g, h, float(g.sum()),
+                               float(h.sum()), lam, gamma)
+
+
 def random_knn_case(rng):
     m = int(rng.integers(2, 20))
     n = int(rng.integers(1, 5))
@@ -36,14 +44,17 @@ class TestFallbackAgainstOracles:
         h = np.ones(5)
         for x in (np.ones((5, 1)),
                   np.tile([3.0, -1.0, 0.0, 2.5], (5, 1))):
-            assert _kernels.best_split(x, g, h, 1.0, 0.0) == (-1, 0.0, 0.0)
+            assert split(x, g, h, 1.0, 0.0) == (-1, 0.0, 0.0)
 
     def test_best_split_single_row(self):
+        # the columns of a node of at most one row are sorted as they stand
         for x in (np.array([[3.0]]), np.array([[3.0, 1.0, -2.0]]),
                   np.empty((0, 3))):
-            m = x.shape[0]
-            assert _kernels.best_split(x, np.ones(m), np.ones(m),
-                                        1.0, 0.0) == (-1, 0.0, 0.0)
+            m, n = x.shape
+            assert _kernels.best_split(
+                x.T, np.zeros((n, m), dtype=np.int64), np.zeros(n, dtype=bool),
+                np.ones(m), np.ones(m), float(m), float(m),
+                1.0, 0.0) == (-1, 0.0, 0.0)
 
     def test_best_split_duplicated_columns_pick_lower_feature(self):
         rng = np.random.default_rng(23)
@@ -54,8 +65,7 @@ class TestFallbackAgainstOracles:
         for cols, expected in (((signal, signal), 0),
                                ((noise, signal, signal, signal), 1),
                                ((noise, signal, noise, signal), 1)):
-            feat, _, gain = _kernels.best_split(
-                np.column_stack(cols), g, h, 1.0, 0.0)
+            feat, _, gain = split(np.column_stack(cols), g, h, 1.0, 0.0)
             assert (feat, gain > 0) == (expected, True)
 
     def test_best_split_gamma_lowers_gain_and_can_veto(self):
@@ -63,12 +73,11 @@ class TestFallbackAgainstOracles:
         x = rng.normal(size=(12, 4))
         g = rng.normal(size=12)
         h = rng.random(12) + 0.1
-        feat, thr, gain = _kernels.best_split(x, g, h, 1.0, 0.0)
+        feat, thr, gain = split(x, g, h, 1.0, 0.0)
         assert gain > 0.0
         gamma = gain / 4
-        assert _kernels.best_split(x, g, h, 1.0, gamma) == (
-            feat, thr, gain - gamma)
-        assert _kernels.best_split(x, g, h, 1.0, 2 * gain) == (-1, 0.0, 0.0)
+        assert split(x, g, h, 1.0, gamma) == (feat, thr, gain - gamma)
+        assert split(x, g, h, 1.0, 2 * gain) == (-1, 0.0, 0.0)
 
     def test_sort_columns_is_a_stable_sort(self):
         # heavy ties, 0.0 and -0.0 among them: rows of equal values keep
@@ -124,7 +133,7 @@ class TestFallbackAgainstOracles:
             lam = float(rng.choice([0.0, 1.0]))
             oracle = oracles.grow_tree_exhaustive(
                 x, g, h, np.arange(m), 1, lam, 0.0)
-            feat, thr, _ = _kernels.best_split(x, g, h, lam, 0.0)
+            feat, thr, _ = split(x, g, h, lam, 0.0)
             if "weight" in oracle:
                 assert feat == -1
                 continue
@@ -143,7 +152,7 @@ class TestFallbackAgainstOracles:
 
 
 class TestSplitScanBlocks:
-    """``best_split_sorted`` scans the genes in blocks under
+    """``best_split`` scans the genes in blocks under
     ``_SCAN_BYTES``; with 3 or more blocks it must pick exactly what one
     block over all genes picks."""
 
@@ -171,8 +180,7 @@ class TestSplitScanBlocks:
                                               genes_per_block):
         rng = np.random.default_rng(41)
         cases = [getattr(self, make)(rng) for _ in range(150)]
-        whole = [_kernels.best_split(x, g, h, 1.0, 0.0)
-                 for x, g, h in cases]
+        whole = [split(x, g, h, 1.0, 0.0) for x, g, h in cases]
         splits = 0
         for (x, g, h), expected in zip(cases, whole):
             m, n = x.shape
@@ -180,7 +188,7 @@ class TestSplitScanBlocks:
             monkeypatch.setattr(_kernels, "_SCAN_BYTES",
                                 8 * m * genes_per_block)
             assert -(-n // genes_per_block) >= 3
-            assert _kernels.best_split(x, g, h, 1.0, 0.0) == expected
+            assert split(x, g, h, 1.0, 0.0) == expected
             monkeypatch.undo()
             splits += expected[0] >= 0
         assert splits >= 100
