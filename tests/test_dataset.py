@@ -195,18 +195,27 @@ class TestLoadCsv:
         assert mask.tolist() == ([] if g2 == "4" else [[1, 1]])
 
 
+def write_rows(tmp_path, rows, label_column="last"):
+    """Write comma-joined ``rows`` whose label cell is last, moving it
+    first for ``label_column="first"``."""
+    if label_column == "first":
+        rows = [row[-1:] + row[:-1] for row in rows]
+    return write(tmp_path, "\n".join(map(",".join, rows)) + "\n")
+
+
 def _refuse(*args, **kwargs):
     raise ValueError("one-pass parse refused")
 
 
 def _unreachable(*args, **kwargs):
-    raise AssertionError("the row parser ran on a complete file")
+    raise AssertionError("the row parser ran on a file the numpy passes "
+                         "should read")
 
 
 class TestParsePaths:
-    """A complete file parsed in one numpy pass loads exactly as the row
-    parser loads it; the row parser is reached by making np.loadtxt
-    raise."""
+    """A file parsed by the numpy passes, complete or with gaps, loads
+    exactly as the row parser loads it; the row parser is reached by
+    making np.loadtxt raise."""
 
     VARIANTS = ["quoted_crlf_blank", "padded", "signs", "repr", "%.6g"]
 
@@ -262,6 +271,142 @@ class TestParsePaths:
         if variant == "signs":
             assert fast.values[:3, :3].diagonal().tolist() == [0.5, 1e5, 0.0]
             assert np.signbit(fast.values[2, 2])
+
+    # (row, gene column) of the gaps: two adjacent ones in the first gene
+    # columns, one in the last, an all-gap row, and two adjacent inside
+    GAPS = [(0, 0), (0, 1), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (4, 1),
+            (4, 2)]
+    LAYOUTS = ["lf", "crlf", "bom_crlf_unterminated"]
+
+    @classmethod
+    def write_gaps(cls, tmp_path, token, label_column, layout):
+        values = np.random.default_rng(6).normal(scale=50.0, size=(6, 4))
+        cells = [[repr(float(v)) for v in row] for row in values]
+        for i, j in cls.GAPS:
+            cells[i][j] = token
+        rows = [[f"g{j}" for j in range(4)] + ["label"]]
+        rows += [row + [label] for row, label in zip(cells, "bacbac")]
+        if label_column == "first":
+            rows = [row[-1:] + row[:-1] for row in rows]
+        eol = "\n" if layout == "lf" else "\r\n"
+        text = "".join(",".join(row) + eol for row in rows)
+        if layout == "bom_crlf_unterminated":
+            text = "\ufeff" + text[:-len(eol)]
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        return path
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    @pytest.mark.parametrize("token", ["NA", "", "?", "N/A", "null"])
+    def test_gap_pass_matches_row_parser(self, tmp_path, monkeypatch, token,
+                                         label_column, layout):
+        path = self.write_gaps(tmp_path, token, label_column, layout)
+        kwargs = dict(label_column=label_column,
+                      missing_token=token or "NA")
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_parse_rows", _unreachable)
+            fast, fast_mask = load_csv(path, **kwargs)
+        rows, rows_mask = self.row_parsed(monkeypatch, path, **kwargs)
+        assert fast.values.tobytes() == rows.values.tobytes()
+        assert fast.values.shape == rows.values.shape == (6, 4)
+        assert fast.labels.tolist() == rows.labels.tolist() == [0, 1, 2] * 2
+        assert fast.class_names == rows.class_names == ("b", "a", "c")
+        assert fast.gene_ids == rows.gene_ids == ("g0", "g1", "g2", "g3")
+        assert fast_mask.tolist() == rows_mask.tolist() == \
+            [list(cell) for cell in self.GAPS]
+        for mask in (fast_mask, rows_mask):
+            assert mask.dtype == np.int64 and not mask.flags.writeable
+        assert not fast.values[tuple(np.transpose(self.GAPS))].any()
+
+    @staticmethod
+    def spied(monkeypatch, path, **kwargs):
+        """load_csv's result and whether the row parser ran."""
+        calls = []
+
+        def record(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        real = data._parse_rows
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_parse_rows", record)
+            return load_csv(path, **kwargs), bool(calls)
+
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_in_a_gap_file(self, tmp_path, cell,
+                                           label_column):
+        rows = [["g1", "g2", "label"], ["NA", "2", "A"], ["3", cell, "B"]]
+        path = write_rows(tmp_path, rows, label_column)
+        with pytest.raises(ParseError, match=r"^.*data\.csv:3: non-finite "
+                                             r"cell .* in column 'g2'$"):
+            load_csv(path, label_column=label_column)
+
+    @pytest.mark.parametrize("token", ["NA", "?"])
+    def test_label_equal_to_the_token_in_a_gap_file(self, tmp_path, token):
+        path = write(tmp_path, f"g1,g2,label\n{token},2,A\n3,4,{token}\n")
+        with pytest.raises(ParseError, match=r"^.*data\.csv:3: missing "
+                                             r"class label"):
+            load_csv(path, missing_token=token)
+
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    def test_quoted_label_holding_a_gap_cell(self, tmp_path, monkeypatch,
+                                             label_column):
+        rows = [["g1", "g2", "label"], ["NA", "2", '"x,NA,y"'],
+                ["3", "", "B"]]
+        path = write_rows(tmp_path, rows, label_column)
+        (ds, mask), by_rows = self.spied(monkeypatch, path,
+                                         label_column=label_column)
+        assert ds.class_names == ("x,NA,y", "B") and by_rows
+        assert mask.tolist() == [[0, 0], [1, 1]]
+        assert ds.values.tolist() == [[0.0, 2.0], [3.0, 0.0]]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_quoted_label_across_lines_in_a_gap_file(self, tmp_path, eol):
+        text = f'g1,g2,label{eol}NA,2,"a{eol}b"{eol}3,,B{eol}'
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        ds, mask = load_csv(path)
+        assert ds.class_names == (f"a{eol}b", "B")
+        assert mask.tolist() == [[0, 0], [1, 1]]
+
+    def test_quoted_label_rewrite_with_a_nan_cell(self, tmp_path):
+        # the rewrite in the label and the literal nan would balance the
+        # count of nan cells; the class names still send the file to the
+        # row parser
+        path = write(tmp_path, 'g1,g2,label\nNA,2,"x,NA,y"\n3,nan,B\n')
+        with pytest.raises(ParseError, match=r"^.*data\.csv:3: non-finite "
+                                             r"cell nan in column 'g2'$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("cell", [" NA ", " NA", "\tNA", "  "])
+    def test_padded_gap_cell(self, tmp_path, monkeypatch, cell):
+        path = write(tmp_path, f"g1,g2,label\n1,{cell},A\nNA,4,B\n")
+        (ds, mask), by_rows = self.spied(monkeypatch, path)
+        assert mask.tolist() == [[0, 1], [1, 0]] and by_rows
+        assert ds.values.tolist() == [[1.0, 0.0], [0.0, 4.0]]
+
+    @pytest.mark.parametrize("label_column", ["last", "first"])
+    @pytest.mark.parametrize("cell, token", [
+        ("-NA", "NA"), ("+NA", "NA"), (" NA", " NA"), ("NA ", "NA ")])
+    def test_cell_that_is_not_the_token(self, tmp_path, cell, token,
+                                        label_column):
+        # "-nan" would read as a number, and a padded token is never
+        # equal to a stripped cell
+        rows = [["g1", "g2", "label"], ["1", cell, "A"], ["", "4", "B"]]
+        path = write_rows(tmp_path, rows, label_column)
+        with pytest.raises(ParseError, match=rf"^.*data\.csv:2: non-numeric "
+                                             rf"cell {re.escape(repr(cell))}$"):
+            load_csv(path, label_column=label_column, missing_token=token)
+
+    def test_numeric_missing_token_in_a_gap_file(self, tmp_path,
+                                                 monkeypatch):
+        path = write(tmp_path, "g1,g2,label\n-999,,A\n2,-999.0,B\n")
+        (ds, mask), by_rows = self.spied(monkeypatch, path,
+                                         missing_token="-999")
+        assert mask.tolist() == [[0, 0], [0, 1]] and by_rows
+        assert ds.values.tolist() == [[0.0, 0.0], [2.0, -999.0]]
 
     @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\u0663.5"])
     def test_cells_only_float_reads(self, tmp_path, cell):
