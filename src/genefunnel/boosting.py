@@ -4,8 +4,11 @@ split gains it accumulates; classification is left to the evaluation
 classifiers.
 
 Split search is exact greedy over every feature and every midpoint
-between consecutive distinct values. Per-gene importance is the total
-accepted split gain, which drives the nonzero-importance gene filter.
+between consecutive distinct values. Each tree grows on its round's row
+subsample and is applied as it grows: each leaf adds its weight to the
+score of every sample that reaches it, in the subsample or not. Per-gene
+importance is the total accepted split gain, which drives the
+nonzero-importance gene filter.
 """
 from __future__ import annotations
 
@@ -129,21 +132,26 @@ def split_gain(gl: float, hl: float, gr: float, hr: float,
 
 
 def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
+          reach: np.ndarray, raw: np.ndarray,
           xs: np.ndarray | None, order: np.ndarray | None,
           tied: np.ndarray, depth: int, params: BoostParams) -> TreeNode:
-    """Grow the subtree over ``rows`` (ascending). xs/order hold the
-    node's columns sorted by value and tied the tree's tie flags, as
-    ``_kernels.best_split`` takes them; xs/order are None when the node
-    is at max_depth."""
+    """Grow the subtree over ``rows`` (ascending) and add learning_rate *
+    leaf weight to ``raw`` at ``reach``, every sample that reaches the
+    node. xs/order hold the node's columns sorted by value and tied the
+    tree's tie flags, as ``_kernels.best_split`` takes them; xs/order are
+    None when the node is at max_depth."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
-    if depth >= params.max_depth or rows.size < 2:
-        return TreeNode(weight=leaf_weight(g_sum, h_sum, params.lam))
-    feat, thr, gain = _kernels.best_split(
-        xs, order, tied, g, h, g_sum, h_sum, params.lam, params.gamma)
-    if feat < 0:  # no split with a strictly positive gain
-        return TreeNode(weight=leaf_weight(g_sum, h_sum, params.lam))
+    feat = -1
+    if depth < params.max_depth and rows.size >= 2:
+        feat, thr, gain = _kernels.best_split(
+            xs, order, tied, g, h, g_sum, h_sum, params.lam, params.gamma)
+    if feat < 0:  # at max_depth, one row, or no strictly positive gain
+        weight = leaf_weight(g_sum, h_sum, params.lam)
+        raw[reach] += params.learning_rate * weight
+        return TreeNode(weight=weight)
     go_left = x[rows, feat] <= thr
+    reach_left = x[reach, feat] <= thr
     left_cols = right_cols = (None, None)
     if depth + 1 < params.max_depth:  # the children search for splits too
         first = np.zeros(x.shape[0], dtype=bool)
@@ -152,25 +160,12 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
         n_left = int(go_left.sum())
         left_cols = xs[:, :n_left], order[:, :n_left]
         right_cols = xs[:, n_left:], order[:, n_left:]
-    left = _grow(x, g, h, rows[go_left], *left_cols, tied, depth + 1, params)
-    right = _grow(x, g, h, rows[~go_left], *right_cols, tied, depth + 1,
-                  params)
+    left = _grow(x, g, h, rows[go_left], reach[reach_left], raw, *left_cols,
+                 tied, depth + 1, params)
+    right = _grow(x, g, h, rows[~go_left], reach[~reach_left], raw,
+                  *right_cols, tied, depth + 1, params)
     return TreeNode(feature=int(feat), threshold=float(thr), gain=float(gain),
                     left=left, right=right)
-
-
-def _tree_values(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    stack = [(node, np.arange(x.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf:
-            out[idx] = nd.weight
-        else:
-            mask = x[idx, nd.feature] <= nd.threshold
-            stack.append((nd.left, idx[mask]))
-            stack.append((nd.right, idx[~mask]))
-    return out
 
 
 def _log_odds(p: float) -> float:
@@ -200,26 +195,22 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
         n_classes = 0
     else:
         labels = targets.astype(np.int64)
-        n_classes = int(labels.max()) + 1
-        if n_classes <= 2:
-            n_classes = 2
-            y_heads = [(labels == 1).astype(np.float64)]
-            base = np.array([_log_odds(float(y_heads[0].mean()))])
-        else:
-            y_heads = [(labels == c).astype(np.float64)
-                       for c in range(n_classes)]
-            base = np.array([_log_odds(float(y.mean())) for y in y_heads])
+        n_classes = max(int(labels.max()) + 1, 2)
+        positives = [1] if n_classes == 2 else range(n_classes)
+        y_heads = [(labels == c).astype(np.float64) for c in positives]
+        base = np.array([_log_odds(float(y.mean())) for y in y_heads])
 
     raw = [np.full(m, b) for b in base]
     trees: list[list[TreeNode]] = [[] for _ in y_heads]
     rng = np.random.default_rng(params.seed)
     n_sub = max(1, int(round(params.subsample * m)))
 
+    every = np.arange(m)
     for _ in range(params.n_estimators):
         if params.subsample < 1.0:
             rows = np.sort(rng.choice(m, size=n_sub, replace=False))
         else:
-            rows = np.arange(m)
+            rows = every
         # each tree sorts its rows' columns once and flags their ties;
         # nodes split the orders and keep the flags (int32 row indices
         # halve the orders held along the tree's path)
@@ -231,9 +222,8 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
             h = np.empty(m)
             for i in rows:
                 g[i], h[i] = grad_hess(params.loss, y[i], raw[head][i])
-            tree = _grow(x, g, h, rows, xs, order, tied, 0, params)
-            trees[head].append(tree)
-            raw[head] += params.learning_rate * _tree_values(tree, x)
+            trees[head].append(_grow(x, g, h, rows, every, raw[head], xs,
+                                     order, tied, 0, params))
 
     return BoostedEnsemble(trees=trees, base_score=base, params=params,
                            n_genes=ds.n_genes, n_classes=n_classes)

@@ -225,8 +225,6 @@ def train_many(spec: ClassifierSpec, datasets) -> list[TrainedClassifier]:
     datasets = list(datasets)
     models = []
     for ds in datasets:
-        if ds.n_samples < ds.n_classes:
-            raise ValidationError("need at least one sample per class")
         if spec.kind == "knn" and spec.knn_k > ds.n_samples:
             raise ValidationError(
                 f"knn_k={spec.knn_k} exceeds {ds.n_samples} samples")

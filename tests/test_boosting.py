@@ -25,6 +25,18 @@ class TestParams:
         with pytest.raises(ConfigError):
             BoostParams(**{name: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_estimators": 0},
+        {"max_depth": 0},
+        {"subsample": 0.0},
+        {"subsample": 1.5},
+        {"loss": "hinge"},
+    ], ids=["no_trees", "depth_0", "subsample_0", "subsample_above_1",
+            "unknown_loss"])
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            BoostParams(**kwargs)
+
 
 class TestGradHess:
     def test_logistic_at_zero(self):
@@ -187,6 +199,52 @@ class TestFit:
         x[0, 0] = np.nan
         with pytest.raises(ValidationError):
             fit(make_ds(x), np.zeros(4), BoostParams(loss="squared"))
+
+    def test_targets_must_align_with_samples(self, separable_ds):
+        with pytest.raises(ValidationError, match="align"):
+            fit(separable_ds, separable_ds.labels[:-1], BoostParams())
+
+    @pytest.mark.parametrize("loss, n_classes", [
+        ("squared", 0), ("logistic", 2), ("logistic", 3)])
+    def test_each_round_fits_the_scores_of_every_earlier_tree(
+            self, loss, n_classes):
+        # a subsampled round's gradients include rows that earlier rounds
+        # left out, so each tree must reach the scores of every sample;
+        # the reference walks the earlier trees from their roots
+        rng = np.random.default_rng(40 + n_classes)
+        m, n_rounds = 12, 5
+        x = rng.normal(size=(m, 3))
+        labels = np.arange(m) % max(n_classes, 2)
+        targets = rng.normal(size=m) if loss == "squared" else labels
+        ds = Dataset(x, labels, ("g0", "g1", "g2"),
+                     tuple(f"c{c}" for c in range(max(n_classes, 2))))
+        params = BoostParams(n_estimators=n_rounds, max_depth=2,
+                             subsample=0.6, learning_rate=0.5, lam=0.5,
+                             loss=loss, seed=9)
+        model = fit(ds, targets, params)
+        assert len(model.trees) == (3 if n_classes == 3 else 1)
+        if loss == "squared":
+            y_heads = [targets]
+        elif n_classes == 2:
+            y_heads = [(labels == 1).astype(float)]
+        else:
+            y_heads = [(labels == c).astype(float) for c in range(3)]
+        draws = np.random.default_rng(params.seed)
+        for t in range(n_rounds):
+            rows = np.sort(draws.choice(m, size=round(0.6 * m),
+                                        replace=False))
+            earlier = BoostedEnsemble(
+                trees=[head[:t] for head in model.trees],
+                base_score=model.base_score, params=params, n_genes=3,
+                n_classes=model.n_classes)
+            raw = oracles.ensemble_scores(earlier, x)
+            for head, y in enumerate(y_heads):
+                g, h = np.zeros(m), np.zeros(m)
+                for i in rows:
+                    g[i], h[i] = grad_hess(loss, y[i], raw[i, head])
+                oracle = oracles.grow_tree_exhaustive(
+                    x, g, h, rows, params.max_depth, params.lam, 0.0)
+                oracles.assert_same_tree(model.trees[head][t], oracle)
 
     def test_multiclass_one_vs_rest(self):
         rng = np.random.default_rng(8)

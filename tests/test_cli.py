@@ -115,6 +115,13 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "n_neighbors" in err
 
+    def test_json_to_stdout_without_out(self, synth_csv, capsys):
+        path, _ = synth_csv
+        assert main(["rank", "--data", str(path), "--trees", "5",
+                     "--seed", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_genes"] == 40 and len(doc["ranking"]) == 40
+
     def test_missing_subcommand_exits_1(self):
         assert main([]) == 1
 
@@ -159,17 +166,20 @@ class TestSelect:
     def test_config_file_overlay(self, synth_csv, tmp_path):
         path, _ = synth_csv
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("gens=5\npop=15\ncv-k=4\ncv-rounds=1\n"
-                       "trees=15\nmax-depth=2\nsubsample=1.0\n"
-                       "classifiers=knn\n")
+        cfg.write_text("# fast settings\n\ngens=5\npop=15\ncv-k=4\n"
+                       "cv-rounds=1\n  # stage 1\ntrees=15\nmax-depth=2\n"
+                       "subsample=1.0\n\nclassifiers=knn\ntimings=true\n")
         out_file = tmp_path / "file.json"
         out_flags = tmp_path / "flags.json"
         assert main(["select", "--data", str(path), "--seed", "7",
                      "--config", str(cfg), "--out", str(out_file)]) == 0
         assert main(["select", "--data", str(path), "--seed", "7",
                      *SELECT_FAST, "--out", str(out_flags)]) == 0
-        assert (json.loads(out_file.read_text())["config"]
-                == json.loads(out_flags.read_text())["config"])
+        from_file = json.loads(out_file.read_text())
+        from_flags = json.loads(out_flags.read_text())
+        assert from_file["config"] == from_flags["config"]
+        # timings=true in the file acts as the --timings flag
+        assert "runtimes" in from_file and "runtimes" not in from_flags
         # explicit flag beats the file
         out_win = tmp_path / "win.json"
         assert main(["select", "--data", str(path), "--seed", "7",
@@ -372,6 +382,15 @@ class TestEvaluate:
                      "--classifiers", "knn", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["genes"] == [3]
 
+    def test_json_to_stdout_without_out(self, synth_csv, tmp_path, capsys):
+        path, _ = synth_csv
+        genes = tmp_path / "genes.txt"
+        genes.write_text("0\n1\n")
+        assert main(["evaluate", "--data", str(path), "--genes", str(genes),
+                     "--cv-k", "4", "--cv-rounds", "1",
+                     "--classifiers", "knn"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["genes"] == [0, 1] and list(doc["summaries"]) == ["knn"]
 
     @pytest.mark.parametrize("indices", ["0\n40\n", "[-1, 2]"])
     def test_index_outside_the_data_exits_1(self, synth_csv, tmp_path,

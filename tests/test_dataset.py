@@ -18,6 +18,21 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+class TestDatasetInvariants:
+    @pytest.mark.parametrize("values, labels, gene_ids, class_names, message", [
+        (np.zeros(4), [0, 1, 0, 1], ("g",), ("a", "b"), "2-D"),
+        (np.zeros((4, 1)), [0, 1, 0], ("g",), ("a", "b"), "label count"),
+        (np.zeros((4, 1)), [0, 1, 0, 1], ("g", "h"), ("a", "b"),
+         "2 gene ids for 1 columns"),
+        (np.zeros((4, 0)), np.zeros(4), (), (), "class name"),
+        (np.zeros((4, 1)), [0, 1, 2, 1], ("g",), ("a", "b"), "outside"),
+    ], ids=["not_2d", "label_count", "gene_id_count", "no_class_names",
+            "label_outside_classes"])
+    def test_rejected(self, values, labels, gene_ids, class_names, message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(values, np.asarray(labels), gene_ids, class_names)
+
+
 class TestLoadCsv:
     def test_first_appearance_label_mapping(self, tmp_path):
         path = write(tmp_path, "g1,g2,label\n1,2,A\n3,4,B\n5,6,A\n")
@@ -76,6 +91,31 @@ class TestLoadCsv:
         path = tmp_path / "data.csv"
         path.write_bytes(b"g1,g2,label\n1,\xff,A\n3,4,B\n")
         with pytest.raises(ParseError, match="not UTF-8"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row3, message", [
+        (b"x,4,B", r"data\.csv:3: non-numeric cell 'x'$"),
+        (b"3,4,B", r"data\.csv: not UTF-8 text$")],
+        ids=["earlier_error", "no_earlier_error"])
+    def test_not_utf8_past_the_first_block_of_a_gap_file(self, tmp_path,
+                                                         row3, message):
+        # the bad byte lies past the first 8 KiB that a text read decodes,
+        # so the row parser reaches an earlier error before it
+        good = b"1.5,2.5,A\n3.5,4.5,B\n" * 500
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"g1,g2,label\n1,,A\n" + row3 + b"\n" + good
+                         + b"5,\xff,A\n")
+        with pytest.raises(ParseError, match=message):
+            load_csv(path)
+
+    def test_label_column_must_be_first_or_last(self, tmp_path):
+        path = write(tmp_path, "g1,label\n1,A\n2,B\n")
+        with pytest.raises(ValidationError, match="'middle'"):
+            load_csv(path, label_column="middle")
+
+    def test_header_needs_a_gene_and_a_label_column(self, tmp_path):
+        path = write(tmp_path, "label\nA\nB\n")
+        with pytest.raises(ParseError, match="at least one gene column"):
             load_csv(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
@@ -768,6 +808,12 @@ class TestNormalize:
         np.testing.assert_array_equal(once.values, twice.values)
         assert once.values.min() >= 0.0 and once.values.max() <= 1.0
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, cell):
+        ds = self.make([1.0, cell, 3.0])
+        with pytest.raises(ValidationError, match="fully observed"):
+            normalize_minmax(ds)
+
     def test_stats_replay_on_heldout(self):
         rng = np.random.default_rng(3)
         train = Dataset(rng.normal(size=(8, 3)), np.array([0, 1] * 4),
@@ -852,6 +898,12 @@ class TestMakeFolds:
     def test_k_larger_than_m_rejected(self):
         with pytest.raises(ValidationError):
             make_folds([0, 1, 0], k=4, rounds=1, seed=0)
+
+    @pytest.mark.parametrize("k, rounds, message", [
+        (1, 1, "k must be >= 2"), (2, 0, "rounds must be >= 1")])
+    def test_k_below_2_or_no_rounds_rejected(self, k, rounds, message):
+        with pytest.raises(ValidationError, match=message):
+            make_folds([0, 1, 0, 1], k=k, rounds=rounds, seed=0)
 
 
 class TestProject:

@@ -108,6 +108,16 @@ class TestSynth:
                          "n_informative": 5, **kwargs})
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"protocol": "holdout"}, "unknown protocol 'holdout'"),
+    ({"cv_k": 1}, "cv_k >= 2"),
+    ({"cv_rounds": 0}, "cv_rounds >= 1"),
+], ids=["unknown_protocol", "cv_k_below_2", "no_cv_rounds"])
+def test_invalid_pipeline_config(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        PipelineConfig(**kwargs)
+
+
 @pytest.fixture(scope="module")
 def planted():
     return generate_synth(SynthSpec(m_samples=40, n_genes=60,
