@@ -134,7 +134,8 @@ def sorted_partition(xs, order, first):
     """Stably move the rows flagged in ``first`` to the front of each
     feature's sorted columns, so both parts stay sorted.
 
-    xs, order: as for ``best_split``; first: bool per row index.
+    xs, order: as for ``best_split``; first: bool per row index, read
+    only at the rows that ``order`` holds.
     Returns the reordered (xs, order).
     """
     n, m = order.shape

@@ -150,13 +150,12 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
         weight = leaf_weight(g_sum, h_sum, params.lam)
         raw[reach] += params.learning_rate * weight
         return TreeNode(weight=weight)
-    go_left = x[rows, feat] <= thr
-    reach_left = x[reach, feat] <= thr
+    on_left = x[:, feat] <= thr  # every sample's side of the split
+    go_left = on_left[rows]
+    reach_left = on_left[reach]
     left_cols = right_cols = (None, None)
     if depth + 1 < params.max_depth:  # the children search for splits too
-        first = np.zeros(x.shape[0], dtype=bool)
-        first[rows[go_left]] = True
-        xs, order = _kernels.sorted_partition(xs, order, first)
+        xs, order = _kernels.sorted_partition(xs, order, on_left)
         n_left = int(go_left.sum())
         left_cols = xs[:, :n_left], order[:, :n_left]
         right_cols = xs[:, n_left:], order[:, n_left:]

@@ -168,7 +168,8 @@ def _build(cls, args, **values):
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
-    """The config that ``rank``, ``select`` and ``trace`` run under."""
+    """The config of ``rank``, ``select``, ``evaluate`` and ``trace``, which
+    build it before they read the data file, so a bad flag fails first."""
     values = {}
     if hasattr(args, "classifiers"):
         values["eval_classifiers"] = _eval_specs(args)
@@ -275,8 +276,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    params = _pipeline_config(args).boost
     ds = _load_prepared(args)
-    model = boosting.fit(ds, ds.labels, _pipeline_config(args).boost)
+    model = boosting.fit(ds, ds.labels, params)
     report = boosting.importances(model)
     doc = {
         "dataset_name": ds.name,
@@ -341,6 +343,7 @@ def _read_gene_subset(path) -> list:
 
 
 def _cmd_evaluate(args) -> int:
+    cfg = _pipeline_config(args)
     ds = _load_prepared(args)
     subset = sorted(set(_read_gene_subset(args.genes)))
     if not subset:
@@ -350,11 +353,10 @@ def _cmd_evaluate(args) -> int:
             raise GeneFunnelError(
                 f"{args.genes}: gene index {index} is outside "
                 f"0..{ds.n_genes - 1} ({ds.name} has {ds.n_genes} genes)")
-    plan = make_folds(ds.labels, args.cv_k, args.cv_rounds, args.seed)
-    specs = _eval_specs(args)
+    plan = make_folds(ds.labels, cfg.cv_k, cfg.cv_rounds, cfg.seed)
     splits, skipped = fold_splits(project(ds, subset), plan)
-    summaries = {spec.kind: score_splits(spec, splits, skipped).as_dict()
-                 for spec in specs}
+    summaries = {spec.kind: dataclasses.asdict(
+        score_splits(spec, splits, skipped)) for spec in cfg.eval_classifiers}
     doc = {"schema_version": pipeline.SCHEMA_VERSION, "dataset_name": ds.name,
            "genes": subset, "summaries": summaries}
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)

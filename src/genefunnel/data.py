@@ -85,9 +85,7 @@ class FoldPlan:
     a read-only (rounds, M) int64 array."""
 
     k: int
-    rounds: int
     fold_of: np.ndarray
-    seed: int
 
     def splits(self):
         """Yield (round_idx, fold_idx, train_indices, test_indices)."""
@@ -529,7 +527,7 @@ def make_folds(labels, k: int, rounds: int, seed: int) -> FoldPlan:
             fold_of[r, members] = (assigned + np.arange(members.size)) % k
             assigned += members.size
     fold_of.setflags(write=False)
-    return FoldPlan(k=k, rounds=rounds, fold_of=fold_of, seed=seed)
+    return FoldPlan(k=k, fold_of=fold_of)
 
 
 def training_fold(ds: Dataset, rows) -> Dataset | None:

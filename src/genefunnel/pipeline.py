@@ -262,9 +262,9 @@ def _report_fields() -> list:
 
 
 def report_to_dict(report: PipelineReport, include_timings: bool = True) -> dict:
-    doc = {name: getattr(report, name) for name in _report_fields()}
-    doc.update(schema_version=SCHEMA_VERSION, n_stage1=report.n_stage1,
-               summaries={k: v.as_dict() for k, v in report.summaries.items()})
+    doc = dataclasses.asdict(report)
+    del doc["ga_trace"]
+    doc.update(schema_version=SCHEMA_VERSION, n_stage1=report.n_stage1)
     if not include_timings:
         del doc["runtimes"]
     return doc

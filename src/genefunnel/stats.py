@@ -3,12 +3,13 @@ Wilcoxon signed-rank test.
 
 Precision/recall/F are computed one-vs-rest per class and macro-averaged
 (unweighted class mean), for binary data as well. A class with a zero
-denominator contributes 0.
+denominator contributes 0. The records serialize through
+``dataclasses.asdict``, and ``METRIC_NAMES`` are ``MetricReport``'s fields.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "wilcoxon_signed_rank",
 ]
 
-METRIC_NAMES = ("accuracy", "macro_precision", "macro_recall", "macro_f_score")
 EXACT_LIMIT = 25
 
 
@@ -50,8 +50,8 @@ class MetricReport:
     macro_recall: float
     macro_f_score: float
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricReport))
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,6 @@ class CvSummary:
     means: dict                  # metric name -> mean over folds
     stds: dict                   # metric name -> population std
     skipped_folds: tuple = ()    # (round, fold) pairs lacking a class in train
-
-    def as_dict(self) -> dict:
-        return {
-            "means": self.means,
-            "stds": self.stds,
-            "fold_results": [r.as_dict() for r in self.fold_results],
-            "skipped_folds": [list(p) for p in self.skipped_folds],
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "CvSummary":
@@ -110,23 +102,21 @@ def metrics(cm: ConfusionMatrix) -> MetricReport:
     if total == 0:
         raise ValidationError("empty confusion matrix")
     accuracy = float(np.trace(counts) / total)
-    precisions, recalls, f_scores = [], [], []
-    for k in range(counts.shape[0]):
-        tp = counts[k, k]
-        fp = counts[:, k].sum() - tp
-        fn = counts[k, :].sum() - tp
-        p = tp / (tp + fp) if tp + fp > 0 else 0.0
-        r = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f_scores.append(f)
+    tp = np.diag(counts)
+    p = _ratio(tp, counts.sum(axis=0))
+    r = _ratio(tp, counts.sum(axis=1))
+    f = _ratio(2.0 * p * r, p + r)
     return MetricReport(
         accuracy=accuracy,
-        macro_precision=float(np.mean(precisions)),
-        macro_recall=float(np.mean(recalls)),
-        macro_f_score=float(np.mean(f_scores)),
+        macro_precision=float(np.mean(p)),
+        macro_recall=float(np.mean(r)),
+        macro_f_score=float(np.mean(f)),
     )
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den per class, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
 
 
 def score_split(train_ds: Dataset, test_ds: Dataset,

@@ -493,12 +493,24 @@ class TestBadNumbers:
         ["select", "--data", "{data}", "--eta", "inf", "--out", "{out}"],
         ["rank", "--data", "{data}", "--gamma", "nan", "--out", "{out}"],
         ["synth", "--out", "{out}", "--sigma", "nan"],
+        # each command checks its flags before it reads the data file,
+        # which would exit 2 here
+        ["rank", "--data", "{missing}", "--eta", "inf", "--out", "{out}"],
+        ["select", "--data", "{missing}", "--eta", "inf", "--out", "{out}"],
+        ["evaluate", "--data", "{missing}", "--genes", "{out}",
+         "--classifiers", ","],
+        ["evaluate", "--data", "{missing}", "--genes", "{out}",
+         "--cv-k", "1"],
+        ["trace", "--data", "{missing}", "--trace-out", "{out}",
+         "--eta", "inf"],
     ], ids=["synth_seed", "rank_seed", "select_seed", "evaluate_seed",
             "trace_seed", "select_trees_not_int", "compare_metric",
             "compare_alpha_above_1", "compare_alpha_negative",
             "synth_informative", "synth_sigma", "synth_no_genes",
             "rank_lambda_nan", "select_eta_inf", "rank_gamma_nan",
-            "synth_sigma_nan"])
+            "synth_sigma_nan", "rank_eta_inf_no_data",
+            "select_eta_inf_no_data", "evaluate_classifiers_no_data",
+            "evaluate_cv_k_no_data", "trace_eta_inf_no_data"])
     def test_exits_1_with_one_line(self, synth_csv, report_doc, tmp_path,
                                    capsys, argv):
         for d in ("a", "b"):
@@ -508,7 +520,8 @@ class TestBadNumbers:
                 (tmp_path / d / f"r{i}.json").write_text(json.dumps(doc))
         out = tmp_path / "out"
         argv = [arg.format(data=synth_csv[0], out=out, a=tmp_path / "a",
-                           b=tmp_path / "b") for arg in argv]
+                           b=tmp_path / "b", missing=tmp_path / "missing.csv")
+                for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from genefunnel import boosting, classifiers, data, ga, pipeline, stats
 from genefunnel.classifiers import ClassifierSpec
+from genefunnel.cli import main
 from genefunnel.data import Dataset, impute_knn, make_folds, project
 from genefunnel.errors import PipelineError, ValidationError
 from genefunnel.pipeline import (PipelineConfig, SynthSpec, generate_synth,
@@ -261,7 +263,48 @@ class TestNestedEvaluation:
                 for n in METRIC_NAMES}
 
 
+# two scored folds that hold out only class-A rows and predict them all
+# right (class B scores 0 precision and recall), and one skipped fold
+SUMMARY_LAYOUT = {
+    "means": {"accuracy": 1.0, "macro_precision": 0.5, "macro_recall": 0.5,
+              "macro_f_score": 0.5},
+    "stds": dict.fromkeys(METRIC_NAMES, 0.0),
+    "fold_results": [{"accuracy": 1.0, "macro_precision": 0.5,
+                      "macro_recall": 0.5, "macro_f_score": 0.5}] * 2,
+    "skipped_folds": [[0, 0]],
+}
+
+
 class TestSerialization:
+
+    def test_summary_layout_that_compare_reads(self):
+        fold = stats.MetricReport(accuracy=1.0, macro_precision=0.5,
+                                  macro_recall=0.5, macro_f_score=0.5)
+        summary = stats.CvSummary(
+            fold_results=(fold, fold), means=dataclasses.asdict(fold),
+            stds=dict.fromkeys(METRIC_NAMES, 0.0), skipped_folds=((0, 0),))
+        report = pipeline.PipelineReport(
+            dataset_name="d", n_samples=7, n_genes=1, stage1_genes=[0],
+            stage1_ids=["g1"], stage1_gains=[1.0], final_genes=[0],
+            final_ids=["g1"], summaries={"knn": summary}, runtimes={},
+            config={}, protocol="paper", seed=0)
+        doc = json.loads(report_to_json(report))
+        assert doc["summaries"] == {"knn": SUMMARY_LAYOUT}
+
+    def test_evaluate_result_has_the_report_summary_layout(self, tmp_path):
+        # class B's one sample lands in fold 0, whose training rows then
+        # miss it; the knn vote of the other folds' 5 training rows is A
+        data = tmp_path / "d.csv"
+        data.write_text("g1,label\n" + "".join(
+            f"{v},{c}\n" for v, c in zip(range(7), "AAAAAAB")))
+        genes = tmp_path / "genes.json"
+        genes.write_text("[0]")
+        out = tmp_path / "eval.json"
+        assert main(["evaluate", "--data", str(data), "--genes", str(genes),
+                     "--cv-k", "3", "--cv-rounds", "1", "--classifiers",
+                     "knn", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["summaries"] == {"knn": SUMMARY_LAYOUT}
 
     def test_json_round_trip_byte_stable(self, small_report):
         text = report_to_json(small_report)
@@ -284,7 +327,6 @@ class TestSerialization:
         assert '"runtimes"' not in without
 
     def test_schema_version_enforced(self, small_report):
-        import json
         doc = json.loads(report_to_json(small_report))
         doc["schema_version"] = 99
         with pytest.raises(ValidationError):

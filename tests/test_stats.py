@@ -7,9 +7,9 @@ from scipy import stats as sps
 from genefunnel.classifiers import ClassifierSpec, predict, train
 from genefunnel.data import Dataset, make_folds, project
 from genefunnel.errors import ValidationError
-from genefunnel.stats import (ConfusionMatrix, confusion, cross_validate,
-                              fold_splits, metrics, score_split,
-                              wilcoxon_signed_rank)
+from genefunnel.stats import (METRIC_NAMES, ConfusionMatrix, CvSummary,
+                              confusion, cross_validate, fold_splits, metrics,
+                              score_split, wilcoxon_signed_rank)
 
 
 def make_ds(x, labels):
@@ -172,25 +172,25 @@ class TestCrossValidate:
 
 
 def per_fold_summary(ds, subset, spec, plan):
-    """CvSummary.as_dict() of a plain loop: one train/predict per fold."""
+    """The CvSummary of a plain loop: one train/predict per fold."""
     sub = project(ds, subset)
     results, skipped = [], []
     for r, f, train_idx, test_idx in plan.splits():
         if np.unique(sub.labels[train_idx]).size != sub.n_classes:
-            skipped.append([r, f])
+            skipped.append((r, f))
             continue
         model = train(spec, Dataset(sub.values[train_idx],
                                     sub.labels[train_idx], sub.gene_ids,
                                     sub.class_names))
         results.append(metrics(confusion(sub.labels[test_idx],
                                          predict(model, sub.values[test_idx]),
-                                         sub.n_classes)).as_dict())
-    names = results[0].keys()
-    return {"fold_results": results, "skipped_folds": skipped,
-            "means": {n: float(np.mean([x[n] for x in results]))
-                      for n in names},
-            "stds": {n: float(np.std([x[n] for x in results]))
-                     for n in names}}
+                                         sub.n_classes)))
+    return CvSummary(
+        fold_results=tuple(results), skipped_folds=tuple(skipped),
+        means={n: float(np.mean([getattr(x, n) for x in results]))
+               for n in METRIC_NAMES},
+        stds={n: float(np.std([getattr(x, n) for x in results]))
+              for n in METRIC_NAMES})
 
 
 class TestCrossValidateBatched:
@@ -207,8 +207,7 @@ class TestCrossValidateBatched:
         plan = make_folds(labels, k=5, rounds=2, seed=3)
         spec = ClassifierSpec(kind=kind, svm_epochs=20, knn_k=3, seed=1)
         summary = cross_validate((0, 2, 5), ds, spec, plan)
-        assert summary.as_dict() == per_fold_summary(ds, (0, 2, 5), spec,
-                                                     plan)
+        assert summary == per_fold_summary(ds, (0, 2, 5), spec, plan)
 
     def test_skipped_folds_match_per_fold_loop(self):
         labels = np.array([0] * 8 + [1] + [2] * 6)
@@ -218,7 +217,7 @@ class TestCrossValidateBatched:
         spec = ClassifierSpec(kind="linear_svm", svm_epochs=10)
         summary = cross_validate((0, 1), ds, spec, plan)
         assert summary.skipped_folds
-        assert summary.as_dict() == per_fold_summary(ds, (0, 1), spec, plan)
+        assert summary == per_fold_summary(ds, (0, 1), spec, plan)
 
 
 class TestFoldSplits:
