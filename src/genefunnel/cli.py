@@ -54,6 +54,18 @@ def _seed(text):
         f"expected a non-negative integer, got {text!r}")
 
 
+def _alpha(text):
+    """argparse type of ``compare --alpha``: a number in (0, 1)."""
+    try:
+        value = float(text)
+        if 0.0 < value < 1.0:  # false for nan
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a number in (0, 1), got {text!r}")
+
+
 def _field_flags(cls, flags) -> argparse.ArgumentParser:
     """A parent parser of ``flags``, each mapped to the field of config
     dataclass ``cls`` it sets. A flag stores its value under the field's
@@ -133,7 +145,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="Wilcoxon test over two report sets")
     p.add_argument("--a", required=True, help="directory of report JSON files")
     p.add_argument("--b", required=True, help="directory of report JSON files")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--metric", choices=METRIC_NAMES, default="accuracy")
     p.add_argument("--classifier", default=None,
                    help="classifier kind to compare (default: the first "
@@ -153,7 +165,6 @@ def build_parser() -> _Parser:
 def _load_prepared(args):
     ds, mask = load_csv(args.data, label_column=args.label_column,
                         missing_token=args.missing_token)
-    # impute_knn validates n_neighbors even when no cell is missing
     ds = impute_knn(ds, mask, n_neighbors=args.impute_neighbors)
     return normalize_minmax(ds)
 

@@ -62,6 +62,10 @@ class PipelineConfig:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if self.cv_k < 2 or self.cv_rounds < 1:
             raise ValidationError("cv_k >= 2 and cv_rounds >= 1 required")
+        if self.impute_neighbors < 1:
+            raise ValidationError(f"impute_neighbors (the imputer's "
+                                  f"n_neighbors) must be >= 1, got "
+                                  f"{self.impute_neighbors}")
 
 
 @dataclass

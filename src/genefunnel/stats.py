@@ -77,7 +77,6 @@ class WilcoxonResult:
     p_value: float
     n_effective: int
     method: str       # "exact" or "normal_approx"
-    zero_policy: str  # "discard" or "pratt"
     alpha: float
     significant: bool
     degenerate: bool = False
@@ -210,16 +209,13 @@ def _exact_two_sided_p(ranks: np.ndarray, w: float) -> float:
     return min(1.0, (lower + upper) / n_assignments)
 
 
-def wilcoxon_signed_rank(x, y, zero_policy: str = "discard",
-                         alpha: float = 0.05) -> WilcoxonResult:
+def wilcoxon_signed_rank(x, y, alpha: float = 0.05) -> WilcoxonResult:
     """Paired two-sided Wilcoxon signed-rank test.
 
     W = min(W+, W-). Exact enumeration whenever the number of nonzero
     differences is <= 25, else a normal approximation with tie-aware
     variance and continuity correction.
     """
-    if zero_policy not in ("discard", "pratt"):
-        raise ValidationError(f"unknown zero_policy {zero_policy!r}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0, 1), got {alpha}")
     x = np.asarray(x, dtype=np.float64)
@@ -229,18 +225,15 @@ def wilcoxon_signed_rank(x, y, zero_policy: str = "discard",
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValidationError("paired samples must be finite numbers")
     d = x - y
-    if zero_policy == "discard":
-        d = d[d != 0.0]
-    # pratt ranks the zeros with the rest, then drops them
-    keep = d != 0.0
-    nonzero_ranks = _midranks(np.abs(d))[keep]
-    signs = np.sign(d[keep])
+    d = d[d != 0.0]  # zero differences are discarded before ranking
+    nonzero_ranks = _midranks(np.abs(d))
+    signs = np.sign(d)
 
     n_eff = int(signs.size)
     if n_eff == 0:
         return WilcoxonResult(w_statistic=0.0, p_value=1.0, n_effective=0,
-                              method="exact", zero_policy=zero_policy,
-                              alpha=alpha, significant=False, degenerate=True)
+                              method="exact", alpha=alpha,
+                              significant=False, degenerate=True)
 
     w_plus = float(nonzero_ranks[signs > 0].sum())
     w_minus = float(nonzero_ranks[signs < 0].sum())
@@ -257,5 +250,5 @@ def wilcoxon_signed_rank(x, y, zero_policy: str = "discard",
         method = "normal_approx"
 
     return WilcoxonResult(w_statistic=w, p_value=p, n_effective=n_eff,
-                          method=method, zero_policy=zero_policy, alpha=alpha,
+                          method=method, alpha=alpha,
                           significant=bool(p < alpha), degenerate=False)

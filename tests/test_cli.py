@@ -503,6 +503,16 @@ class TestBadNumbers:
          "--cv-k", "1"],
         ["trace", "--data", "{missing}", "--trace-out", "{out}",
          "--eta", "inf"],
+        ["rank", "--data", "{missing}", "--impute-neighbors", "0",
+         "--out", "{out}"],
+        ["select", "--data", "{missing}", "--impute-neighbors", "0",
+         "--out", "{out}"],
+        ["evaluate", "--data", "{missing}", "--genes", "{out}",
+         "--impute-neighbors", "0"],
+        ["trace", "--data", "{missing}", "--trace-out", "{out}",
+         "--impute-neighbors", "0"],
+        # compare checks --alpha before it reads the directories
+        ["compare", "--a", "{missing}", "--b", "{missing}", "--alpha", "7"],
     ], ids=["synth_seed", "rank_seed", "select_seed", "evaluate_seed",
             "trace_seed", "select_trees_not_int", "compare_metric",
             "compare_alpha_above_1", "compare_alpha_negative",
@@ -510,7 +520,10 @@ class TestBadNumbers:
             "rank_lambda_nan", "select_eta_inf", "rank_gamma_nan",
             "synth_sigma_nan", "rank_eta_inf_no_data",
             "select_eta_inf_no_data", "evaluate_classifiers_no_data",
-            "evaluate_cv_k_no_data", "trace_eta_inf_no_data"])
+            "evaluate_cv_k_no_data", "trace_eta_inf_no_data",
+            "rank_impute_neighbors_no_data", "select_impute_neighbors_no_data",
+            "evaluate_impute_neighbors_no_data",
+            "trace_impute_neighbors_no_data", "compare_alpha_no_reports"])
     def test_exits_1_with_one_line(self, synth_csv, report_doc, tmp_path,
                                    capsys, argv):
         for d in ("a", "b"):

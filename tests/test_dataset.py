@@ -374,6 +374,27 @@ class TestParsePaths:
             return load_csv(path, **kwargs), bool(calls)
 
     @pytest.mark.parametrize("label_column", ["last", "first"])
+    def test_quoted_gap_cells_match_the_gap_pass(self, tmp_path, monkeypatch,
+                                                 label_column):
+        twin = self.write_gaps(tmp_path, "NA", label_column, "lf")
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_parse_rows", _unreachable)
+            fast, fast_mask = load_csv(twin, label_column=label_column)
+        quotes = iter(['"NA"', '""', '" NA "'] * 3)  # one per gap
+        quoted = write(tmp_path, "\n".join(
+            ",".join(next(quotes) if cell == "NA" else cell
+                     for cell in line.split(","))
+            for line in twin.read_text().split("\n")), name="quoted.csv")
+        (rows, rows_mask), by_rows = self.spied(
+            monkeypatch, quoted, label_column=label_column)
+        assert by_rows and next(quotes, None) is None
+        assert fast.values.tobytes() == rows.values.tobytes()
+        assert fast.labels.tolist() == rows.labels.tolist() == [0, 1, 2] * 2
+        assert fast.class_names == rows.class_names == ("b", "a", "c")
+        assert fast_mask.tolist() == rows_mask.tolist() == \
+            [list(cell) for cell in self.GAPS]
+
+    @pytest.mark.parametrize("label_column", ["last", "first"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_cell_in_a_gap_file(self, tmp_path, cell,
                                            label_column):

@@ -114,7 +114,9 @@ class TestSynth:
     ({"protocol": "holdout"}, "unknown protocol 'holdout'"),
     ({"cv_k": 1}, "cv_k >= 2"),
     ({"cv_rounds": 0}, "cv_rounds >= 1"),
-], ids=["unknown_protocol", "cv_k_below_2", "no_cv_rounds"])
+    ({"impute_neighbors": 0}, r"n_neighbors\) must be >= 1, got 0"),
+], ids=["unknown_protocol", "cv_k_below_2", "no_cv_rounds",
+        "no_impute_neighbors"])
 def test_invalid_pipeline_config(kwargs, message):
     with pytest.raises(ValidationError, match=message):
         PipelineConfig(**kwargs)
