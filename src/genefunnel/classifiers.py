@@ -1,10 +1,8 @@
 """Evaluation and fitness classifiers: KNN, Gaussian naive Bayes, and a
-linear SVM trained by seeded stochastic subgradient descent on the hinge
-loss. All three sit behind one train/predict interface; ``train_many``
-trains the models of many training sets at once, and ``train`` is its
-one-set case. ``_pegasos`` takes the training sets and trains the SVMs
-of all their heads, whatever their gene counts, in one lockstep pass,
-drawing every visit order once per call.
+linear SVM trained to the optimum of the squared hinge by batched Newton
+steps. All three sit behind one train/predict interface; ``train_many``
+trains the models of many training sets at once (the SVM heads of one
+(rows, genes) shape batched together), and ``train`` is its one-set case.
 """
 from __future__ import annotations
 
@@ -25,12 +23,13 @@ KINDS = ("knn", "gaussian_nb", "linear_svm")
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """``svm_epochs`` caps the Newton steps of each linear SVM head; fits
+    on the gated benchmark workloads converge in 4-5 steps."""
     kind: str = "knn"
     knn_k: int = 5
     svm_c: float = 1.0
     svm_epochs: int = 200
     nb_var_smoothing: float = 1e-9
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -63,153 +62,96 @@ class TrainedClassifier:
     biases: np.ndarray | None = None
 
 
-# Bytes that one lockstep chunk of ``_pegasos`` spends on its per-step
-# arrays: the gathered sample rows, the shrink factors and the update
-# vectors, (P, Nmax + 1) each, plus a few (P,) vectors (rows, targets,
-# step sizes). The buffers are allocated once per call and refilled by
-# every chunk; a chunk holds at least one step. The visit table sits
-# outside this budget at (max steps) x keys x 8 bytes: 86 KB on the
-# paper-60x500 benchmark workload, 41 KB on nested-4class, about 0.96 MB
-# for a 4-class 10x10 CV at 75 rows and 200 epochs.
-_CHUNK_BYTES = 128 << 10
+# Bytes of one Newton batch per problem: its rows with the bias column,
+# their copy with the inactive rows zeroed, and its k x k Newton system,
+# k = min(rows, genes + 1). Each head copies its set's rows: a 4-class
+# 10x10 CV at 273 genes and 75 rows would copy about 65 MB in one batch.
+_BATCH_BYTES = 4 << 20
+_HALVINGS = 30  # per step, before a problem stops as unable to descend
 
 
-def _pegasos(spec: ClassifierSpec, datasets: list) -> list[tuple]:
-    """Pegasos-style primal hinge descent for the linear SVMs of many
-    training sets of any gene counts, trained in one lockstep pass;
-    returns each set's (weights (H, N), biases (H,)).
+def _fit_svms(spec: ClassifierSpec, datasets: list, models: list):
+    """Fill each model's linear SVM: one head for binary data (y = +1 for
+    class 1), one one-vs-rest head per class otherwise. The heads of all
+    sets of one (rows, genes) shape go through ``_newton`` in batches of
+    at most ``_BATCH_BYTES``, so no batch needs padding."""
+    shapes = {}
+    for q, model in enumerate(models):
+        h = 1 if model.n_classes == 2 else model.n_classes
+        model.weights, model.biases = np.empty((h, model.n_genes)), np.empty(h)
+        shapes.setdefault(datasets[q].values.shape, []).extend(
+            (q, head) for head in range(h))
+    for (m, n), problems in shapes.items():
+        size = max(1, _BATCH_BYTES
+                   // (8 * (2 * m * (n + 1) + min(m, n + 1) ** 2)))
+        for lo in range(0, len(problems), size):
+            batch = problems[lo:lo + size]
+            x = np.ones((len(batch), m, n + 1))
+            y = np.empty((len(batch), m))
+            for b, (q, head) in enumerate(batch):
+                x[b, :, :n] = datasets[q].values
+                positive = 1 if models[q].n_classes == 2 else head
+                y[b] = np.where(datasets[q].labels == positive, 1.0, -1.0)
+            for (q, head), w in zip(batch, _newton(x, y, spec.svm_c,
+                                                   spec.svm_epochs)):
+                models[q].weights[head], models[q].biases[head] = w[:n], w[n]
 
-    A set has one head for binary data (y = +1 for class 1) and one
-    one-vs-rest head per class otherwise (y = +1 for class h); each head
-    of each set is one binary problem. Objective (per sample): lam/2*||w||^2
-    + mean hinge, with lam = 1/(svm_c * M), i.e. hinge sum +
-    ||w||^2/(2*svm_c) overall. Bias is unregularized. Each epoch visits
-    the samples in the order of one ``permutation(M)`` of
-    ``default_rng([spec.seed, head])``; problems of one head and one
-    training size share that order, so each (head, size) key draws all
-    its epochs' orders once per call into one (max steps, keys) visit
-    table, which holds sample 0 after the key's last step.
 
-    The weights of all problems sit in one zero-padded (P, Nmax + 1)
-    matrix, bias in the last column, with the problems of one width in
-    one contiguous block of rows; the sample rows of all training sets
-    are stacked once in the same layout, with 1.0 in the bias column.
-    The steps run in chunks. A chunk gathers its steps' sample rows into
-    buffers allocated once per call and turns them into shrink factors
-    and update vectors (one multiply by eta*y gives the weight and the
-    bias steps). Step t is then one numpy pass: one ``vecdot`` per width
-    block gives that block's margins through the same BLAS dot as
-    ``x @ w`` (it never reads the padding), then w shrinks by 1 - eta*lam
-    and takes the hinge step where the margin is below 1. Every
-    operation is the one-problem algorithm's, in its order, so each
-    problem gets the bits it gets when trained alone. A problem that has
-    run all its steps takes exact no-op steps until the longest ends:
-    shrink 1.0 and update -0.0 (``x + -0.0`` is ``x``, -0.0 included).
+def _objective(w, margins, c):
+    return (0.5 * np.vecdot(w, w)
+            + c * np.sum(np.maximum(1.0 - margins, 0.0) ** 2, axis=1))
+
+
+def _newton(x, y, c: float, max_steps: int) -> np.ndarray:
+    """Minimize 1/2 ||w||^2 + c * sum(max(0, 1 - y * (x @ w))^2) for each
+    problem of a batch, x (P, M, D) and y (P, M) in +-1; returns w (P, D).
+    x ends in a constant-1 column, so the bias is regularized (LIBLINEAR's
+    convention, Fan et al., JMLR 2008) and every system is positive
+    definite. Finite Newton steps (Keerthi & DeCoste, JMLR 2005) from
+    w = 0: solve for the minimizer with the active rows S (margin below 1)
+    as hinge rows, (X_S'X_S + I/2c) w = X_S'y_S, or the dual form
+    w = X_S'(X_S X_S' + I/2c)^-1 y_S when D > M. If S is that minimizer's
+    own active set, it is the optimum and the problem stops; otherwise
+    the step halves from 1 until the Armijo rule holds, and a problem
+    that cannot descend stops. Step sizes and stops are per problem, and
+    the batched matmul and solve act on each problem's matrices alone, so
+    each problem gets the bits it gets alone.
     """
-    heads = [1 if ds.n_classes == 2 else ds.n_classes for ds in datasets]
-    # (set, head) problems, in contiguous row blocks of one width each
-    problems = sorted(((q, head) for q, h in enumerate(heads)
-                       for head in range(h)),
-                      key=lambda qh: datasets[qh[0]].n_genes)
-    fitted = [(np.empty((h, ds.n_genes)), np.empty(h))
-              for ds, h in zip(datasets, heads)]
-    if not problems:
-        return fitted
-    epochs = spec.svm_epochs
-    n_problems = len(problems)
-    widths = [datasets[q].n_genes for q, _ in problems]
-    n_max = widths[-1]
-    # the rows of every training set, stacked once, zero-padded, with 1.0
-    # in the bias column
-    starts = np.cumsum([0] + [ds.n_samples for ds in datasets])
-    xa = np.zeros((int(starts[-1]), n_max + 1))
-    xa[:, n_max] = 1.0
-    for ds, start in zip(datasets, starts):
-        xa[start:start + ds.n_samples, :ds.n_genes] = ds.values
-    # sign[r, c]: the target of row r when class c is the positive one
-    labels_all = np.concatenate([ds.labels for ds in datasets])
-    n_classes = max(ds.n_classes for ds in datasets)
-    sign = np.where(labels_all[:, None] == np.arange(n_classes), 1.0, -1.0)
-
-    sizes = [datasets[q].n_samples for q, _ in problems]
-    steps = epochs * np.array(sizes)
-    offset = starts[[q for q, _ in problems]]
-    positive = np.array([1 if datasets[q].n_classes == 2 else head
-                         for q, head in problems])
-    lam = np.array([1.0 / (spec.svm_c * m) for m in sizes])
-    total = int(steps.max())
-    # problems of one head and one size share their visit order; a key's
-    # column holds sample 0 after its last step
-    keys = {}
-    key_of = np.array([keys.setdefault((head, m), len(keys))
-                       for (_, head), m in zip(problems, sizes)])
-    visits = np.zeros((total, len(keys)), dtype=np.int64)
-    for key, (head, m) in enumerate(keys):
-        rng = np.random.default_rng([spec.seed, head])
-        for epoch in range(epochs):
-            visits[epoch * m:(epoch + 1) * m, key] = rng.permutation(m)
-
-    # each row is one problem's weights with its bias in the last column:
-    # the shrink multiplies the bias by 1.0 and the hinge step adds eta*y
-    # to it, both exact, so one masked add updates both
-    wb = np.zeros((n_problems, n_max + 1))
-    bias = wb[:, n_max]
-    bounds = [0] + [p for p in range(1, n_problems)
-                    if widths[p] != widths[p - 1]] + [n_problems]
-    blocks = [(lo, hi, widths[lo]) for lo, hi in zip(bounds, bounds[1:])]
-
-    chunk = min(total, max(1, _CHUNK_BYTES
-                           // (8 * n_problems * (3 * n_max + 8))))
-    # per-chunk buffers, refilled in place; full (steps, problems,
-    # Nmax + 1) shapes, since an in-place multiply by a broadcast column
-    # takes numpy's slower strided loop. The shrink factor of the bias
-    # column stays 1.0.
-    rows = np.empty((chunk, n_problems), dtype=np.int64)
-    y = np.empty((chunk, n_problems))
-    x = np.empty((chunk, n_problems, n_max + 1))
-    shrink = np.ones((chunk, n_problems, n_max + 1))
-    update = np.empty((chunk, n_problems, n_max + 1))
-    # a step writes into these and allocates nothing; the margins are
-    # 1-D, where numpy's strided loops are faster than on (P, 1) views
-    dot = np.empty(n_problems)
-    margin = np.empty(n_problems)
-    hit = np.empty(n_problems, dtype=bool)
-    hit_col = hit[:, None]
-    # every view a step reads, made once per call: per width block the
-    # weights, the sample rows and the margins, then the targets, shrink
-    # factors and updates of all problems
-    step_views = [([(wb[lo:hi, :w], x[t, lo:hi, :w], dot[lo:hi])
-                    for lo, hi, w in blocks], y[t], shrink[t], update[t])
-                  for t in range(chunk)]
-    finish = int(steps.min())
-    for s0 in range(0, total, chunk):
-        n = min(chunk, total - s0)
-        np.add(offset, visits[s0:s0 + n, key_of], rows[:n])
-        # every row index is in range; unlike the default 'raise', 'clip'
-        # writes straight into the buffer instead of through a temporary
-        np.take(xa, rows[:n], axis=0, out=x[:n], mode="clip")
-        y[:n] = sign[rows[:n], positive]
-        eta = 1.0 / (lam * np.arange(s0 + 1.0, s0 + n + 1.0)[:, None])
-        shrink[:n, :, :n_max] = (1.0 - eta * lam)[..., None]
-        eta *= y[:n]
-        # x * (eta*y); the 1.0 bias column turns into the bias step eta*y
-        np.multiply(x[:n], eta[..., None], update[:n])
-        if s0 + n > finish:  # some problem has run all its steps
-            done = np.arange(s0, s0 + n)[:, None] >= steps
-            shrink[:n][done] = 1.0
-            update[:n][done] = -0.0
-        for block_views, yc, sc, uc in step_views[:n]:
-            for w_b, x_b, dot_b in block_views:
-                np.vecdot(w_b, x_b, out=dot_b)
-            np.add(dot, bias, margin)
-            np.multiply(margin, yc, margin)
-            np.less(margin, 1.0, hit)
-            np.multiply(wb, sc, wb)
-            np.add(wb, uc, wb, where=hit_col)
-    for row, (q, head) in enumerate(problems):
-        weights, biases = fitted[q]
-        weights[head] = wb[row, :widths[row]]
-        biases[head] = bias[row]
+    p, m, d = x.shape
+    fitted = np.empty((p, d))
+    live = np.arange(p)
+    w = np.zeros((p, d))
+    for _ in range(max_steps):
+        margins = y * (x @ w[..., None])[..., 0]
+        active = margins < 1.0
+        xa = x * active[..., None]
+        xat = xa.transpose(0, 2, 1)
+        system, rhs = ((xat @ xa, xat @ y[..., None]) if d <= m
+                       else (xa @ xat, (y * active)[..., None]))
+        target = np.linalg.solve(
+            system + np.eye(system.shape[1]) / (2.0 * c), rhs)
+        target = (target if d <= m else xat @ target)[..., 0]
+        reached = y * (x @ target[..., None])[..., 0]
+        optimal = np.all((reached < 1.0) == active, axis=1)
+        step, rise = target - w, reached - margins
+        slope = np.vecdot(w, step) - 2.0 * c * np.sum(
+            active * (1.0 - margins) * rise, axis=1)
+        start = _objective(w, margins, c)
+        t = np.ones(len(w))
+        for _ in range(_HALVINGS):
+            falls = optimal | (_objective(w + t[:, None] * step,
+                                          margins + t[:, None] * rise, c)
+                               <= start + 1e-4 * t * slope)
+            if falls.all():
+                break
+            t[~falls] /= 2.0
+        t[~falls] = 0.0
+        w = np.where(t[:, None] == 1.0, target, w + t[:, None] * step)
+        fitted[live] = w
+        going = ~optimal & (t > 0.0)
+        if not going.any():
+            break
+        live, x, y, w = live[going], x[going], y[going], w[going]
     return fitted
 
 
@@ -219,9 +161,9 @@ def train(spec: ClassifierSpec, ds: Dataset) -> TrainedClassifier:
 
 def train_many(spec: ClassifierSpec, datasets) -> list[TrainedClassifier]:
     """Train one model per training set. The linear SVMs of all sets and
-    all their one-vs-rest heads train together in one lockstep pass, even
-    when the sets differ in gene count; KNN and Gaussian NB fit each set
-    on its own."""
+    all their one-vs-rest heads train together, in Newton batches of one
+    (rows, genes) shape each; KNN and Gaussian NB fit each set on its
+    own."""
     datasets = list(datasets)
     models = []
     for ds in datasets:
@@ -239,9 +181,7 @@ def train_many(spec: ClassifierSpec, datasets) -> list[TrainedClassifier]:
         for model, ds in zip(models, datasets):
             _fit_gaussian_nb(model, ds)
     else:
-        for model, (weights, biases) in zip(models,
-                                            _pegasos(spec, datasets)):
-            model.weights, model.biases = weights, biases
+        _fit_svms(spec, datasets, models)
     return models
 
 

@@ -197,7 +197,7 @@ def _eval_specs(args) -> tuple:
         raise ValidationError(f"--classifiers must name one or more of "
                               f"{', '.join(KINDS)}, each once; got "
                               f"{args.classifiers!r}")
-    return tuple(ClassifierSpec(kind=k, seed=args.seed) for k in kinds)
+    return tuple(ClassifierSpec(kind=k) for k in kinds)
 
 
 def _emit(text: str, path):

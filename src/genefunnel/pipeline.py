@@ -266,7 +266,8 @@ def _report_fields() -> list:
 
 
 def report_to_dict(report: PipelineReport, include_timings: bool = True) -> dict:
-    doc = dataclasses.asdict(report)
+    # asdict deep-copies every field, so the trace is dropped first
+    doc = dataclasses.asdict(dataclasses.replace(report, ga_trace=None))
     del doc["ga_trace"]
     doc.update(schema_version=SCHEMA_VERSION, n_stage1=report.n_stage1)
     if not include_timings:

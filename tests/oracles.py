@@ -282,43 +282,25 @@ def evolve_reference(ds, cfg):
     return best_ever, trace
 
 
-def pegasos_binary(x, y_pm, spec, rng):
-    """The sequential Pegasos loop on one binary problem (y_pm in {-1, +1}),
-    one sample per step, as the linear SVM is specified: lam = 1/(svm_c*M),
-    eta = 1/(lam*t), shrink w by 1 - eta*lam, hinge step below margin 1,
-    unregularized bias. Returns (w, b)."""
-    m, d = x.shape
-    lam = 1.0 / (spec.svm_c * m)
-    w = np.zeros(d)
-    b = 0.0
-    t = 0
-    for _ in range(spec.svm_epochs):
-        for i in rng.permutation(m):
-            t += 1
-            eta = 1.0 / (lam * t)
-            margin = y_pm[i] * (x[i] @ w + b)
-            w *= 1.0 - eta * lam
-            if margin < 1.0:
-                w += eta * y_pm[i] * x[i]
-                b += eta * y_pm[i]
-    return w, b
+def svm_heads(ds):
+    """(x with a constant-1 bias column, +-1 targets) of each head of a
+    linear SVM: one head for binary data (class 1 positive), one
+    one-vs-rest head per class otherwise."""
+    x = np.column_stack([ds.values, np.ones(ds.n_samples)])
+    positives = [1] if ds.n_classes == 2 else range(ds.n_classes)
+    return [(x, np.where(ds.labels == k, 1.0, -1.0)) for k in positives]
 
 
-def linear_svm_sequential(spec, ds):
-    """Weights (heads, N) and biases (heads,) of the linear SVM trained one
-    head at a time: one head for binary data, one-vs-rest heads for
-    multiclass, head h drawing its order from default_rng([seed, h])."""
-    c = ds.n_classes
-    heads = 1 if c == 2 else c
-    weights = np.empty((heads, ds.n_genes))
-    biases = np.empty(heads)
-    for head in range(heads):
-        positive = 1 if c == 2 else head
-        y_pm = np.where(ds.labels == positive, 1.0, -1.0)
-        rng = np.random.default_rng([spec.seed, head])
-        weights[head], biases[head] = pegasos_binary(ds.values, y_pm, spec,
-                                                     rng)
-    return weights, biases
+def squared_hinge_objective(w, x, y, c):
+    """1/2 ||w||^2 + c * sum(max(0, 1 - y * (x @ w))^2), bias in w."""
+    return 0.5 * w @ w + c * np.sum(np.maximum(0.0, 1.0 - y * (x @ w)) ** 2)
+
+
+def squared_hinge_gradient(w, x, y, c):
+    """w - 2c * sum over rows of margin below 1 of y(1 - y w.x) x."""
+    margins = y * (x @ w)
+    active = margins < 1.0
+    return w - 2.0 * c * (y[active] * (1.0 - margins[active])) @ x[active]
 
 
 def impute_knn_loop(ds, mask, n_neighbors=5):

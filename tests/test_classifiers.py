@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import oracles
 from genefunnel import classifiers
@@ -125,8 +126,8 @@ class TestGaussianNb:
 
 class TestLinearSvm:
     def test_separable_training_accuracy(self, separable_ds):
-        model = train(ClassifierSpec(kind="linear_svm", svm_epochs=200,
-                                     seed=0), separable_ds)
+        model = train(ClassifierSpec(kind="linear_svm", svm_epochs=200),
+                      separable_ds)
         pred = predict(model, separable_ds.values)
         assert np.mean(pred == separable_ds.labels) == 1.0
 
@@ -136,13 +137,14 @@ class TestLinearSvm:
         labels = np.array([0, 1, 2] * 10)
         x = centers[labels] + rng.normal(0.0, 0.3, size=(30, 2))
         ds = make_ds(x, labels)
-        model = train(ClassifierSpec(kind="linear_svm", seed=1), ds)
+        model = train(ClassifierSpec(kind="linear_svm"), ds)
         assert model.weights.shape == (3, 2)
         pred = predict(model, ds.values)
         assert np.mean(pred == labels) == 1.0
 
     def test_deterministic_given_seed(self, separable_ds):
-        spec = ClassifierSpec(kind="linear_svm", seed=4)
+        # training draws nothing at random: the same data, the same bits
+        spec = ClassifierSpec(kind="linear_svm")
         a = train(spec, separable_ds)
         b = train(spec, separable_ds)
         assert np.array_equal(a.weights, b.weights)
@@ -161,18 +163,41 @@ def planted(m, n, c, seed):
                                     n_classes=c, seed=seed)).dataset
 
 
-def assert_matches_sequential(spec, datasets, models):
-    """Every model holds the sequential oracle's weights and biases, bit
-    for bit (tobytes also tells -0.0 from 0.0)."""
+def assert_optimal(spec, datasets, models):
+    """Every head of every model minimizes its squared-hinge objective:
+    the gradient is zero to within 1e-9 of ||w||, and the objective
+    matches scipy's minimum."""
     assert len(models) == len(datasets)
     for ds, model in zip(datasets, models):
-        weights, biases = oracles.linear_svm_sequential(spec, ds)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.biases.tobytes() == biases.tobytes()
+        heads = oracles.svm_heads(ds)
+        assert model.weights.shape == (len(heads), ds.n_genes)
+        for (x, y), w, b in zip(heads, model.weights, model.biases):
+            w = np.append(w, b)
+            args = (x, y, spec.svm_c)
+            grad = oracles.squared_hinge_gradient(w, *args)
+            assert np.linalg.norm(grad) <= 1e-9 * np.linalg.norm(w)
+            best = minimize(oracles.squared_hinge_objective, np.zeros_like(w),
+                            args=args, jac=oracles.squared_hinge_gradient,
+                            method="L-BFGS-B",
+                            options={"gtol": 1e-12, "ftol": 1e-15,
+                                     "maxiter": 10000})
+            assert oracles.squared_hinge_objective(w, *args) == pytest.approx(
+                best.fun, rel=1e-9)
 
 
-# Two-sample problems found by a random search: with svm_epochs=1 and
-# seed 0, the hinge margin of step 2 is 1.0 and 1.0 + 2 ulp.
+def assert_solo_bits(spec, datasets, models):
+    """Every model holds the weights and biases of its set trained alone,
+    bit for bit (tobytes also tells -0.0 from 0.0)."""
+    assert len(models) == len(datasets)
+    for ds, model in zip(datasets, models):
+        solo = train(spec, ds)
+        assert model.weights.tobytes() == solo.weights.tobytes()
+        assert model.biases.tobytes() == solo.biases.tobytes()
+
+
+# Two-sample problems of 7 and 20 genes, found by a random search for
+# hinge margins within 2 ulp of 1.0 under the stochastic solver this
+# module used before; with 2 rows they take the dual branch.
 EDGE_PAIRS = [
     [[0.74439093604867, -0.9629655646595785, 0.41499113467435467,
       -0.9976006328263427, 0.006727931107328944, -0.12666589564869457,
@@ -198,142 +223,149 @@ EDGE_PAIRS = [
 
 
 class TestLinearSvmLockstep:
-    """The lockstep kernel against the one-problem-at-a-time Pegasos loop."""
+    """All heads of all training sets in one call, in Newton batches: each
+    head reaches the optimum of its own objective, and each set gets the
+    bits it gets when trained alone."""
 
     def test_single_problem(self, separable_ds):
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=30, seed=3)
-        assert_matches_sequential(spec, [separable_ds],
-                                  [train(spec, separable_ds)])
+        spec = ClassifierSpec(kind="linear_svm")
+        assert_optimal(spec, [separable_ds], [train(spec, separable_ds)])
 
     def test_unequal_fold_sizes(self):
-        # 57 samples in 10 folds: training sets of 51 and 52 rows
+        # 57 samples in 10 folds: training sets of 51 and 52 rows, two
+        # shapes and so two batches
         ds = planted(57, 4, 2, seed=1)
         sets = fold_training_sets(ds, 10, 2)
         assert len({s.n_samples for s in sets}) == 2
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=15, seed=2)
-        assert_matches_sequential(spec, sets, train_many(spec, sets))
+        spec = ClassifierSpec(kind="linear_svm")
+        models = train_many(spec, sets)
+        assert_optimal(spec, sets, models)
+        assert_solo_bits(spec, sets, models)
 
     @pytest.mark.parametrize("c", [3, 4])
     def test_one_vs_rest_heads(self, c):
         ds = planted(10 * c + 1, 3, c, seed=c)
         sets = fold_training_sets(ds, 5, 1)
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=10, svm_c=0.5,
-                              seed=7)
+        spec = ClassifierSpec(kind="linear_svm", svm_c=0.5)
         models = train_many(spec, sets)
         assert all(m.weights.shape == (c, 3) for m in models)
-        assert_matches_sequential(spec, sets, models)
+        assert_optimal(spec, sets, models)
 
     def test_mixed_widths_and_classes_in_one_call(self):
+        # binary and 3- and 4-class sets, primal and dual shapes, two sets
+        # of one shape. Two steps stop most problems short of the optimum;
+        # at svm_c=300 steps backtrack, each problem by its own halvings
         sets = [planted(30, 3, 2, seed=1), planted(25, 5, 3, seed=2),
                 planted(31, 3, 2, seed=3), planted(24, 1, 4, seed=4),
-                planted(28, 5, 2, seed=5)]
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=12, seed=1)
-        assert_matches_sequential(spec, sets, train_many(spec, sets))
+                planted(28, 5, 2, seed=5), planted(30, 3, 2, seed=6),
+                planted(20, 37, 4, seed=7)]
+        sets += [make_ds(x, [0, 1]) for x in EDGE_PAIRS]
+        for spec in (ClassifierSpec(kind="linear_svm", svm_epochs=2),
+                     ClassifierSpec(kind="linear_svm"),
+                     ClassifierSpec(kind="linear_svm", svm_c=300.0)):
+            assert_solo_bits(spec, sets, train_many(spec, sets))
 
     def test_wide_problems(self):
-        # 37 genes: BLAS dot products run blocked, with fused multiply-adds,
-        # so only the same dot routine as ``x @ w`` reproduces the bits
+        # 37 genes and 20 rows: the dual branch
         sets = fold_training_sets(planted(30, 37, 3, seed=11), 3, 1)
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=5, seed=6)
-        assert_matches_sequential(spec, sets, train_many(spec, sets))
+        spec = ClassifierSpec(kind="linear_svm")
+        assert_optimal(spec, sets, train_many(spec, sets))
 
-    @pytest.mark.parametrize("x", EDGE_PAIRS, ids=["7_genes", "20_genes"])
-    def test_margin_on_the_rounding_edge(self, x):
-        # at step 2 the margin is within 2 ulp of 1.0, so a dot
-        # product summed in another order than the BLAS dot of ``x @ w``
-        # flips the hinge decision (a pairwise sum below 16 genes agrees
-        # with it, hence the 20-gene pair)
-        ds = make_ds(x, [0, 1])
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1, seed=0)
-        assert_matches_sequential(spec, [ds, ds], train_many(spec, [ds, ds]))
+    @pytest.mark.parametrize("case", ["constant_gene", "duplicated_gene",
+                                      "duplicated_rows"])
+    @pytest.mark.parametrize("genes", [4, 30], ids=["primal", "dual"])
+    def test_degenerate_data(self, case, genes):
+        # each makes X'X or XX' singular; the identity term keeps the
+        # Newton systems positive definite
+        ds = planted(16, genes, 3, seed=genes)
+        x, labels = ds.values.copy(), ds.labels
+        if case == "constant_gene":
+            x[:, 1] = 0.7
+        elif case == "duplicated_gene":
+            x[:, 2] = x[:, 0]
+        else:
+            x, labels = np.vstack([x, x[:8]]), np.concatenate(
+                [labels, labels[:8]])
+        sets = [make_ds(x, labels), make_ds(x[:, :3], labels)]
+        spec = ClassifierSpec(kind="linear_svm")
+        assert_optimal(spec, sets, train_many(spec, sets))
 
     def test_one_epoch(self):
+        # svm_epochs caps the Newton steps. From w = 0 every row is active,
+        # so the first step heads for the ridge solution of all rows,
+        # (X'X + I/2c)^-1 X'y with the bias column in X, and takes a
+        # power-of-two share of it
         sets = fold_training_sets(planted(40, 6, 3, seed=8), 4, 1)
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1, seed=5)
-        assert_matches_sequential(spec, sets, train_many(spec, sets))
-
-    def test_small_chunk_budget(self, monkeypatch):
-        # 4 folds of 3 heads, 29 or 30 rows, 2 genes: 12 problems at
-        # 8 * 12 * (3 * 2 + 8) bytes per step, so 6 steps per chunk, and
-        # the 29-row problems finish inside a chunk (261 steps)
-        sets = fold_training_sets(planted(39, 2, 3, seed=6), 4, 1)
-        assert {s.n_samples for s in sets} == {29, 30}
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=9, seed=4)
-        whole = train_many(spec, sets)
-        monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
-                            7 * 8 * 12 * 12 + 5)
-        chunked = train_many(spec, sets)
-        assert_matches_sequential(spec, sets, chunked)
-        for a, b in zip(whole, chunked):
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1)
+        capped, again = train_many(spec, sets), train_many(spec, sets)
+        converged = train_many(ClassifierSpec(kind="linear_svm"), sets)
+        for ds, a, b, best in zip(sets, capped, again, converged):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.biases.tobytes() == b.biases.tobytes()
+            assert np.any(a.weights != 0.0)
+            assert not np.array_equal(a.weights, best.weights)
+            for (x, y), w, bias in zip(oracles.svm_heads(ds), a.weights,
+                                       a.biases):
+                ridge = np.linalg.solve(x.T @ x + np.eye(x.shape[1]) / 2.0,
+                                        x.T @ y)
+                w = np.append(w, bias)
+                share = (w @ ridge) / (ridge @ ridge)
+                assert share == pytest.approx(2.0 ** round(np.log2(share)),
+                                              rel=1e-9)
+                np.testing.assert_allclose(w, share * ridge, rtol=1e-9)
 
-    def test_every_width_in_one_pass(self, monkeypatch):
-        # widths 1, 3 and 37 (a blocked BLAS dot), binary and 4-class, 20 to
-        # 29 rows: 11 problems with Nmax = 37 at 8 * 11 * (3 * 37 + 8) bytes
-        # per step, so 7 steps per chunk; with 3 epochs the 20-, 23- and
-        # 26-row problems finish inside a chunk (60, 69 and 78 steps) and
-        # then take no-op steps until step 87
+    def test_small_chunk_budget(self, monkeypatch):
+        # 4 folds of 3 heads, 29 or 30 rows, steps that backtrack: batches
+        # of one problem each, then of at most 5, give the bits of the
+        # whole batches
+        sets = fold_training_sets(planted(39, 4, 3, seed=6), 4, 1)
+        assert {s.n_samples for s in sets} == {29, 30}
+        spec = ClassifierSpec(kind="linear_svm", svm_c=300.0)
+        whole = train_many(spec, sets)
+        for budget in (1, 5 * 8 * (2 * 30 * 5 + 5 * 5)):
+            monkeypatch.setattr(classifiers, "_BATCH_BYTES", budget)
+            for a, b in zip(whole, train_many(spec, sets)):
+                assert a.weights.tobytes() == b.weights.tobytes()
+                assert a.biases.tobytes() == b.biases.tobytes()
+
+    def test_every_width_in_one_pass(self):
+        # widths 1, 3 and 37, binary and 4-class, 16 to 23 rows: primal
+        # and dual batches in one call
         sets = [planted(20, 1, 2, seed=1), planted(23, 3, 4, seed=2),
                 planted(26, 37, 2, seed=3), planted(21, 37, 4, seed=4),
                 planted(29, 3, 2, seed=5)]
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=3, seed=8)
-        whole = train_many(spec, sets)
-        assert_matches_sequential(spec, sets, whole)
-        monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
-                            7 * 8 * 11 * 119 + 5)
-        chunked = train_many(spec, sets)
-        assert_matches_sequential(spec, sets, chunked)
-        for a, b in zip(whole, chunked):
-            assert a.weights.tobytes() == b.weights.tobytes()
-            assert a.biases.tobytes() == b.biases.tobytes()
-
-    @pytest.mark.parametrize("chunk_steps", [1, 7])
-    def test_reused_buffers_across_chunks(self, monkeypatch, chunk_steps):
-        # widths 1, 3 and 37, binary, 3- and 4-class: 9 problems with
-        # Nmax = 37 at 8 * 9 * (3 * 37 + 8) bytes per step. With 2 epochs
-        # the 20-, 23- and 26-row problems run 40, 46 and 52 steps, so with
-        # 7-step chunks they finish in three different chunks, and every
-        # later chunk refills the buffers and must no-op them again
-        sets = [planted(20, 3, 2, seed=1), planted(23, 1, 3, seed=2),
-                planted(26, 37, 2, seed=3), planted(20, 37, 4, seed=4)]
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=2, seed=5)
-        whole = train_many(spec, sets)
-        monkeypatch.setattr(classifiers, "_CHUNK_BYTES",
-                            chunk_steps * 8 * 9 * 119 + 5)
-        chunked = train_many(spec, sets)
-        assert_matches_sequential(spec, sets, chunked)
-        for a, b in zip(whole, chunked):
-            assert a.weights.tobytes() == b.weights.tobytes()
-            assert a.biases.tobytes() == b.biases.tobytes()
+        spec = ClassifierSpec(kind="linear_svm")
+        models = train_many(spec, sets)
+        assert_optimal(spec, sets, models)
+        assert_solo_bits(spec, sets, models)
 
     def test_padding_is_never_read(self):
-        # at step 2 the margin of this 3-gene pair is 1.0 by the BLAS dot
-        # of its 3 genes but 1.0 - 4 ulp by a dot over the same genes
-        # zero-padded to the 37 of the other problem's block
+        # a batch holds one shape, so this 3-gene pair beside a 37-gene
+        # set is never padded to 37 genes
         pair = make_ds([[-0.13010489554971594, 0.9483723865185107,
                          0.7953552162170976],
                         [3.3886395908843614, -1.059177628962313,
                          -0.06868199658785011]], [0, 1])
         sets = [pair, planted(20, 37, 2, seed=3)]
-        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1, seed=0)
-        assert_matches_sequential(spec, sets, train_many(spec, sets))
+        spec = ClassifierSpec(kind="linear_svm", svm_epochs=1)
+        assert_solo_bits(spec, sets, train_many(spec, sets))
 
-    def test_one_pegasos_pass_per_call(self, monkeypatch):
-        calls = []
-        pegasos = classifiers._pegasos
+    def test_one_newton_batch_per_shape(self, monkeypatch):
+        shapes = []
+        newton = classifiers._newton
 
-        def counted(spec, datasets):
-            calls.append(len(datasets))
-            return pegasos(spec, datasets)
+        def counted(x, y, c, max_steps):
+            shapes.append(x.shape)
+            return newton(x, y, c, max_steps)
 
-        monkeypatch.setattr(classifiers, "_pegasos", counted)
+        monkeypatch.setattr(classifiers, "_newton", counted)
         sets = [planted(20, 1, 2, seed=1), planted(23, 3, 4, seed=2),
-                planted(26, 37, 2, seed=3), planted(21, 37, 4, seed=4)]
-        # one call holds the 4 sets, whose 1 + 4 + 1 + 4 heads make 10
-        # problems
+                planted(26, 37, 2, seed=3), planted(21, 37, 4, seed=4),
+                planted(23, 3, 2, seed=5)]
+        # the binary 23 x 3 set joins the batch of the 4-class one's heads
         train_many(ClassifierSpec(kind="linear_svm", svm_epochs=1), sets)
-        assert calls == [4]
+        assert sorted(shapes) == [(1, 20, 2), (1, 26, 38), (4, 21, 38),
+                                  (5, 23, 4)]
 
     @pytest.mark.parametrize("kind", classifiers.KINDS)
     def test_no_training_sets(self, kind):
@@ -369,7 +401,7 @@ class TestCommon:
                                           n_informative=10, noise_sigma=0.5,
                                           seed=12))
         ds = result.dataset
-        model = train(ClassifierSpec(kind=kind, seed=0), ds)
+        model = train(ClassifierSpec(kind=kind), ds)
         acc = float(np.mean(predict(model, ds.values) == ds.labels))
         c = ds.n_classes
         assert acc >= 1.0 - 1.0 / c

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -319,12 +318,9 @@ class TestTuningFlags:
         parser = build_parser()
         args = parser.parse_args(["select", "--data", "d.csv",
                                   "--seed", "5"])
-        specs = PipelineConfig().eval_classifiers
         assert config_to_dict(_pipeline_config(args)) == config_to_dict(
             PipelineConfig(
                 boost=boosting.BoostParams(seed=5), ga=ga.GaConfig(seed=5),
-                eval_classifiers=tuple(dataclasses.replace(s, seed=5)
-                                       for s in specs),
                 seed=5))
         args = parser.parse_args(["synth", "--out", "s.csv", "--seed", "5"])
         assert _build(SynthSpec, args) == SynthSpec(seed=5)

@@ -322,6 +322,20 @@ class TestSerialization:
             assert (back.summaries[kind].means
                     == small_report.summaries[kind].means)
 
+    def test_ga_trace_is_not_serialized(self, small_report):
+        assert small_report.ga_trace is not None
+        assert report_to_json(small_report) == report_to_json(
+            dataclasses.replace(small_report, ga_trace=None))
+
+    def test_loads_classifier_configs_that_hold_a_seed(self, small_report):
+        # reports written while ClassifierSpec had a seed field
+        doc = json.loads(report_to_json(small_report))
+        for spec in doc["config"]["eval_classifiers"]:
+            spec["seed"] = 0
+        back = report_from_json(json.dumps(doc))
+        assert back.config == doc["config"]
+        assert back.summaries == small_report.summaries
+
     def test_timings_excluded_by_default_flag(self, small_report):
         with_t = report_to_json(small_report, include_timings=True)
         without = report_to_json(small_report, include_timings=False)

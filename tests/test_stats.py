@@ -205,7 +205,7 @@ class TestCrossValidateBatched:
         x = rng.normal(size=(m, 6)) + labels[:, None] * 0.4
         ds = make_ds(x, labels)
         plan = make_folds(labels, k=5, rounds=2, seed=3)
-        spec = ClassifierSpec(kind=kind, svm_epochs=20, knn_k=3, seed=1)
+        spec = ClassifierSpec(kind=kind, svm_epochs=20, knn_k=3)
         summary = cross_validate((0, 2, 5), ds, spec, plan)
         assert summary == per_fold_summary(ds, (0, 2, 5), spec, plan)
 
