@@ -11,6 +11,8 @@ flagged features; a tree's flags hold for all its nodes.
 rules: ``knn_predict`` calls them for the ``knn`` evaluation classifier,
 and so does the GA's batched fitness kernel, over padded rows whose
 +inf distances ``nearest`` never picks while k real ones remain.
+``nearest`` also picks the donors of ``data.impute_knn``, over distances
+set to +inf at the samples that miss the imputed column.
 """
 import numpy as np
 
@@ -150,7 +152,10 @@ def sorted_partition(xs, order, first):
 def nearest(d, k):
     """The int64 indices of the k smallest entries on d's last axis, as a
     stable argsort orders finite d: k argmin passes (the first minimum is
-    the lowest index), each setting its picks in d to +inf."""
+    the lowest index), each setting its picks in d to +inf.
+
+    Only the leading picks that are finite entries are defined: once a
+    row's finite entries are spent, its later picks may repeat."""
     picks = np.empty(d.shape[:-1] + (k,), dtype=np.int64)
     for p in range(k):
         pick = np.argmin(d, axis=-1)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import nearest
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -362,8 +363,9 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
     distance computed once, in numpy blocks of at most ``_IMPUTE_BYTES``
     per float array; pairs of gapless samples are never computed. The
     distances live in an (M, M) matrix, so memory is O(M^2) plus the
-    blocks, and time is O(G x M x N) for G samples with a gap. Donors for
-    every gap cell are then picked from one stable sort per gap sample.
+    blocks, and time is O(G x M x N) for G samples with a gap. Each gap
+    cell's donors are the finite picks of ``_kernels.nearest`` over its
+    sample's distances, those of samples missing its column set to +inf.
     No Python loop runs over pairs of samples.
     """
     if n_neighbors < 1:
@@ -393,7 +395,7 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
     values = ds.values
     zeroed = np.where(observed, values, 0.0)
     rows, cols = np.nonzero(~observed)  # each cell once, row-major
-    gap_rows, starts = np.unique(rows, return_index=True)
+    gap_rows, slot = np.unique(rows, return_inverse=True)
     gapless = np.setdiff1d(np.arange(m), gap_rows, assume_unique=True)
 
     # partial distances, each pair with a gap row once: a block of gap rows
@@ -414,47 +416,35 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
             tile = _partial_d2(zeroed, observed, a[:, None], b)
             d2[np.ix_(a, b)] = tile
             d2[np.ix_(b, a)] = tile.T
-    # usable coordinates: the genes o observes, less those among i's gaps.
-    # A sample that shares none with i is infinitely far
-    n_observed = np.count_nonzero(observed, axis=1)
-    usable = n_observed - np.add.reduceat(observed.T[cols], starts, axis=0,
-                                          dtype=np.int64)
+    # usable coordinates: the genes both i and o observe, exact as the product
+    # sums only 0s and 1s. A sample that shares none with i is infinitely far
+    held = observed.astype(np.float64)
+    usable = held[gap_rows] @ held.T
     near = usable > 0
     dists = np.full(usable.shape, np.inf)
     dists[near] = np.sqrt(d2[gap_rows][near] / (usable[near] / n))
 
-    # each gap row's samples nearest first, ties to the lower index; those
-    # at infinite distance point at an added sample m that observes nothing
-    order = np.argsort(dists, axis=1, kind="stable")
-    order[np.arange(m) >= np.isfinite(dists).sum(axis=1)[:, None]] = m
-    # observed[o, j] at j * (m + 1) + o: one cell's lookups share a column
-    held = np.vstack([observed, np.zeros((1, n), dtype=bool)]).T.ravel()
-    # the first n_neighbors observers of each gap cell's column, nearest
-    # first, over blocks of cells
-    slot = np.searchsorted(gap_rows, rows)
+    # each gap cell's donors, in blocks of cells: the finite picks of its row's
+    # distances, +inf at samples missing its column and where nan (inf x 0)
     per_block = max(1, _IMPUTE_BYTES // (8 * m))
-    donors, counts = [], []
+    picks, counts = [], []
     for lo in range(0, rows.size, per_block):
-        ranked = order[slot[lo:lo + per_block]]
-        holds = held[cols[lo:lo + per_block, None] * (m + 1) + ranked]
-        seen = np.cumsum(holds, axis=1, dtype=np.int32)
-        cell, at = np.nonzero(holds & (seen <= n_neighbors))
-        donors.append(ranked[cell, at])
-        counts.append(np.minimum(seen[:, -1], n_neighbors))
+        d = dists[slot[lo:lo + per_block]]
+        d[~(observed.T[cols[lo:lo + per_block]] & (d < np.inf))] = np.inf
+        counts.append(np.minimum(np.isfinite(d).sum(axis=1), n_neighbors))
+        picks.append(nearest(d, min(n_neighbors, m)))
     # each cell's mean over its donors in distance order; cells with the
     # same donor count share one (cells, k) gather, whose row-wise mean
     # reduces each row as the 1-D mean of that row does
     out = zeroed  # every masked cell is overwritten below
-    donors = np.concatenate(donors)
-    counts = np.concatenate(counts)
-    first = np.cumsum(counts) - counts
+    picks, counts = np.concatenate(picks), np.concatenate(counts)
     for k in np.unique(counts):
         at = np.flatnonzero(counts == k)
         if k == 0:
             for i, j in zip(rows[at], cols[at]):
                 out[i, j] = values[observed[:, j], j].mean()
             continue
-        ranked = donors[first[at, None] + np.arange(k)]
+        ranked = picks[at, :k]
         out[rows[at], cols[at]] = values[ranked, cols[at, None]].mean(axis=1)
 
     return Dataset(out, ds.labels, ds.gene_ids, ds.class_names, ds.name)

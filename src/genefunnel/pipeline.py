@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import boosting, ga
-from .classifiers import ClassifierSpec
+from .classifiers import KINDS, ClassifierSpec
 from .data import Dataset, make_folds, project
 from .errors import PipelineError, ValidationError
 from .stats import METRIC_NAMES, CvSummary, fold_splits, score_splits
@@ -66,6 +66,13 @@ class PipelineConfig:
             raise ValidationError(f"impute_neighbors (the imputer's "
                                   f"n_neighbors) must be >= 1, got "
                                   f"{self.impute_neighbors}")
+        # summaries are keyed by kind: none would leave nothing to compare,
+        # and a repeated kind would report only its last spec
+        kinds = [spec.kind for spec in self.eval_classifiers]
+        if not kinds or len(set(kinds)) < len(kinds):
+            raise ValidationError(f"eval_classifiers (--classifiers) must "
+                                  f"name one or more of {', '.join(KINDS)}, "
+                                  f"each once; got {kinds}")
 
 
 @dataclass

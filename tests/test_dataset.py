@@ -520,6 +520,21 @@ class TestImputeKnn:
         out = impute_knn(ds, np.array([[1, 1]]), n_neighbors=2)
         assert out.values[1, 1] == pytest.approx(2.0)
 
+    def test_sample_at_nan_distance_never_donates(self):
+        # sample 3's inf value lies in a column that sample 0 misses, so
+        # their partial distance is nan; sample 0 is imputed as if sample 3
+        # were not there
+        values = np.arange(24, dtype=float).reshape(6, 4) % 5
+        values[3, 0] = np.inf
+        mask = np.array([[0, 0], [0, 2]])
+        ds = Dataset(values, np.zeros(6), tuple("abcd"), ("x",))
+        without = Dataset(np.delete(values, 3, axis=0), np.zeros(5),
+                          tuple("abcd"), ("x",))
+        with np.errstate(invalid="ignore"):
+            got = impute_knn(ds, mask, n_neighbors=2).values[0]
+        want = impute_knn(without, mask, n_neighbors=2).values[0]
+        np.testing.assert_array_equal(got, want)
+
     def test_empty_mask_identity(self):
         ds = self.base()
         out = impute_knn(ds, np.empty((0, 2), dtype=np.int64), n_neighbors=2)

@@ -96,6 +96,25 @@ class TestFallbackAgainstOracles:
             assert tied.tolist() == [np.unique(col).size < col.size
                                      for col in x.T]
 
+    def test_nearest_is_a_stable_argsort(self):
+        # heavy ties and +inf entries: the leading finite picks come in
+        # stable-argsort order and are set to +inf; picks past the finite
+        # entries may repeat, and no caller reads them
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            q, m = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+            d = rng.integers(0, 4, size=(q, m)).astype(np.float64)
+            d[rng.random((q, m)) < 0.3] = np.inf
+            want = np.argsort(d, axis=1, kind="stable")
+            finite = np.isfinite(d).sum(axis=1)
+            k = int(rng.integers(1, m + 1))
+            got = _kernels.nearest(d, k)
+            assert got.shape == (q, k) and got.dtype == np.int64
+            for row in range(q):
+                lead = min(k, int(finite[row]))
+                assert np.array_equal(got[row, :lead], want[row, :lead])
+                assert np.isposinf(d[row, want[row, :lead]]).all()
+
     def test_sorted_partition_matches_sorting_each_part(self):
         # both parts must come out exactly as a stable sort of their own
         # rows would order them, ties in row order

@@ -115,8 +115,12 @@ class TestSynth:
     ({"cv_k": 1}, "cv_k >= 2"),
     ({"cv_rounds": 0}, "cv_rounds >= 1"),
     ({"impute_neighbors": 0}, r"n_neighbors\) must be >= 1, got 0"),
+    ({"eval_classifiers": ()}, r"--classifiers\) must name one or more"),
+    ({"eval_classifiers": (ClassifierSpec(kind="knn"),
+                           ClassifierSpec(kind="knn", knn_k=1))},
+     r"each once; got \['knn', 'knn'\]"),
 ], ids=["unknown_protocol", "cv_k_below_2", "no_cv_rounds",
-        "no_impute_neighbors"])
+        "no_impute_neighbors", "no_classifiers", "repeated_kind"])
 def test_invalid_pipeline_config(kwargs, message):
     with pytest.raises(ValidationError, match=message):
         PipelineConfig(**kwargs)
@@ -183,6 +187,36 @@ class TestRunPipeline:
         assert report.protocol == "nested"
         assert len(report.summaries["knn"].fold_results) == 4
         assert 0.0 <= report.summaries["knn"].means["accuracy"] <= 1.0
+
+    def test_nested_is_unbiased_on_null_data(self):
+        """On data where no gene carries signal, ``nested`` scores near
+        chance over 20 seeds, while ``paper``, which selects on all rows
+        before it cross-validates, scores well above it (selection bias:
+        Ambroise & McLachlan, PNAS 2002)."""
+        accuracy = {"paper": [], "nested": []}
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(40, 100))
+            labels = rng.permutation(np.arange(40) % 2)
+            ds = data.normalize_minmax(Dataset(
+                x, labels, tuple(f"g{j}" for j in range(100)), ("a", "b")))
+            for protocol in accuracy:
+                cfg = PipelineConfig(
+                    boost=boosting.BoostParams(n_estimators=20, max_depth=2,
+                                               seed=seed),
+                    ga=ga.GaConfig(population_size=20, iterations=10,
+                                   seed=seed),
+                    eval_classifiers=(ClassifierSpec(kind="knn", knn_k=3),
+                                      ClassifierSpec(kind="gaussian_nb")),
+                    cv_k=5, cv_rounds=1, protocol=protocol, seed=seed)
+                summaries = run_pipeline(ds, cfg).summaries
+                accuracy[protocol].append(
+                    [summaries[kind].means["accuracy"]
+                     for kind in ("knn", "gaussian_nb")])
+        nested = np.mean(accuracy["nested"], axis=0)
+        paper = np.mean(accuracy["paper"], axis=0)
+        assert ((0.40 <= nested) & (nested <= 0.62)).all(), nested
+        assert (paper > 0.62).all(), paper
 
     def test_label_independent_data_raises(self):
         rng = np.random.default_rng(0)
