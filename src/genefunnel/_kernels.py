@@ -5,7 +5,9 @@ already sorted: ``boosting.fit`` sorts once per tree (``sort_columns``)
 and hands each child its part of the sorted orders
 (``sorted_partition``). ``sort_columns`` also flags the features that
 hold a tied value, and the scan looks for equal neighbours only in
-flagged features; a tree's flags hold for all its nodes.
+flagged features; a tree's flags hold for all its nodes. Each block of
+the scan takes its left-child sums by one gather and one prefix sum of
+(gradient, hessian), carried as the parts of one complex array.
 
 ``nearest`` and ``knn_vote`` are the only KNN neighbour-pick and vote
 rules: ``knn_predict`` calls them for the ``knn`` evaluation classifier,
@@ -40,8 +42,9 @@ def sort_columns(x):
 
 # Bytes of one (genes, rows) float64 array of ``best_split``: it
 # scans the genes of a node in blocks of at most _SCAN_BYTES / 8 cells,
-# holding about four block-sized arrays at once. Every node of 60x500 and
-# 80x200 data fits one block; a 150-row node of 5000 genes takes six.
+# holding about five block-sized arrays at once (the complex prefix sums
+# of gradient and hessian count as two). Every node of 60x500 and 80x200
+# data fits one block; a 150-row node of 5000 genes takes six.
 _SCAN_BYTES = 1 << 20
 
 
@@ -69,7 +72,7 @@ def best_split(xs, order, tied, g, h, total_g, total_h, lam, gamma):
     so the first maximum of a block's flattened gain matrix is its lowest
     feature, then its lowest threshold. A later block wins only with a
     strictly greater gain, so the blocks pick what one pass over the whole
-    matrix picks. The gain arithmetic runs in place, in the fixed order
+    matrix picks. The gain arithmetic runs in the fixed order
     0.5 * (gl*gl/(hl+lam) + gr*gr/(hr+lam) - parent) - gamma; reordering
     it moves the last bits of the gains, and with them tie-breaks, trees
     and report fingerprints.
@@ -99,24 +102,26 @@ def _split_gains(xs, order, tied, g, h, total_g, total_h, lam, gamma,
     """The (n, m) gain of every cut of every feature of one block; -inf
     where no cut is (between equal values of a ``tied`` feature, and
     after the last row)."""
-    # Arrays are (n, m), contiguous and updated in place. Column i is the
-    # cut that sends sorted rows 0..i left.
-    left_g = g[order]
-    np.cumsum(left_g, axis=1, out=left_g)
-    left_h = h[order]
-    np.cumsum(left_h, axis=1, out=left_h)
+    # Column i of the (n, m) arrays is the cut that sends sorted rows 0..i
+    # left. One gather and one prefix sum of g + ih give both sums, with
+    # the bits of two real ones: complex addition adds each part on its
+    # own. np.take gathers by the int32 orders without first casting them
+    # to intp, as indexing does. The rest runs contiguous and in place
+    gh = np.empty(g.shape, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
+    left = np.take(gh, order)
+    np.cumsum(left, axis=1, out=left)
 
-    right = np.subtract(total_g, left_g)
+    right = np.subtract(total_g, left.real)
     right *= right
-    right_h = np.subtract(total_h, left_h)
+    right_h = np.subtract(total_h, left.imag)
     right_h += lam
     right_h[:, -1] = 1.0  # no cut there: keep the division finite
     right /= right_h
-    del right_h
-    gains = left_g
-    gains *= gains
-    left_h += lam
-    gains /= left_h
+    gains = np.multiply(left.real, left.real)
+    gains /= np.add(left.imag, lam, out=right_h)
+    del left, right_h
     gains += right
     gains -= parent
     gains *= 0.5
@@ -141,7 +146,7 @@ def sorted_partition(xs, order, first):
     Returns the reordered (xs, order).
     """
     n, m = order.shape
-    perm = np.argsort(~first[order], axis=1, kind="stable")
+    perm = np.argsort(~np.take(first, order), axis=1, kind="stable")
     perm += np.arange(0, n * m, m)[:, None]
     perm = perm.ravel()
     order = order.ravel()[perm].reshape(n, m)

@@ -355,9 +355,10 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
     never donate. Donors for cell (i, j) are the ``n_neighbors`` nearest
     samples observing column j, ties going to the lower sample index;
     the cell becomes the mean of their observed values, taken in
-    distance order. Columns unobserved everywhere are an error, and
-    cells with no donor fall back to the column mean. Imputed cells are
-    never read, so the result does not depend on the order of rows.
+    distance order. Columns unobserved everywhere and non-finite
+    observed values are errors, and cells with no donor fall back to
+    the column mean. Imputed cells are never read, so the result does
+    not depend on the order of rows.
 
     Each pair of samples of which at least one has a gap has its partial
     distance computed once, in numpy blocks of at most ``_IMPUTE_BYTES``
@@ -385,14 +386,22 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
 
     observed = np.ones((m, n), dtype=bool)
     observed[cells[:, 0], cells[:, 1]] = False
+    where = f"{ds.name}: " if ds.name else ""
     empty = ~observed.any(axis=0)
     if empty.any():
         j = int(np.argmax(empty))
-        where = f"{ds.name}: " if ds.name else ""
         raise ValidationError(f"{where}gene column {j} ({ds.gene_ids[j]!r}) "
                               "has no observed values")
-
     values = ds.values
+    # gap cells may hold anything, but an observed inf or nan would give a
+    # nan partial distance (inf times a gap's 0)
+    bad = observed & ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0].tolist()
+        raise ValidationError(f"{where}row {i}, gene column {j} "
+                              f"({ds.gene_ids[j]!r}) holds the non-finite "
+                              f"observed value {values[i, j]}")
+
     zeroed = np.where(observed, values, 0.0)
     rows, cols = np.nonzero(~observed)  # each cell once, row-major
     gap_rows, slot = np.unique(rows, return_inverse=True)
@@ -425,12 +434,12 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
     dists[near] = np.sqrt(d2[gap_rows][near] / (usable[near] / n))
 
     # each gap cell's donors, in blocks of cells: the finite picks of its row's
-    # distances, +inf at samples missing its column and where nan (inf x 0)
+    # distances, +inf at samples missing its column
     per_block = max(1, _IMPUTE_BYTES // (8 * m))
     picks, counts = [], []
     for lo in range(0, rows.size, per_block):
         d = dists[slot[lo:lo + per_block]]
-        d[~(observed.T[cols[lo:lo + per_block]] & (d < np.inf))] = np.inf
+        d[~observed.T[cols[lo:lo + per_block]]] = np.inf
         counts.append(np.minimum(np.isfinite(d).sum(axis=1), n_neighbors))
         picks.append(nearest(d, min(n_neighbors, m)))
     # each cell's mean over its donors in distance order; cells with the

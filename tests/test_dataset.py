@@ -520,20 +520,26 @@ class TestImputeKnn:
         out = impute_knn(ds, np.array([[1, 1]]), n_neighbors=2)
         assert out.values[1, 1] == pytest.approx(2.0)
 
-    def test_sample_at_nan_distance_never_donates(self):
-        # sample 3's inf value lies in a column that sample 0 misses, so
-        # their partial distance is nan; sample 0 is imputed as if sample 3
-        # were not there
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan])
+    def test_non_finite_observed_value_rejected(self, cell):
+        # an observed inf times a gap's 0 would make a nan partial distance,
+        # so an observed non-finite value is an error; a gap may hold anything
         values = np.arange(24, dtype=float).reshape(6, 4) % 5
-        values[3, 0] = np.inf
         mask = np.array([[0, 0], [0, 2]])
-        ds = Dataset(values, np.zeros(6), tuple("abcd"), ("x",))
-        without = Dataset(np.delete(values, 3, axis=0), np.zeros(5),
-                          tuple("abcd"), ("x",))
-        with np.errstate(invalid="ignore"):
-            got = impute_knn(ds, mask, n_neighbors=2).values[0]
-        want = impute_knn(without, mask, n_neighbors=2).values[0]
-        np.testing.assert_array_equal(got, want)
+        values[0, 0] = cell
+        ds = Dataset(values.copy(), np.zeros(6), tuple("abcd"), ("x",),
+                     "expr.csv")
+        out = impute_knn(ds, mask, n_neighbors=2)
+        assert np.isfinite(out.values).all()
+        values[3, 0] = cell
+        ds = Dataset(values, np.zeros(6), tuple("abcd"), ("x",), "expr.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=r"^expr\.csv: row 3, gene column 0 "
+                                     r"\('a'\) holds the non-finite "
+                                     rf"observed value {cell}$"):
+                impute_knn(ds, mask, n_neighbors=2)
 
     def test_empty_mask_identity(self):
         ds = self.base()

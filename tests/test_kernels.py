@@ -214,3 +214,78 @@ class TestSplitScanBlocks:
         if make == "duplicated":
             # the first copy wins over its equal-gain copies in later blocks
             assert {feat for feat, _, _ in whole} == {1}
+
+
+class TestSplitScanBits:
+    """``_split_gains`` gives the bits of the documented arithmetic on
+    separately gathered gradient and hessian prefix sums, and
+    ``best_split`` over 3 or more blocks picks its first maximum."""
+
+    @staticmethod
+    def reference(xs, order, g, h, total_g, total_h, lam, gamma):
+        gl = np.cumsum(g[order], axis=1)
+        hl = np.cumsum(h[order], axis=1)
+        gr = total_g - gl
+        hr = total_h - hl
+        parent = total_g * total_g / (total_h + lam)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam)
+                           - parent) - gamma
+        gains[:, :-1][xs[:, :-1] == xs[:, 1:]] = -np.inf
+        gains[:, -1] = -np.inf
+        return gains, parent
+
+    @staticmethod
+    def node(rng):
+        """A node as ``boosting.fit`` hands it over: the sorted columns of
+        some of M rows, or the left child's part of them."""
+        total = int(rng.integers(4, 40))
+        m = int(rng.integers(2, total + 1))
+        n = int(rng.integers(9, 30))
+        x = rng.normal(size=(m, n))
+        g = rng.normal(size=total)
+        h = rng.uniform(0.05, 0.25, size=total)
+        if rng.random() < 0.5:  # tie-heavy: integer values and sums
+            x = np.round(2 * x)
+            g, h = np.round(2 * g), np.round(4 * h) + 1
+        rows = np.sort(rng.choice(total, size=m, replace=False))
+        xs, local, tied = _kernels.sort_columns(x)
+        dtype = np.int32 if rng.random() < 0.5 else np.int64
+        order = rows.astype(dtype)[local]
+        if rng.random() < 0.5:
+            left = rng.random(total) < 0.7
+            left[rows[:2]] = True
+            xs, order = _kernels.sorted_partition(xs, order, left)
+            keep = int(left[rows].sum())
+            xs, order = xs[:, :keep], order[:, :keep]
+        return xs, order, tied, g, h
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_gains_and_pick_keep_their_bits(self, monkeypatch, gamma):
+        rng = np.random.default_rng(7)
+        dtypes, splits = set(), 0
+        for _ in range(300):
+            xs, order, tied, g, h = self.node(rng)
+            n, m = xs.shape
+            total_g = float(g[order[0]].sum())
+            total_h = float(h[order[0]].sum())
+            lam = 1.0
+            want, parent = self.reference(xs, order, g, h, total_g, total_h,
+                                          lam, gamma)
+            got = _kernels._split_gains(xs, order, tied, g, h, total_g,
+                                        total_h, lam, gamma, parent)
+            assert np.array_equal(got, want)
+
+            feat, cut = divmod(int(np.argmax(want)), m)
+            best = float(want[feat, cut])
+            expected = ((feat, float(0.5 * (xs[feat, cut] + xs[feat, cut + 1])),
+                         best) if best > 0.0 else (-1, 0.0, 0.0))
+            per_block = int(rng.integers(1, n // 3 + 1))
+            monkeypatch.setattr(_kernels, "_SCAN_BYTES", 8 * m * per_block)
+            assert _kernels.best_split(xs, order, tied, g, h, total_g,
+                                       total_h, lam, gamma) == expected
+            monkeypatch.undo()
+            dtypes.add(order.dtype)
+            splits += best > 0.0
+        assert dtypes == {np.dtype(np.int32), np.dtype(np.int64)}
+        assert splits >= 100
