@@ -2,10 +2,21 @@
 
 Fitness is internal stratified-CV KNN accuracy of the masked dataset.
 The subset-size objective enters lexicographically through one order,
-``_rank_key``: higher fitness, then fewer selected genes, then lower
-population index. ``evolve`` ranks each generation once by it; the
-elites and the generation's best come from that ranking, and
-tournaments pick by the same key.
+``_rank``: higher fitness, then fewer selected genes, then lower
+population index. ``evolve`` ranks each generation once into rank
+positions, from one stacked sum of its masks and one stable lexsort;
+the elites and the generation's best come from that ranking, and
+tournaments compare rank positions.
+
+The draws are a contract: every report and fingerprint depends on
+them. One generator, seeded by cfg.seed, first draws the initial
+population (each member's bits, then its repair). Then, for each pair
+of children in turn: the first tournament's picks, the second's, the
+crossover coin, the swap mask when the coin is taken, the repair of
+each child, and for each child kept, its mutation flips and then its
+repair. A repair draws one locus only when a mask has no set bit, and
+the last pair of an odd child count drops its second child before that
+child's mutation.
 
 Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. It lists every internal fold's test rows in fold
@@ -105,7 +116,7 @@ class GaTrace:
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if bits.sum() == 0:
+    if not bits.any():
         bits[rng.integers(bits.size)] = 1
     return bits
 
@@ -240,19 +251,30 @@ def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig) -> float:
     return chrom.cached_fitness
 
 
-def _rank_key(pop: list[Chromosome], i: int) -> tuple:
+def _rank(fitness: np.ndarray, sizes: np.ndarray) -> tuple[list, list]:
     """The GA's one order on a scored population: higher fitness, then
-    fewer selected genes, then lower index."""
-    c = pop[i]
-    return (-c.cached_fitness, c.n_selected(), i)
+    fewer selected genes, then lower index (lexsort is stable). Returns
+    the indices best first and each member's rank position."""
+    order = np.lexsort((sizes, -fitness))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return order.tolist(), rank.tolist()
+
+
+def _tournament(rank: list, cfg: GaConfig, rng: np.random.Generator) -> int:
+    """Index of the best rank position among tournament_size uniform
+    draws (with replacement)."""
+    picks = rng.integers(0, len(rank), size=cfg.tournament_size)
+    return min(picks.tolist(), key=rank.__getitem__)
 
 
 def tournament_select(pop: list[Chromosome], cfg: GaConfig,
                       rng: np.random.Generator) -> Chromosome:
-    """Best by ``_rank_key`` of tournament_size uniform draws (with
+    """Best by ``_rank`` of tournament_size uniform draws (with
     replacement)."""
-    picks = rng.integers(0, len(pop), size=cfg.tournament_size)
-    return pop[min(picks.tolist(), key=lambda i: _rank_key(pop, i))]
+    _, rank = _rank(np.array([c.cached_fitness for c in pop]),
+                    np.array([c.n_selected() for c in pop]))
+    return pop[_tournament(rank, cfg, rng)]
 
 
 def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
@@ -261,32 +283,32 @@ def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
     with probability 0.5; otherwise copy the parents."""
     if a.bits.size != b.bits.size:
         raise ValidationError("parents must have equal length")
-    c1, c2 = a.bits.copy(), b.bits.copy()
     if rng.random() < cfg.crossover_prob:
         swap = rng.random(a.bits.size) < 0.5
-        c1[swap], c2[swap] = b.bits[swap], a.bits[swap]
+        c1, c2 = np.where(swap, b.bits, a.bits), np.where(swap, a.bits, b.bits)
+    else:
+        c1, c2 = a.bits.copy(), b.bits.copy()
     return (Chromosome(_repair(c1, rng)), Chromosome(_repair(c2, rng)))
 
 
 def mutate(c: Chromosome, cfg: GaConfig, rng: np.random.Generator) -> Chromosome:
     """Flip each bit independently with probability mutation_prob."""
     flips = rng.random(c.bits.size) < cfg.mutation_prob
-    bits = np.where(flips, 1 - c.bits, c.bits).astype(np.uint8)
-    return Chromosome(_repair(bits, rng))
+    return Chromosome(_repair(c.bits ^ flips, rng))
 
 
 def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     """Generational GA loop with elitism; returns the last generation's
-    best by ``_rank_key`` and a per-generation trace. The first elite
-    sits at index 0, so it wins every tie, and each generation's best is
-    the best so far."""
+    best by ``_rank`` and a per-generation trace. The first elite sits
+    at index 0, so it wins every tie, and each generation's best is the
+    best so far."""
     rng = np.random.default_rng(cfg.seed)
     kernel = _FitnessKernel(ds_stage1, cfg)
     memo: dict[bytes, float] = {}
 
-    def evaluate(pop: list[Chromosome]) -> list[int]:
+    def evaluate(pop: list[Chromosome]) -> tuple[np.ndarray, np.ndarray]:
         """Score the masks not seen before, in first-seen order, and
-        return the indices of ``pop`` sorted by ``_rank_key``."""
+        return each member's fitness and size."""
         keys = [c.key() for c in pop]
         new = {key: c.bits for key, c in zip(keys, pop) if key not in memo}
         if new:
@@ -294,28 +316,28 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
             memo.update(zip(new, scores))
         for key, c in zip(keys, pop):
             c.cached_fitness = memo[key]
-        return sorted(range(len(pop)), key=lambda i: _rank_key(pop, i))
+        return (np.array([c.cached_fitness for c in pop]),
+                np.array([c.bits for c in pop]).sum(axis=1))
 
     pop = init_population(ds_stage1.n_genes, cfg, rng)
-    ranked = evaluate(pop)
     trace = GaTrace()
     for gen in range(cfg.iterations + 1):
         if gen:
             # scored chromosomes are never mutated, so elites are shared
-            next_pop = [pop[i] for i in ranked[:cfg.elitism_count]]
+            next_pop = [pop[i] for i in order[:cfg.elitism_count]]
             while len(next_pop) < cfg.population_size:
-                p1 = tournament_select(pop, cfg, rng)
-                p2 = tournament_select(pop, cfg, rng)
+                p1 = pop[_tournament(rank, cfg, rng)]
+                p2 = pop[_tournament(rank, cfg, rng)]
                 c1, c2 = uniform_crossover(p1, p2, cfg, rng)
                 next_pop.append(mutate(c1, cfg, rng))
                 if len(next_pop) < cfg.population_size:
                     next_pop.append(mutate(c2, cfg, rng))
             pop = next_pop
-            ranked = evaluate(pop)
-        best = pop[ranked[0]]
-        trace.record(gen, best.cached_fitness,
-                     float(np.mean([c.cached_fitness for c in pop])),
-                     best.n_selected())
+        fit, sizes = evaluate(pop)
+        order, rank = _rank(fit, sizes)
+        best = pop[order[0]]
+        trace.record(gen, best.cached_fitness, float(fit.mean()),
+                     int(sizes[order[0]]))
     return best, trace
 
 

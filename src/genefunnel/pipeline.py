@@ -313,6 +313,10 @@ def report_to_markdown(report: PipelineReport) -> str:
         f"{len(report.final_genes)} genes ({report.protocol} protocol)",
         f"- final genes: {', '.join(report.final_ids)}",
     ]
+    if report.protocol == "paper":
+        lines.append(
+            "- CV is selection-biased: genes were selected on all rows "
+            "before cross-validation (Ambroise & McLachlan, PNAS 2002)")
     if report.runtimes:
         lines.append(
             "- runtimes (s): "

@@ -375,6 +375,40 @@ class TestMutate:
             assert 1 <= flips <= 25
 
 
+class TestDrawOrder:
+    def test_operator_draws_pinned(self, monkeypatch):
+        # evolve_reference breeds through these operators, so it cannot
+        # see a change in an operator's own draws; the literals can
+        fired = []
+        repair = ga._repair
+
+        def recording(bits, rng):
+            fired.append(not bits.any())
+            return repair(bits, rng)
+
+        monkeypatch.setattr(ga, "_repair", recording)
+        rng = np.random.default_rng(0)
+        pop = init_population(3, GaConfig(population_size=4), rng)
+        a, b = chrom([1, 0, 0, 0]), chrom([0, 1, 0, 0])
+        kept = uniform_crossover(a, b, GaConfig(crossover_prob=0.0), rng)
+        swapped = uniform_crossover(a, b, GaConfig(crossover_prob=1.0), rng)
+        flipped = mutate(chrom([1, 1, 1, 1]), GaConfig(mutation_prob=1.0),
+                         rng)
+        mixed = mutate(chrom([1, 0, 1, 0, 1, 0]),
+                       GaConfig(mutation_prob=0.5), rng)
+        out = pop + list(kept) + list(swapped) + [flipped, mixed]
+        assert [c.bits.tolist() for c in out] == [
+            [0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 1, 0],
+            [1, 0, 0, 0], [0, 1, 0, 0],
+            [0, 0, 0, 1], [1, 1, 0, 0],
+            [0, 0, 1, 0],
+            [1, 1, 1, 0, 1, 0]]
+        # a repair in init_population, after the swap and after the flips
+        assert fired == [False, False, True, False, False, False,
+                         True, False, True, False]
+        assert rng.random() == 0.6884467305709401
+
+
 class TestEvolve:
     def test_zero_iterations_returns_initial_best(self, ga_toy_ds):
         cfg = GaConfig(population_size=20, iterations=0, seed=7)
@@ -455,6 +489,31 @@ class TestEvolve:
         best, trace = evolve(ds, cfg)
         ref_best, ref_trace = oracles.evolve_reference(ds, cfg)
         assert np.array_equal(best.bits, ref_best.bits)
+        assert vars(trace) == vars(ref_trace)
+
+    @pytest.mark.parametrize("n_genes", [1, 2])
+    @pytest.mark.parametrize("crossover_prob", [0.0, 1.0])
+    @pytest.mark.parametrize("mutation_prob", [0.0, 0.5, 1.0])
+    def test_matches_reference_on_every_draw_path(self, mutation_prob,
+                                                  crossover_prob, n_genes):
+        # one or two genes make repairs follow crossover and mutation;
+        # probabilities 0 and 1 skip or always take the swap and the
+        # flips; 9 members after 2 elites leave an odd child count, so
+        # each generation's last pair drops its second child
+        rng = np.random.default_rng(3 * n_genes)
+        labels = np.arange(15) % 3
+        x = rng.integers(0, 3, size=(15, n_genes)) + labels[:, None]
+        ds = Dataset(x, labels, tuple(f"g{i}" for i in range(n_genes)),
+                     ("c0", "c1", "c2"))
+        cfg = GaConfig(population_size=9, iterations=6,
+                       crossover_prob=crossover_prob,
+                       mutation_prob=mutation_prob, tournament_size=2,
+                       elitism_count=2, fitness_knn_k=3, fitness_folds=3,
+                       seed=n_genes)
+        best, trace = evolve(ds, cfg)
+        ref_best, ref_trace = oracles.evolve_reference(ds, cfg)
+        assert np.array_equal(best.bits, ref_best.bits)
+        assert best.cached_fitness == ref_best.cached_fitness
         assert vars(trace) == vars(ref_trace)
 
     def test_trace_csv_round_trip(self, ga_toy_ds, tmp_path):

@@ -383,11 +383,17 @@ class TestSerialization:
             report_from_json(json.dumps(doc))
 
     def test_markdown_format(self, small_report):
-        md = report_to_markdown(small_report)
-        assert "(+/-" in md
-        assert "| classifier |" in md
-        assert f"{small_report.n_genes} -> {small_report.n_stage1} -> " \
-               f"{len(small_report.final_genes)}" in md
+        for protocol in ("paper", "nested"):
+            report = dataclasses.replace(small_report, protocol=protocol)
+            md = report_to_markdown(report)
+            assert "(+/-" in md
+            assert "| classifier |" in md
+            assert (f"{report.n_genes} -> {report.n_stage1} -> "
+                    f"{len(report.final_genes)} genes ({protocol} protocol)"
+                    in md)
+            # only paper CV scores genes selected on its own test rows
+            biased = "selection-biased" in md and "Ambroise & McLachlan" in md
+            assert biased == (protocol == "paper")
 
     def test_atomic_write(self, tmp_path, small_report):
         out = tmp_path / "small_report.json"
