@@ -111,7 +111,10 @@ def grad_hess(loss: str, y: float, y_hat_raw: float) -> tuple[float, float]:
     if loss == "squared":
         return y_hat_raw - y, 1.0
     if loss == "logistic":
-        p = 1.0 / (1.0 + math.exp(-y_hat_raw))
+        try:
+            p = 1.0 / (1.0 + math.exp(-y_hat_raw))
+        except OverflowError:  # raw below about -709.78: p's limit is 0
+            p = 0.0
         return p - y, max(p * (1.0 - p), HESS_FLOOR)
     raise ConfigError(f"unknown loss {loss!r}")
 

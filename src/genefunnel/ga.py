@@ -30,9 +30,9 @@ block, unless k differs between folds), and rebuilt for each chunk of
 masks otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and
 vote with the tie rules of the ``knn`` classifier, once per block, and
 each fold's hits are tallied once per chunk. Test rows are unlabeled
-queries, so any fold may lack a class. ``evolve`` scores the new masks
-of each generation in one call, each distinct mask once; ``fitness``
-scores one mask through the same kernel.
+queries, so any fold may lack a class. A chromosome is only its mask;
+``evolve`` scores each generation's new masks in one call, and its memo
+holds each mask's score once. ``fitness`` scores one mask, keeping none.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ __all__ = [
     "GaTrace",
     "init_population",
     "fitness",
-    "tournament_select",
     "uniform_crossover",
     "mutate",
     "evolve",
@@ -62,8 +61,8 @@ __all__ = [
 
 @dataclass(eq=False)
 class Chromosome:
+    """A gene mask; its fitness is kept only in ``evolve``'s memo."""
     bits: np.ndarray                 # uint8 mask over the stage-1 genes
-    cached_fitness: float | None = None
 
     def n_selected(self) -> int:
         return int(self.bits.sum())
@@ -238,17 +237,13 @@ def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig) -> float:
     """Mean internal-CV KNN accuracy of the dataset masked by the chromosome.
 
     Fold assignments derive from cfg.seed only, so every chromosome is
-    scored on the same splits. The value is cached on the chromosome.
+    scored on the same splits. It scores the current bits, caching nothing.
     """
-    if chrom.cached_fitness is not None:
-        return chrom.cached_fitness
     if chrom.bits.size != ds_stage1.n_genes:
         raise ValidationError("chromosome length does not match gene count")
     if chrom.n_selected() == 0:
         raise ValidationError("chromosome selects no genes")
-    kernel = _FitnessKernel(ds_stage1, cfg)
-    chrom.cached_fitness = kernel.scores(chrom.bits[None, :])[0]
-    return chrom.cached_fitness
+    return _FitnessKernel(ds_stage1, cfg).scores(chrom.bits[None])[0]
 
 
 def _rank(fitness: np.ndarray, sizes: np.ndarray) -> tuple[list, list]:
@@ -266,15 +261,6 @@ def _tournament(rank: list, cfg: GaConfig, rng: np.random.Generator) -> int:
     draws (with replacement)."""
     picks = rng.integers(0, len(rank), size=cfg.tournament_size)
     return min(picks.tolist(), key=rank.__getitem__)
-
-
-def tournament_select(pop: list[Chromosome], cfg: GaConfig,
-                      rng: np.random.Generator) -> Chromosome:
-    """Best by ``_rank`` of tournament_size uniform draws (with
-    replacement)."""
-    _, rank = _rank(np.array([c.cached_fitness for c in pop]),
-                    np.array([c.n_selected() for c in pop]))
-    return pop[_tournament(rank, cfg, rng)]
 
 
 def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
@@ -314,9 +300,7 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
         if new:
             scores = kernel.scores(np.array(list(new.values())))
             memo.update(zip(new, scores))
-        for key, c in zip(keys, pop):
-            c.cached_fitness = memo[key]
-        return (np.array([c.cached_fitness for c in pop]),
+        return (np.array([memo[key] for key in keys]),
                 np.array([c.bits for c in pop]).sum(axis=1))
 
     pop = init_population(ds_stage1.n_genes, cfg, rng)
@@ -336,7 +320,7 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
         fit, sizes = evaluate(pop)
         order, rank = _rank(fit, sizes)
         best = pop[order[0]]
-        trace.record(gen, best.cached_fitness, float(fit.mean()),
+        trace.record(gen, float(fit[order[0]]), float(fit.mean()),
                      int(sizes[order[0]]))
     return best, trace
 

@@ -208,21 +208,23 @@ def oracle_fitness(bits, ds, cfg):
     return float(np.mean(accuracies))
 
 
-def _ranks_above(pop, i, j):
-    """True when pop[i] ranks above pop[j]: higher fitness, then fewer
-    selected genes, then lower index."""
+def _ranks_above(pop, scores, i, j):
+    """True when pop[i] ranks above pop[j]: higher fitness (read from
+    scores by the mask as a tuple), then fewer selected genes, then
+    lower index."""
     a, b = pop[i], pop[j]
-    if a.cached_fitness != b.cached_fitness:
-        return a.cached_fitness > b.cached_fitness
+    fa, fb = scores[tuple(a.bits)], scores[tuple(b.bits)]
+    if fa != fb:
+        return fa > fb
     if a.bits.sum() != b.bits.sum():
         return a.bits.sum() < b.bits.sum()
     return i < j
 
 
-def _best_of(pop, indices):
+def _best_of(pop, scores, indices):
     best = indices[0]
     for i in indices[1:]:
-        if _ranks_above(pop, i, best):
+        if _ranks_above(pop, scores, i, best):
             best = i
     return best
 
@@ -233,9 +235,10 @@ def evolve_reference(ds, cfg):
 
     Tournaments, elites and each generation's best are pairwise scans
     by ``_ranks_above``; elites are picked one at a time from the rest
-    and copied; every mask is scored by ``oracle_fitness``. The best-ever
-    chromosome is a copy, replaced only by a generation's best that is
-    smaller in (-fitness, set-bit count, bitstring).
+    and copied; every mask is scored by ``oracle_fitness`` into one dict
+    keyed by the mask as a tuple, where every comparison reads it. The
+    best-ever chromosome is a copy, replaced only by a generation's best
+    that is smaller in (-fitness, set-bit count, bitstring).
     """
     rng = np.random.default_rng(cfg.seed)
     scores = {}
@@ -245,13 +248,12 @@ def evolve_reference(ds, cfg):
             key = tuple(c.bits)
             if key not in scores:
                 scores[key] = oracle_fitness(c.bits, ds, cfg)
-            c.cached_fitness = scores[key]
 
     def copy(c):
-        return ga.Chromosome(c.bits.copy(), c.cached_fitness)
+        return ga.Chromosome(c.bits.copy())
 
     def order(c):
-        return (-c.cached_fitness, int(c.bits.sum()), tuple(c.bits))
+        return (-scores[tuple(c.bits)], int(c.bits.sum()), tuple(c.bits))
 
     trace = ga.GaTrace()
     pop = ga.init_population(ds.n_genes, cfg, rng)
@@ -260,11 +262,11 @@ def evolve_reference(ds, cfg):
             rest = list(range(len(pop)))
             next_pop = []
             for _ in range(cfg.elitism_count):
-                elite = _best_of(pop, rest)
+                elite = _best_of(pop, scores, rest)
                 rest.remove(elite)
                 next_pop.append(copy(pop[elite]))
             while len(next_pop) < cfg.population_size:
-                parents = [pop[_best_of(pop, rng.integers(
+                parents = [pop[_best_of(pop, scores, rng.integers(
                     0, len(pop), size=cfg.tournament_size).tolist())]
                     for _ in range(2)]
                 c1, c2 = ga.uniform_crossover(*parents, cfg, rng)
@@ -273,11 +275,11 @@ def evolve_reference(ds, cfg):
                     next_pop.append(ga.mutate(c2, cfg, rng))
             pop = next_pop
         score(pop)
-        gen_best = pop[_best_of(pop, list(range(len(pop))))]
+        gen_best = pop[_best_of(pop, scores, list(range(len(pop))))]
         if gen == 0 or order(gen_best) < order(best_ever):
             best_ever = copy(gen_best)
-        trace.record(gen, best_ever.cached_fitness,
-                     float(np.mean([c.cached_fitness for c in pop])),
+        trace.record(gen, scores[tuple(best_ever.bits)],
+                     float(np.mean([scores[tuple(c.bits)] for c in pop])),
                      int(best_ever.bits.sum()))
     return best_ever, trace
 

@@ -3,9 +3,9 @@ import pytest
 
 import oracles
 from genefunnel import _kernels
-from genefunnel.boosting import (BoostParams, BoostedEnsemble, TreeNode, fit,
-                                 grad_hess, importances, leaf_weight,
-                                 select_nonzero, split_gain)
+from genefunnel.boosting import (HESS_FLOOR, BoostParams, BoostedEnsemble,
+                                 TreeNode, fit, grad_hess, importances,
+                                 leaf_weight, select_nonzero, split_gain)
 from genefunnel.data import Dataset
 from genefunnel.errors import ConfigError, ValidationError
 
@@ -42,6 +42,11 @@ class TestGradHess:
     def test_logistic_at_zero(self):
         g, h = grad_hess("logistic", 1.0, 0.0)
         assert g == pytest.approx(-0.5) and h == pytest.approx(0.25)
+
+    def test_logistic_past_exp_range(self):
+        # exp(-raw) overflows below raw of about -709.78; p is then 0
+        assert grad_hess("logistic", 1.0, -800.0) == (-1.0, HESS_FLOOR)
+        assert grad_hess("logistic", 0.0, -800.0) == (0.0, HESS_FLOOR)
 
     def test_squared_zero_residual(self):
         assert grad_hess("squared", 2.0, 2.0) == (0.0, 1.0)

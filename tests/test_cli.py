@@ -124,6 +124,16 @@ class TestRank:
     def test_missing_subcommand_exits_1(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("command", [["rank", "--trees", "20"],
+                                         ["select", *SELECT_FAST]])
+    def test_huge_learning_rate_exits_0(self, synth_csv, tmp_path, command):
+        # raw logistic scores fall far below exp's range
+        path, _ = synth_csv
+        out = tmp_path / "out.json"
+        assert main([*command, "--data", str(path), "--eta", "1000",
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestSelect:
     def test_happy_path_and_determinism(self, synth_csv, tmp_path, capsys):

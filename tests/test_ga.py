@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
-from genefunnel import ga
-from genefunnel.data import Dataset
+from genefunnel import boosting, ga
+from genefunnel.data import Dataset, normalize_minmax, project
 from genefunnel.errors import ConfigError, ValidationError
 from genefunnel.ga import (Chromosome, GaConfig, decode, evolve, fitness,
-                           init_population, mutate, tournament_select,
-                           trace_to_csv, uniform_crossover)
+                           init_population, mutate, trace_to_csv,
+                           uniform_crossover)
+from genefunnel.pipeline import SynthSpec, generate_synth
 
 
 def chrom(bits):
@@ -86,17 +87,16 @@ class TestFitness:
         val = fitness(chrom([1, 1, 1, 1]), ds, GaConfig(seed=0))
         assert 0.3 <= val <= 0.7
 
-    def test_cached_and_deterministic(self, separable_ds):
+    def test_deterministic_and_follows_bits(self, separable_ds):
         cfg = GaConfig(seed=5)
         a = chrom([1, 1, 0])
         b = chrom([1, 1, 0])
         fa = fitness(a, separable_ds, cfg)
-        fb = fitness(b, separable_ds, cfg)
-        assert fa == fb
-        assert a.cached_fitness == fa
-        # cache short-circuits: mutating bits no longer changes the value
+        assert fitness(b, separable_ds, cfg) == fa
+        # nothing is cached on the chromosome: new bits, new score
         a.bits = np.array([0, 0, 1], dtype=np.uint8)
-        assert fitness(a, separable_ds, cfg) == fa
+        assert (fitness(a, separable_ds, cfg)
+                == fitness(chrom([0, 0, 1]), separable_ds, cfg) != fa)
 
     def test_in_unit_interval_random_masks(self, ga_toy_ds):
         rng = np.random.default_rng(3)
@@ -249,15 +249,38 @@ class TestFitnessChunks:
         assert kernel._tensors is None
         assert kernel.scores(masks) == expected
 
+    def test_score_does_not_depend_on_batch(self, monkeypatch):
+        # evolve's memo keeps the first score a mask gets, so a mask must
+        # score the same alone as in any batch, on float data of the
+        # paper's 60x500 shape after stage 1
+        synth = generate_synth(SynthSpec(seed=3))
+        ds = normalize_minmax(synth.dataset)
+        model = boosting.fit(ds, ds.labels,
+                             boosting.BoostParams(n_estimators=20))
+        ds = project(ds, boosting.select_nonzero(boosting.importances(model)))
+        n = ds.n_genes
+        cfg = GaConfig(seed=1)
+        masks = random_masks(np.random.default_rng(15), 200, n)
+        # 5 folds of 12 test rows, each with 48 training rows: the small
+        # budget holds 7 queries per block and n masks per chunk
+        for budget, cached in ((ga._BLOCK_BYTES, True),
+                               (8 * n * 48 * 7, False)):
+            monkeypatch.setattr(ga, "_BLOCK_BYTES", budget)
+            kernel = ga._FitnessKernel(ds, cfg)
+            assert (kernel._tensors is not None) == cached
+            alone = [kernel.scores(m[None])[0] for m in masks]
+            assert kernel.scores(masks) == alone
+
 
 class TestTournament:
-    def _pop(self, fits_and_bits):
-        pop = []
-        for f, bits in fits_and_bits:
-            c = chrom(bits)
-            c.cached_fitness = f
-            pop.append(c)
-        return pop
+    """``_tournament`` over ``_rank``'s positions, the GA's only
+    tournament."""
+
+    @staticmethod
+    def _rank(fits_and_bits):
+        fits = np.array([f for f, _ in fits_and_bits])
+        sizes = np.array([sum(bits) for _, bits in fits_and_bits])
+        return ga._rank(fits, sizes)[1]
 
     class _FixedPicks:
         """rng stub returning a predetermined tournament draw."""
@@ -270,34 +293,30 @@ class TestTournament:
             return self.picks
 
     def test_tournament_containing_best_returns_it(self):
-        pop = self._pop([(0.2, [1, 0, 0]), (0.9, [0, 1, 0]),
-                         (0.5, [0, 0, 1])])
+        rank = self._rank([(0.2, [1, 0, 0]), (0.9, [0, 1, 0]),
+                           (0.5, [0, 0, 1])])
         cfg = GaConfig(population_size=3, tournament_size=3)
-        winner = tournament_select(pop, cfg, self._FixedPicks([0, 1, 2]))
-        assert winner is pop[1]
+        assert ga._tournament(rank, cfg, self._FixedPicks([0, 1, 2])) == 1
 
     def test_winner_beats_all_drawn_competitors(self):
-        pop = self._pop([(0.2, [1, 0, 0]), (0.9, [0, 1, 0]),
-                         (0.5, [0, 0, 1])])
+        pop = [(0.2, [1, 0, 0]), (0.9, [0, 1, 0]), (0.5, [0, 0, 1])]
+        rank = self._rank(pop)
         cfg = GaConfig(population_size=3, tournament_size=2)
         rng = np.random.default_rng(0)
         for _ in range(30):
             picks = rng.integers(0, 3, size=2)
-            winner = tournament_select(pop, cfg, self._FixedPicks(picks))
-            assert winner.cached_fitness == max(
-                pop[i].cached_fitness for i in picks)
+            winner = ga._tournament(rank, cfg, self._FixedPicks(picks))
+            assert pop[winner][0] == max(pop[i][0] for i in picks)
 
     def test_size_tie_break(self):
-        pop = self._pop([(0.7, [1, 1, 1, 1, 1]), (0.7, [1, 1, 1, 0, 0])])
+        rank = self._rank([(0.7, [1, 1, 1, 1, 1]), (0.7, [1, 1, 1, 0, 0])])
         cfg = GaConfig(population_size=2, tournament_size=2)
-        winner = tournament_select(pop, cfg, self._FixedPicks([0, 1]))
-        assert winner.n_selected() == 3
+        assert ga._tournament(rank, cfg, self._FixedPicks([0, 1])) == 1
 
     def test_index_tie_break(self):
-        pop = self._pop([(0.7, [1, 1, 0]), (0.7, [0, 1, 1])])
+        rank = self._rank([(0.7, [1, 1, 0]), (0.7, [0, 1, 1])])
         cfg = GaConfig(population_size=2, tournament_size=2)
-        winner = tournament_select(pop, cfg, self._FixedPicks([1, 0]))
-        assert winner is pop[0]
+        assert ga._tournament(rank, cfg, self._FixedPicks([1, 0])) == 0
 
 
 class TestCrossover:
@@ -333,14 +352,18 @@ class TestCrossover:
                         == (a.bits + b.bits).sum() + 1)
             assert conserved or repaired
 
-    def test_children_have_fresh_caches(self):
-        cfg = GaConfig(crossover_prob=1.0)
+    def test_children_never_alias_parents(self):
+        # elites are shared across generations and never scored again, so
+        # no child may hold a view of a parent's bits
         rng = np.random.default_rng(5)
         a, b = chrom([1, 0, 1]), chrom([0, 1, 1])
-        a.cached_fitness = 0.9
-        b.cached_fitness = 0.8
-        c1, c2 = uniform_crossover(a, b, cfg, rng)
-        assert c1.cached_fitness is None and c2.cached_fitness is None
+        for p in (0.0, 1.0):
+            children = uniform_crossover(a, b, GaConfig(crossover_prob=p),
+                                         rng)
+            assert not any(np.shares_memory(c.bits, parent.bits)
+                           for c in children for parent in (a, b))
+            child = mutate(a, GaConfig(mutation_prob=p), rng)
+            assert not np.shares_memory(child.bits, a.bits)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -353,7 +376,6 @@ class TestMutate:
         rng = np.random.default_rng(0)
         c = mutate(chrom([1, 0, 1, 1]), GaConfig(mutation_prob=0.0), rng)
         assert c.bits.tolist() == [1, 0, 1, 1]
-        assert c.cached_fitness is None
 
     def test_probability_one_complement(self):
         rng = np.random.default_rng(0)
@@ -416,7 +438,8 @@ class TestEvolve:
         assert trace.generations == [0]
         pop = init_population(6, cfg, np.random.default_rng(cfg.seed))
         fits = [fitness(c, ga_toy_ds, cfg) for c in pop]
-        assert best.cached_fitness == max(fits)
+        assert fitness(best, ga_toy_ds, cfg) == max(fits)
+        assert trace.best_fitness == [max(fits)]
 
     def test_trace_monotone_and_deterministic(self, ga_toy_ds):
         cfg = GaConfig(population_size=30, iterations=15, seed=9)
@@ -513,7 +536,7 @@ class TestEvolve:
         best, trace = evolve(ds, cfg)
         ref_best, ref_trace = oracles.evolve_reference(ds, cfg)
         assert np.array_equal(best.bits, ref_best.bits)
-        assert best.cached_fitness == ref_best.cached_fitness
+        assert fitness(best, ds, cfg) == ref_trace.best_fitness[-1]
         assert vars(trace) == vars(ref_trace)
 
     def test_trace_csv_round_trip(self, ga_toy_ds, tmp_path):
