@@ -3,7 +3,7 @@
 Subcommands: synth (emit a benchmark CSV), rank (stage-1 importance only),
 select (full pipeline report), evaluate (CV of a given gene subset),
 compare (Wilcoxon over two directories, each of select reports or evaluate
-results, paired by dataset name), trace (GA trace CSV).
+results, paired by dataset name).
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
@@ -129,7 +129,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON or key=value config file; flags win")
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--markdown-out", help="markdown table path")
-    p.add_argument("--trace-out", help="GA trace CSV path")
+    p.add_argument("--trace-out", help="GA trace CSV path: the selection "
+                   "on all rows, under either protocol")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtimes in the JSON report "
                         "(breaks byte-for-byte reproducibility)")
@@ -153,11 +154,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="JSON output path (default: stdout)")
     p.set_defaults(run=_cmd_compare)
 
-    p = sub.add_parser("trace", help="run selection and emit the GA trace CSV",
-                       parents=[data, boost, search, seed])
-    p.add_argument("--trace-out", required=True)
-    p.set_defaults(run=_cmd_trace)
-
     parser.commands = sub.choices  # subparsers by name
     return parser
 
@@ -179,8 +175,8 @@ def _build(cls, args, **values):
 
 
 def _pipeline_config(args) -> pipeline.PipelineConfig:
-    """The config of ``rank``, ``select``, ``evaluate`` and ``trace``, which
-    build it before they read the data file, so a bad flag fails first."""
+    """The config of ``rank``, ``select`` and ``evaluate``, which build it
+    before they read the data file, so a bad flag fails first."""
     values = {}
     if hasattr(args, "classifiers"):
         values["eval_classifiers"] = _eval_specs(args)
@@ -317,7 +313,7 @@ def _cmd_select(args) -> int:
         pipeline.write_json_atomic(args.markdown_out, markdown)
     if args.out:  # else the JSON is already on stdout
         sys.stdout.write(markdown)
-    if args.trace_out and report.ga_trace is not None:
+    if args.trace_out:
         ga.trace_to_csv(report.ga_trace, args.trace_out)
     print(f"runtimes (s): {report.runtimes}", file=sys.stderr)
     return EXIT_OK
@@ -453,13 +449,6 @@ def _cmd_compare(args) -> int:
         "verdict": "significant" if result.significant else "not significant",
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    return EXIT_OK
-
-
-def _cmd_trace(args) -> int:
-    cfg = _pipeline_config(args)
-    ds = _load_prepared(args)
-    ga.trace_to_csv(pipeline.select_genes(ds, cfg).trace, args.trace_out)
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ inside every outer training fold and scores only the held-out fold.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -331,8 +332,16 @@ def report_to_markdown(report: PipelineReport) -> str:
 
 
 def write_json_atomic(path, text: str):
-    """Write via a temp file + rename so readers never see partial output."""
+    """Write via a temp file + rename so readers never see partial output.
+    When the write or the rename fails, the temp file is removed and the
+    error re-raised."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from genefunnel import boosting, ga
-from genefunnel.cli import _build, _pipeline_config, build_parser, main
+from genefunnel.cli import (_build, _load_prepared, _pipeline_config,
+                           build_parser, main)
 from genefunnel.data import load_csv
 from genefunnel.pipeline import (PipelineConfig, SynthSpec, config_to_dict,
-                                 generate_synth)
+                                 generate_synth, select_genes)
 
 
 SELECT_FAST = [
@@ -135,6 +136,24 @@ class TestRank:
         assert out.exists()
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--data", "{data}", "--trees", "2", "--out", "{dir}"],
+        ["synth", "--out", "{csv}", "--truth-out", "{dir}"],
+    ], ids=["rank_out", "synth_truth_out"])
+    def test_failed_rename_leaves_no_temp_file(self, synth_csv, tmp_path,
+                                               capsys, argv):
+        # os.replace cannot put a file over an existing directory
+        target = tmp_path / "outdir"
+        target.mkdir()
+        argv = [arg.format(data=synth_csv[0], dir=target,
+                           csv=tmp_path / "s.csv") for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 class TestSelect:
     def test_happy_path_and_determinism(self, synth_csv, tmp_path, capsys):
         path, _ = synth_csv
@@ -164,6 +183,44 @@ class TestSelect:
                      "--pop", "10", "--gens", "2", "--cv-k", "3",
                      "--cv-rounds", "1",
                      "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_nested_is_unbiased_on_null_data_with_gaps(self, tmp_path):
+        """Through the CLI, where the file is imputed and scaled on all
+        rows before either protocol runs: on data with gaps where no gene
+        carries signal, ``nested`` scores near chance over 10 seeds, while
+        ``paper`` scores well above it (selection bias: Ambroise &
+        McLachlan, PNAS 2002)."""
+        accuracy = {"paper": [], "nested": []}
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(40, 100))
+            labels = rng.permutation(np.arange(40) % 2)
+            gaps = rng.random(x.shape) < 0.05
+            data = tmp_path / f"null-{seed}.csv"
+            data.write_text(
+                ",".join(f"g{j}" for j in range(100)) + ",label\n"
+                + "".join(",".join("" if gap else repr(v)
+                                   for v, gap in zip(row, row_gaps))
+                          + f",{'ab'[label]}\n"
+                          for row, row_gaps, label
+                          in zip(x.tolist(), gaps.tolist(), labels)))
+            for protocol in accuracy:
+                out = tmp_path / f"{protocol}-{seed}.json"
+                assert main(["select", "--data", str(data),
+                             "--trees", "20", "--max-depth", "2",
+                             "--pop", "20", "--gens", "10", "--cv-k", "5",
+                             "--cv-rounds", "1",
+                             "--classifiers", "knn,gaussian_nb",
+                             "--protocol", protocol, "--seed", str(seed),
+                             "--out", str(out)]) == 0
+                summaries = json.loads(out.read_text())["summaries"]
+                accuracy[protocol].append(
+                    [summaries[kind]["means"]["accuracy"]
+                     for kind in ("knn", "gaussian_nb")])
+        nested = np.mean(accuracy["nested"], axis=0)
+        paper = np.mean(accuracy["paper"], axis=0)
+        assert ((0.40 <= nested) & (nested <= 0.62)).all(), nested
+        assert (paper > 0.62).all(), paper
 
     def test_timings_flag_includes_runtimes(self, synth_csv, tmp_path):
         path, _ = synth_csv
@@ -487,7 +544,6 @@ class TestBadNumbers:
         ["rank", "--data", "{data}", "--seed", "-1"],
         ["select", "--data", "{data}", "--seed", "-1"],
         ["evaluate", "--data", "{data}", "--genes", "{out}", "--seed", "-1"],
-        ["trace", "--data", "{data}", "--trace-out", "{out}", "--seed", "-1"],
         ["select", "--data", "{data}", "--trees", "abc"],
         ["compare", "--a", "{a}", "--b", "{b}", "--metric", "foo"],
         ["compare", "--a", "{a}", "--b", "{b}", "--alpha", "7"],
@@ -507,29 +563,24 @@ class TestBadNumbers:
          "--classifiers", ","],
         ["evaluate", "--data", "{missing}", "--genes", "{out}",
          "--cv-k", "1"],
-        ["trace", "--data", "{missing}", "--trace-out", "{out}",
-         "--eta", "inf"],
         ["rank", "--data", "{missing}", "--impute-neighbors", "0",
          "--out", "{out}"],
         ["select", "--data", "{missing}", "--impute-neighbors", "0",
          "--out", "{out}"],
         ["evaluate", "--data", "{missing}", "--genes", "{out}",
          "--impute-neighbors", "0"],
-        ["trace", "--data", "{missing}", "--trace-out", "{out}",
-         "--impute-neighbors", "0"],
         # compare checks --alpha before it reads the directories
         ["compare", "--a", "{missing}", "--b", "{missing}", "--alpha", "7"],
     ], ids=["synth_seed", "rank_seed", "select_seed", "evaluate_seed",
-            "trace_seed", "select_trees_not_int", "compare_metric",
+            "select_trees_not_int", "compare_metric",
             "compare_alpha_above_1", "compare_alpha_negative",
             "synth_informative", "synth_sigma", "synth_no_genes",
             "rank_lambda_nan", "select_eta_inf", "rank_gamma_nan",
             "synth_sigma_nan", "rank_eta_inf_no_data",
             "select_eta_inf_no_data", "evaluate_classifiers_no_data",
-            "evaluate_cv_k_no_data", "trace_eta_inf_no_data",
-            "rank_impute_neighbors_no_data", "select_impute_neighbors_no_data",
-            "evaluate_impute_neighbors_no_data",
-            "trace_impute_neighbors_no_data", "compare_alpha_no_reports"])
+            "evaluate_cv_k_no_data", "rank_impute_neighbors_no_data",
+            "select_impute_neighbors_no_data",
+            "evaluate_impute_neighbors_no_data", "compare_alpha_no_reports"])
     def test_exits_1_with_one_line(self, synth_csv, report_doc, tmp_path,
                                    capsys, argv):
         for d in ("a", "b"):
@@ -819,29 +870,41 @@ class TestTrace:
     def test_emits_csv(self, synth_csv, tmp_path):
         path, _ = synth_csv
         out = tmp_path / "trace.csv"
-        assert main(["trace", "--data", str(path), "--trees", "15",
+        assert main(["select", "--data", str(path), "--trees", "15",
                      "--max-depth", "2", "--subsample", "1.0",
                      "--pop", "10", "--gens", "4", "--seed", "0",
+                     "--cv-k", "2", "--cv-rounds", "1",
+                     "--out", str(tmp_path / "r.json"),
                      "--trace-out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "generation,best_fitness,mean_fitness,best_size"
         assert len(lines) == 1 + 5  # generations 0..4
 
-    @pytest.mark.parametrize("seed", ["0", "7"])
-    def test_equals_select_trace_out(self, synth_csv, tmp_path, seed):
-        # SELECT_FAST is the selection flags followed by the evaluation ones
+    @pytest.mark.parametrize("protocol", ["paper", "nested"])
+    def test_is_the_selection_on_all_rows(self, synth_csv, tmp_path,
+                                          protocol):
         path, _ = synth_csv
-        selection = SELECT_FAST[:SELECT_FAST.index("--cv-k")]
         traced = tmp_path / "trace.csv"
-        selected = tmp_path / "select-trace.csv"
-        assert main(["trace", "--data", str(path), "--seed", seed,
-                     *selection, "--trace-out", str(traced)]) == 0
-        assert main(["select", "--data", str(path), "--seed", seed,
-                     *SELECT_FAST, "--out", str(tmp_path / "r.json"),
-                     "--trace-out", str(selected)]) == 0
-        assert traced.read_bytes() == selected.read_bytes()
+        argv = ["select", "--data", str(path), "--seed", "7", *SELECT_FAST,
+                "--protocol", protocol, "--out", str(tmp_path / "r.json"),
+                "--trace-out", str(traced)]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        selection = select_genes(_load_prepared(args), _pipeline_config(args))
+        expected = tmp_path / "expected.csv"
+        ga.trace_to_csv(selection.trace, expected)
+        assert traced.read_bytes() == expected.read_bytes()
 
-    @pytest.mark.parametrize("command", ["trace", "select"])
+    def test_trace_command_is_gone(self, synth_csv, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--data", str(synth_csv[0]),
+                     "--trace-out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'trace'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select"])
     def test_no_gene_kept_names_stage_1(self, tmp_path, capsys, command):
         # every gene is constant, so no split gains and stage 1 keeps none
         data = tmp_path / "constant.csv"
