@@ -1,11 +1,13 @@
 """The hot kernels, in numpy; each has this one implementation.
 
 ``best_split`` is the only split search, and it scans columns that are
-already sorted: ``boosting.fit`` sorts once per tree (``sort_columns``)
-and hands each child its part of the sorted orders
-(``sorted_partition``). ``sort_columns`` also flags the features that
-hold a tied value, and the scan looks for equal neighbours only in
-flagged features; a tree's flags hold for all its nodes. Each block of
+already sorted: ``boosting.fit`` sorts once per tree (``sort_columns``),
+and ``sorted_partition`` gives each child its own contiguous part of the
+sorted columns, gathered through the flat indices of the child's cells,
+which keep each feature's sorted order. ``sort_columns`` also flags the
+features that hold a tied value, and the scan looks for equal
+neighbours only in flagged features; a tree's flags hold for all its
+nodes. Each block of
 the scan takes its left-child sums by one gather and one prefix sum of
 (gradient, hessian), carried as the parts of one complex array.
 
@@ -138,20 +140,27 @@ def _split_gains(xs, order, tied, g, h, total_g, total_h, lam, gamma,
 
 
 def sorted_partition(xs, order, first):
-    """Stably move the rows flagged in ``first`` to the front of each
-    feature's sorted columns, so both parts stay sorted.
+    """Split each feature's sorted columns into the rows flagged in
+    ``first`` and the rest, both parts still sorted.
 
     xs, order: as for ``best_split``; first: bool per row index, read
-    only at the rows that ``order`` holds.
-    Returns the reordered (xs, order).
+    only at the rows that ``order`` holds. Returns ((xs, order) of the
+    flagged rows, (xs, order) of the rest), each part a new C-contiguous
+    (n, count) pair, (n, 0) when the part is empty.
+
+    The flat indices of each part's cells list them in row-major order,
+    so every feature's members keep their sorted order: the stable
+    partition, without a sort.
     """
     n, m = order.shape
-    perm = np.argsort(~np.take(first, order), axis=1, kind="stable")
-    perm += np.arange(0, n * m, m)[:, None]
-    perm = perm.ravel()
-    order = order.ravel()[perm].reshape(n, m)
-    xs = xs.ravel()[perm].reshape(n, m)
-    return xs, order
+    side = np.take(first, order).ravel()
+    n_first = int(np.count_nonzero(side[:m]))  # the same in every feature
+    parts = []
+    for cells, count in ((np.flatnonzero(side), n_first),
+                         (np.flatnonzero(~side), m - n_first)):
+        parts.append((np.take(xs, cells).reshape(n, count),
+                      np.take(order, cells).reshape(n, count)))
+    return tuple(parts)
 
 
 def nearest(d, k):

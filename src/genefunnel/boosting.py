@@ -142,7 +142,8 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     leaf weight to ``raw`` at ``reach``, every sample that reaches the
     node. xs/order hold the node's columns sorted by value and tied the
     tree's tie flags, as ``_kernels.best_split`` takes them; xs/order are
-    None when the node is at max_depth."""
+    None when the node is at max_depth. ``_kernels.sorted_partition``
+    gives each child that searches for a split its own sorted part."""
     g_sum = float(g[rows].sum())
     h_sum = float(h[rows].sum())
     feat = -1
@@ -158,10 +159,7 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     reach_left = on_left[reach]
     left_cols = right_cols = (None, None)
     if depth + 1 < params.max_depth:  # the children search for splits too
-        xs, order = _kernels.sorted_partition(xs, order, on_left)
-        n_left = int(go_left.sum())
-        left_cols = xs[:, :n_left], order[:, :n_left]
-        right_cols = xs[:, n_left:], order[:, n_left:]
+        left_cols, right_cols = _kernels.sorted_partition(xs, order, on_left)
     left = _grow(x, g, h, rows[go_left], reach[reach_left], raw, *left_cols,
                  tied, depth + 1, params)
     right = _grow(x, g, h, rows[~go_left], reach[~reach_left], raw,

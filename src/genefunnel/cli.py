@@ -23,7 +23,8 @@ import numpy as np
 
 from . import boosting, ga, pipeline
 from .classifiers import KINDS, ClassifierSpec
-from .data import impute_knn, load_csv, make_folds, normalize_minmax, project
+from .data import (atomic_open, impute_knn, load_csv, make_folds,
+                   normalize_minmax, project)
 from .errors import GeneFunnelError, ValidationError
 from .stats import (METRIC_NAMES, fold_splits, score_splits,
                     wilcoxon_signed_rank)
@@ -263,7 +264,7 @@ def _cmd_synth(args) -> int:
     ds = result.dataset
     missing = np.zeros(ds.values.shape, dtype=bool)
     missing[result.mask[:, 0], result.mask[:, 1]] = True
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.gene_ids) + ["label"])
         for values, gaps, label in zip(ds.values.tolist(), missing.tolist(),
@@ -292,7 +293,7 @@ def _cmd_rank(args) -> int:
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     if args.csv_out:
-        with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(args.csv_out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["gene_index", "gene_id", "total_gain", "split_count"])
             for j in report.ranking:

@@ -2,12 +2,15 @@
 
 All other stages assume the shape invariants enforced here: a dense
 samples x genes float matrix, contiguous integer class labels, and
-stratified, seed-reproducible cross-validation fold plans.
+stratified, seed-reproducible cross-validation fold plans. Every output
+file is written through ``atomic_open``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -28,6 +31,7 @@ __all__ = [
     "make_folds",
     "training_fold",
     "project",
+    "atomic_open",
 ]
 
 
@@ -534,3 +538,21 @@ def project(ds: Dataset, gene_subset) -> Dataset:
     values = ds.values[:, subset]
     gene_ids = tuple(ds.gene_ids[int(j)] for j in subset)
     return Dataset(values, ds.labels, gene_ids, ds.class_names, ds.name)
+
+
+@contextlib.contextmanager
+def atomic_open(path, newline=None):
+    """A UTF-8 text file to write, opened at ``<path>.tmp`` and renamed
+    to path when the block ends, so readers never see partial output.
+    When the block, the close or the rename raises, the temp file is
+    removed and the error re-raised."""
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

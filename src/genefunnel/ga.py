@@ -8,15 +8,25 @@ positions, from one stacked sum of its masks and one stable lexsort;
 the elites and the generation's best come from that ranking, and
 tournaments compare rank positions.
 
+``evolve`` breeds each generation into one (population_size, N') uint8
+matrix, elites copied in as rows, each pair of children written into
+the next two rows. Each operator has one rule on raw masks: ``_winner``
+(tournament), ``_cross`` (crossover) and ``_flip`` (mutation), which
+``evolve`` calls and ``_tournament``, ``uniform_crossover`` and
+``mutate`` wrap.
+
 The draws are a contract: every report and fingerprint depends on
 them. One generator, seeded by cfg.seed, first draws the initial
 population (each member's bits, then its repair). Then, for each pair
-of children in turn: the first tournament's picks, the second's, the
-crossover coin, the swap mask when the coin is taken, the repair of
-each child, and for each child kept, its mutation flips and then its
-repair. A repair draws one locus only when a mask has no set bit, and
-the last pair of an odd child count drops its second child before that
-child's mutation.
+of children in turn: both tournaments' picks, the crossover coin, the
+swap mask when the coin is taken, the repair of each child, and for
+each child kept, its mutation flips and then its repair. Both
+tournaments' picks come from one draw of 2 * tournament_size indices,
+the first half the first tournament's: numpy draws bounded integers
+one at a time from one stream, so this is the stream that a draw per
+tournament gives. A repair draws one locus only when a mask has no set
+bit, and the last pair of an odd child count drops its second child
+before that child's mutation.
 
 Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. It lists every internal fold's test rows in fold
@@ -42,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import knn_vote, nearest
-from .data import Dataset, make_folds
+from .data import Dataset, atomic_open, make_folds
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -66,9 +76,6 @@ class Chromosome:
 
     def n_selected(self) -> int:
         return int(self.bits.sum())
-
-    def key(self) -> bytes:
-        return self.bits.tobytes()
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,8 @@ class GaTrace:
 
 
 def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    if not bits.any():
+    """Set one uniform locus of a mask that has no set bit, in place."""
+    if not np.count_nonzero(bits):
         bits[rng.integers(bits.size)] = 1
     return bits
 
@@ -256,11 +264,39 @@ def _rank(fitness: np.ndarray, sizes: np.ndarray) -> tuple[list, list]:
     return order.tolist(), rank.tolist()
 
 
+def _winner(picks: list, rank: list) -> int:
+    """The tournament rule: the pick with the best rank position."""
+    return min(picks, key=rank.__getitem__)
+
+
 def _tournament(rank: list, cfg: GaConfig, rng: np.random.Generator) -> int:
     """Index of the best rank position among tournament_size uniform
     draws (with replacement)."""
     picks = rng.integers(0, len(rank), size=cfg.tournament_size)
-    return min(picks.tolist(), key=rank.__getitem__)
+    return _winner(picks.tolist(), rank)
+
+
+def _cross(a: np.ndarray, b: np.ndarray, kids: np.ndarray, cfg: GaConfig,
+           rng: np.random.Generator) -> None:
+    """The crossover rule on raw masks: write the children of a and b
+    into the two rows of kids, each locus swapped with probability 0.5
+    when the crossover_prob coin is taken, else copies; then repair
+    each child."""
+    kids[0] = a
+    kids[1] = b
+    if rng.random() < cfg.crossover_prob:
+        swap = rng.random(a.size) < 0.5
+        np.copyto(kids[0], b, where=swap)
+        np.copyto(kids[1], a, where=swap)
+    _repair(kids[0], rng)
+    _repair(kids[1], rng)
+
+
+def _flip(bits: np.ndarray, cfg: GaConfig, rng: np.random.Generator) -> None:
+    """The mutation rule on a raw mask, in place: flip each bit with
+    probability mutation_prob, then repair it."""
+    bits ^= rng.random(bits.size) < cfg.mutation_prob
+    _repair(bits, rng)
 
 
 def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
@@ -269,18 +305,16 @@ def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
     with probability 0.5; otherwise copy the parents."""
     if a.bits.size != b.bits.size:
         raise ValidationError("parents must have equal length")
-    if rng.random() < cfg.crossover_prob:
-        swap = rng.random(a.bits.size) < 0.5
-        c1, c2 = np.where(swap, b.bits, a.bits), np.where(swap, a.bits, b.bits)
-    else:
-        c1, c2 = a.bits.copy(), b.bits.copy()
-    return (Chromosome(_repair(c1, rng)), Chromosome(_repair(c2, rng)))
+    kids = np.empty((2, a.bits.size), dtype=np.result_type(a.bits, b.bits))
+    _cross(a.bits, b.bits, kids, cfg, rng)
+    return Chromosome(kids[0]), Chromosome(kids[1])
 
 
 def mutate(c: Chromosome, cfg: GaConfig, rng: np.random.Generator) -> Chromosome:
     """Flip each bit independently with probability mutation_prob."""
-    flips = rng.random(c.bits.size) < cfg.mutation_prob
-    return Chromosome(_repair(c.bits ^ flips, rng))
+    bits = c.bits.copy()
+    _flip(bits, cfg, rng)
+    return Chromosome(bits)
 
 
 def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
@@ -291,38 +325,39 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     rng = np.random.default_rng(cfg.seed)
     kernel = _FitnessKernel(ds_stage1, cfg)
     memo: dict[bytes, float] = {}
+    p, t = cfg.population_size, cfg.tournament_size
 
-    def evaluate(pop: list[Chromosome]) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score the masks not seen before, in first-seen order, and
-        return each member's fitness and size."""
-        keys = [c.key() for c in pop]
-        new = {key: c.bits for key, c in zip(keys, pop) if key not in memo}
+        return each row's fitness and size."""
+        keys = [row.tobytes() for row in pop]
+        new = {key: row for key, row in zip(keys, pop) if key not in memo}
         if new:
             scores = kernel.scores(np.array(list(new.values())))
             memo.update(zip(new, scores))
-        return (np.array([memo[key] for key in keys]),
-                np.array([c.bits for c in pop]).sum(axis=1))
+        return np.array([memo[key] for key in keys]), pop.sum(axis=1)
 
-    pop = init_population(ds_stage1.n_genes, cfg, rng)
+    pop = np.array([c.bits for c in
+                    init_population(ds_stage1.n_genes, cfg, rng)])
     trace = GaTrace()
     for gen in range(cfg.iterations + 1):
         if gen:
-            # scored chromosomes are never mutated, so elites are shared
-            next_pop = [pop[i] for i in order[:cfg.elitism_count]]
-            while len(next_pop) < cfg.population_size:
-                p1 = pop[_tournament(rank, cfg, rng)]
-                p2 = pop[_tournament(rank, cfg, rng)]
-                c1, c2 = uniform_crossover(p1, p2, cfg, rng)
-                next_pop.append(mutate(c1, cfg, rng))
-                if len(next_pop) < cfg.population_size:
-                    next_pop.append(mutate(c2, cfg, rng))
-            pop = next_pop
+            # one spare row takes the dropped second child of an odd count
+            next_pop = np.empty((p + 1, pop.shape[1]), dtype=np.uint8)
+            next_pop[:cfg.elitism_count] = pop[order[:cfg.elitism_count]]
+            for i in range(cfg.elitism_count, p, 2):
+                picks = rng.integers(0, p, size=2 * t).tolist()
+                a, b = _winner(picks[:t], rank), _winner(picks[t:], rank)
+                _cross(pop[a], pop[b], next_pop[i:i + 2], cfg, rng)
+                _flip(next_pop[i], cfg, rng)
+                if i + 1 < p:
+                    _flip(next_pop[i + 1], cfg, rng)
+            pop = next_pop[:p]
         fit, sizes = evaluate(pop)
         order, rank = _rank(fit, sizes)
-        best = pop[order[0]]
         trace.record(gen, float(fit[order[0]]), float(fit.mean()),
                      int(sizes[order[0]]))
-    return best, trace
+    return Chromosome(pop[order[0]].copy()), trace
 
 
 def decode(best: Chromosome, stage1_genes) -> np.ndarray:
@@ -334,7 +369,9 @@ def decode(best: Chromosome, stage1_genes) -> np.ndarray:
 
 
 def trace_to_csv(trace: GaTrace, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write the trace as CSV, one row per generation, through
+    ``data.atomic_open``."""
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "best_fitness", "mean_fitness", "best_size"])
         for row in zip(trace.generations, trace.best_fitness,

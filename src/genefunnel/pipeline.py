@@ -7,11 +7,9 @@ inside every outer training fold and scores only the held-out fold.
 """
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import boosting, ga
 from .classifiers import KINDS, ClassifierSpec
-from .data import Dataset, make_folds, project
+from .data import Dataset, atomic_open, make_folds, project
 from .errors import PipelineError, ValidationError
 from .stats import METRIC_NAMES, CvSummary, fold_splits, score_splits
 
@@ -332,16 +330,7 @@ def report_to_markdown(report: PipelineReport) -> str:
 
 
 def write_json_atomic(path, text: str):
-    """Write via a temp file + rename so readers never see partial output.
-    When the write or the rename fails, the temp file is removed and the
-    error re-raised."""
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write text through ``data.atomic_open``: readers never see partial
+    output, and a failed write or rename leaves no temp file."""
+    with atomic_open(path) as fh:
+        fh.write(text)

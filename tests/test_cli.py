@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -151,6 +152,40 @@ class TestAtomicWrite:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--samples", "6", "--genes", "12", "--out", "{target}"],
+        ["rank", "--data", "{data}", "--trees", "2", "--out", "{dir}/r.json",
+         "--csv", "{target}"],
+        ["select", "--data", "{data}", *SELECT_FAST, "--out",
+         "{dir}/r.json", "--trace-out", "{target}"],
+    ], ids=["synth_out", "rank_csv", "select_trace_out"])
+    def test_failed_csv_write_leaves_no_file(self, synth_csv, tmp_path,
+                                             capsys, monkeypatch, argv):
+        # a write that fails after the header leaves neither a
+        # header-only target nor its temp file
+        writer = csv.writer
+
+        class Failing:
+            def __init__(self, fh):
+                self.rows = 0
+                self.writer = writer(fh)
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 2:
+                    raise OSError("No space left on device")
+                return self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", Failing)
+        target = tmp_path / "out.csv"
+        argv = [arg.format(data=synth_csv[0], dir=tmp_path, target=target)
+                for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: No space left on device\n"
+        assert not target.exists()
         assert list(tmp_path.glob("*.tmp")) == []
 
 

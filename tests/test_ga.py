@@ -430,6 +430,25 @@ class TestDrawOrder:
                          True, False, True, False]
         assert rng.random() == 0.6884467305709401
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("population", [3, 50, 2**32 + 5])
+    def test_one_draw_holds_both_tournaments(self, population, t):
+        # evolve draws both tournaments' picks in one integers(size=2t)
+        # call, and the operators draw each in a size=t call: numpy must
+        # draw bounded integers one at a time from one stream, so both
+        # give the same picks and leave the generator in the same state,
+        # with the crossover and mutation draws between pairs
+        joint, split = np.random.default_rng(11), np.random.default_rng(11)
+        for pair in range(40):
+            both = joint.integers(0, population, size=2 * t)
+            first = split.integers(0, population, size=t)
+            second = split.integers(0, population, size=t)
+            assert np.array_equal(both, np.concatenate([first, second]))
+            for rng in (joint, split):
+                rng.random()
+                rng.random(pair % 5)
+        assert joint.bit_generator.state == split.bit_generator.state
+
 
 class TestEvolve:
     def test_zero_iterations_returns_initial_best(self, ga_toy_ds):

@@ -123,14 +123,38 @@ class TestFallbackAgainstOracles:
         order = np.argsort(x.T, axis=1, kind="stable")
         xs = np.take_along_axis(x.T, order, axis=1)
         first = rng.random(15) < 0.4
-        got_xs, got_order = _kernels.sorted_partition(xs, order, first)
-        n_first = int(first.sum())
-        for cols, rows in ((slice(None, n_first), np.flatnonzero(first)),
-                           (slice(n_first, None), np.flatnonzero(~first))):
+        parts = _kernels.sorted_partition(xs, order, first)
+        for (got_xs, got_order), rows in zip(
+                parts, (np.flatnonzero(first), np.flatnonzero(~first))):
             want = rows[np.argsort(x[rows].T, axis=1, kind="stable")]
-            assert np.array_equal(got_order[:, cols], want)
-            assert np.array_equal(got_xs[:, cols],
-                                  np.take_along_axis(x.T, want, axis=1))
+            assert np.array_equal(got_order, want)
+            assert np.array_equal(got_xs, np.take_along_axis(x.T, want,
+                                                             axis=1))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("n_first", [0, 1, 6, 7])
+    def test_sorted_partition_part_shapes(self, dtype, n_first):
+        # a part of one row, and an empty part of shape (n, 0), on the
+        # orders of some of 12 rows; every part is its own C-contiguous
+        # pair, in the orders' dtype, and a stable sort of its rows
+        rng = np.random.default_rng(27 + n_first)
+        rows = np.sort(rng.choice(12, size=7, replace=False))
+        x = np.round(rng.normal(size=(7, 5)))
+        xs, local, _ = _kernels.sort_columns(x)
+        order = rows.astype(dtype)[local]
+        first = np.zeros(12, dtype=bool)
+        first[rng.choice(rows, size=n_first, replace=False)] = True
+        parts = _kernels.sorted_partition(xs, order, first)
+        for (got_xs, got_order), flagged in zip(parts, (True, False)):
+            members = rows[first[rows] == flagged]
+            assert got_xs.shape == got_order.shape == (5, members.size)
+            assert got_order.dtype == dtype
+            assert got_xs.flags.c_contiguous and got_order.flags.c_contiguous
+            own = x[np.searchsorted(rows, members)].T
+            sort = np.argsort(own, axis=1, kind="stable")
+            assert np.array_equal(got_order, members[sort])
+            assert np.array_equal(got_xs, np.take_along_axis(own, sort,
+                                                             axis=1))
 
     def test_best_split_first_exact_tie_candidate(self):
         # Integer-valued data is full of tied values and of exactly tied
@@ -255,9 +279,7 @@ class TestSplitScanBits:
         if rng.random() < 0.5:
             left = rng.random(total) < 0.7
             left[rows[:2]] = True
-            xs, order = _kernels.sorted_partition(xs, order, left)
-            keep = int(left[rows].sum())
-            xs, order = xs[:, :keep], order[:, :keep]
+            (xs, order), _ = _kernels.sorted_partition(xs, order, left)
         return xs, order, tied, g, h
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
