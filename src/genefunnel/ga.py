@@ -28,6 +28,20 @@ tournament gives. A repair draws one locus only when a mask has no set
 bit, and the last pair of an odd child count drops its second child
 before that child's mutation.
 
+``_breed_loop`` draws that contract pair by pair; ``_breed_block`` makes
+the same generation from one ``random_raw`` block of 64-bit PCG64 words,
+which it reads as numpy does. A double is (word >> 11) * 2**-53. A
+tournament pick takes a 32-bit half u, low half first, to (u * P) >> 32
+(Lemire's bounded integers). A half the generator holds from an earlier
+integer draw comes first, and each pair leaves its last high half held.
+One scalar walk over the coins finds where each pair's words start;
+picks, swaps and flips are then gathers over the block. After it, the
+generator is set to its start, advanced by the words used, and given
+back its held half. It declines, and leaves the generator untouched
+for the loop, when a repair would draw, when a pick's leftover
+(u * P) mod 2**32 is below P (where numpy may reject the half and draw
+again), and for P > 2**32, where numpy draws 64-bit integers.
+
 Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. It lists every internal fold's test rows in fold
 order, each with its own fold's training rows padded to the largest
@@ -299,6 +313,104 @@ def _flip(bits: np.ndarray, cfg: GaConfig, rng: np.random.Generator) -> None:
     _repair(bits, rng)
 
 
+def _breed_loop(pop: np.ndarray, order: list, rank: list, cfg: GaConfig,
+                rng: np.random.Generator) -> np.ndarray:
+    """The next generation, pair by pair through ``_winner``, ``_cross``
+    and ``_flip``: the reference draw order, and the path of every
+    generation that ``_breed_block`` declines."""
+    p, t = cfg.population_size, cfg.tournament_size
+    # one spare row takes the dropped second child of an odd count
+    next_pop = np.empty((p + 1, pop.shape[1]), dtype=np.uint8)
+    next_pop[:cfg.elitism_count] = pop[order[:cfg.elitism_count]]
+    for i in range(cfg.elitism_count, p, 2):
+        picks = rng.integers(0, p, size=2 * t).tolist()
+        a, b = _winner(picks[:t], rank), _winner(picks[t:], rank)
+        _cross(pop[a], pop[b], next_pop[i:i + 2], cfg, rng)
+        _flip(next_pop[i], cfg, rng)
+        if i + 1 < p:
+            _flip(next_pop[i + 1], cfg, rng)
+    return next_pop[:p]
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _tournament_picks(words: np.ndarray, held: int | None, p: int):
+    """Each pair's 2t tournament picks from its t raw PCG64 words, a
+    (pairs, t) uint64 array, as ``integers(0, p, size=2t)`` draws them:
+    32-bit halves, low half first, each mapped to (u * p) >> 32
+    (Lemire). When the generator holds a half (``held``), each pair
+    starts with the half held before it and leaves its last high half
+    held. Returns the (pairs, 2t) picks, or None when a leftover
+    (u * p) mod 2**32 is below p, where numpy may reject the half and
+    draw again."""
+    halves = np.stack([words & _LOW32, words >> 32], axis=-1).ravel()
+    if held is not None:
+        halves = np.roll(halves, 1)
+        halves[0] = held
+    m = halves * np.uint64(p)
+    if ((m & _LOW32) < p).any():
+        return None
+    return (m >> 32).astype(np.intp).reshape(words.shape[0], -1)
+
+
+def _breed_block(pop: np.ndarray, order: list, rank: list, cfg: GaConfig,
+                 rng: np.random.Generator) -> np.ndarray | None:
+    """The generation ``_breed_loop`` breeds, with the same draws, from
+    one block of raw words: a double is (word >> 11) * 2**-53, and the
+    tournaments map words by ``_tournament_picks``. Returns None, with
+    the generator as it was, when a repair would draw or a pick might be
+    rejected, and for p > 2**32 (numpy's 64-bit bounded path)."""
+    p, t, e = cfg.population_size, cfg.tournament_size, cfg.elitism_count
+    n = pop.shape[1]
+    pairs = (p - e + 1) // 2
+    if p > 1 << 32:
+        return None
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    words = bitgen.random_raw(pairs * (t + 1 + 3 * n))
+    bitgen.state = start
+    doubles = (words >> 11) * 2.0 ** -53
+    taken = (doubles < cfg.crossover_prob).tolist()
+    # each pair reads t pick words, the coin, n swaps if the coin is
+    # taken, then n flips per child; the odd count's last child has none
+    firsts, at = [], 0
+    for _ in range(pairs):
+        firsts.append(at)
+        at += t + 1 + n * (2 + taken[at + t])
+    used = at - n * ((p - e) % 2)
+    firsts = np.array(firsts)
+
+    picks = _tournament_picks(words[firsts[:, None] + np.arange(t)],
+                              start["uinteger"] if start["has_uint32"]
+                              else None, p)
+    if picks is None:
+        return None
+    best = np.asarray(rank)[picks].reshape(pairs, 2, t).min(axis=2)
+    parents = pop[np.asarray(order)[best]]           # (pairs, 2, n)
+    coin = doubles[firsts + t] < cfg.crossover_prob
+    loci = np.arange(n)
+    swap = (doubles[(firsts + t + 1)[:, None] + loci] < 0.5) & coin[:, None]
+    kids = np.where(swap[:, None], parents[:, ::-1], parents)
+    if not kids.any(axis=2).all():
+        return None
+    flip_at = (firsts + t + 1 + n * coin)[:, None, None]
+    kids ^= doubles[flip_at + np.arange(0, 2 * n, n)[:, None] + loci] \
+        < cfg.mutation_prob
+    kids = kids.reshape(-1, n)[:p - e]
+    if not kids.any(axis=1).all():
+        return None
+
+    # advance clears the half store; numpy leaves the last pick word's
+    # high half there, held only if a half was held at the start
+    bitgen.advance(used)
+    state = bitgen.state
+    state["has_uint32"] = start["has_uint32"]
+    state["uinteger"] = int(words[firsts[-1] + t - 1] >> 32)
+    bitgen.state = state
+    return np.concatenate([pop[order[:e]], kids])
+
+
 def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
                       rng: np.random.Generator) -> tuple[Chromosome, Chromosome]:
     """With probability crossover_prob, swap each locus independently
@@ -325,7 +437,6 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     rng = np.random.default_rng(cfg.seed)
     kernel = _FitnessKernel(ds_stage1, cfg)
     memo: dict[bytes, float] = {}
-    p, t = cfg.population_size, cfg.tournament_size
 
     def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score the masks not seen before, in first-seen order, and
@@ -342,17 +453,9 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     trace = GaTrace()
     for gen in range(cfg.iterations + 1):
         if gen:
-            # one spare row takes the dropped second child of an odd count
-            next_pop = np.empty((p + 1, pop.shape[1]), dtype=np.uint8)
-            next_pop[:cfg.elitism_count] = pop[order[:cfg.elitism_count]]
-            for i in range(cfg.elitism_count, p, 2):
-                picks = rng.integers(0, p, size=2 * t).tolist()
-                a, b = _winner(picks[:t], rank), _winner(picks[t:], rank)
-                _cross(pop[a], pop[b], next_pop[i:i + 2], cfg, rng)
-                _flip(next_pop[i], cfg, rng)
-                if i + 1 < p:
-                    _flip(next_pop[i + 1], cfg, rng)
-            pop = next_pop[:p]
+            bred = _breed_block(pop, order, rank, cfg, rng)
+            pop = (_breed_loop(pop, order, rank, cfg, rng) if bred is None
+                   else bred)
         fit, sizes = evaluate(pop)
         order, rank = _rank(fit, sizes)
         trace.record(gen, float(fit[order[0]]), float(fit.mean()),

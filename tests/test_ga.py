@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -448,6 +450,84 @@ class TestDrawOrder:
                 rng.random()
                 rng.random(pair % 5)
         assert joint.bit_generator.state == split.bit_generator.state
+
+
+class _ZeroLowHalf(np.random.PCG64):
+    """PCG64 whose raw blocks start with a word of low half 0."""
+
+    def random_raw(self, size=None, output=True):
+        words = super().random_raw(size, output)
+        words[0] &= ~np.uint64(0xFFFFFFFF)
+        return words
+
+
+class TestBlockBreeding:
+    @staticmethod
+    def start(seed, held):
+        rng = np.random.default_rng(seed)
+        if held:
+            rng.integers(7)  # leaves the high half of a word held
+            assert rng.bit_generator.state["has_uint32"] == 1
+        return rng
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_block_equals_loop_each_generation(self, held):
+        # a block generation must give the loop's matrix and leave the
+        # generator exactly as the loop does; a declined one must leave
+        # the generator untouched for the loop
+        rng = np.random.default_rng(int(held))
+        paths = {"block": 0, "loop": 0}
+        for (p, e), t, n, cx, mut in itertools.product(
+                [(6, 1), (7, 1), (10, 3)],  # 5, 6 and 7 children
+                (1, 2, 3), (1, 2, 3, 4, 30), (0.0, 0.8, 1.0),
+                (0.0, 0.01, 0.5, 1.0)):
+            cfg = GaConfig(population_size=p, elitism_count=e,
+                           tournament_size=t, crossover_prob=cx,
+                           mutation_prob=mut)
+            pop = random_masks(rng, p, n)
+            seed = int(rng.integers(1 << 30))
+            a, b = self.start(seed, held), self.start(seed, held)
+            for _ in range(3):
+                order, rank = ga._rank(rng.integers(0, 3, p) / 3.0,
+                                       pop.sum(axis=1))
+                before = a.bit_generator.state
+                got = ga._breed_block(pop, order, rank, cfg, a)
+                if got is None:
+                    paths["loop"] += 1
+                    assert a.bit_generator.state == before
+                    got = ga._breed_loop(pop, order, rank, cfg, a)
+                else:
+                    paths["block"] += 1
+                pop = ga._breed_loop(pop, order, rank, cfg, b)
+                assert got.dtype == pop.dtype == np.uint8
+                assert np.array_equal(got, pop)
+                assert a.bit_generator.state == b.bit_generator.state
+        assert paths["block"] > 0 and paths["loop"] > 0, paths
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_possible_rejection_declines(self, held):
+        # a tournament half u maps to (u * p) >> 32; a leftover
+        # (u * p) mod 2**32 below p is where numpy may reject u and draw
+        # again, so the block path declines before it breeds anything
+        p = 5
+        zero = np.array([[7 << 32]], dtype=np.uint64)  # low half 0
+        assert ga._tournament_picks(zero, 3 << 30 if held else None, p) \
+            is None
+        assert ga._tournament_picks(zero, 0, p) is None
+        halves = np.array([[(3 << 62) | (1 << 30)]], dtype=np.uint64)
+        assert ga._tournament_picks(halves, None, p).tolist() == [[1, 3]]
+        # all-ones parents and no flips: no repair can draw
+        cfg = GaConfig(population_size=p, mutation_prob=0.0)
+        pop = np.ones((p, 4), dtype=np.uint8)
+        order, rank = ga._rank(np.zeros(p), pop.sum(axis=1))
+        plain = self.start(3, held)
+        assert ga._breed_block(pop, order, rank, cfg, plain) is not None
+        crafted = np.random.Generator(_ZeroLowHalf(3))
+        if held:
+            crafted.integers(7)
+        before = crafted.bit_generator.state
+        assert ga._breed_block(pop, order, rank, cfg, crafted) is None
+        assert crafted.bit_generator.state == before
 
 
 class TestEvolve:
