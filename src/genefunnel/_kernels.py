@@ -1,15 +1,16 @@
 """The hot kernels, in numpy; each has this one implementation.
 
 ``best_split`` is the only split search, and it scans columns that are
-already sorted: ``boosting.fit`` sorts once per tree (``sort_columns``),
-and ``sorted_partition`` gives each child its own contiguous part of the
-sorted columns, gathered through the flat indices of the child's cells,
-which keep each feature's sorted order. ``sort_columns`` also flags the
-features that hold a tied value, and the scan looks for equal
-neighbours only in flagged features; a tree's flags hold for all its
-nodes. Each block of
-the scan takes its left-child sums by one gather and one prefix sum of
-(gradient, hessian), carried as the parts of one complex array.
+already sorted: ``boosting.fit`` sorts once per fit (``sort_columns``);
+``sorted_rows`` gives each tree's subsample, and ``sorted_partition``
+each child of a node, its own contiguous part of the sorted columns,
+gathered through the flat indices of its cells, which keep each
+feature's sorted order. ``sort_columns`` also flags the features that
+hold a tied value, and the scan looks for equal neighbours only in
+flagged features; the fit's flags hold for every node of every tree.
+Each block of the scan takes its left-child sums by one gather and one
+prefix sum of (gradient, hessian), carried as the parts of one complex
+array.
 
 ``nearest`` and ``knn_vote`` are the only KNN neighbour-pick and vote
 rules: ``knn_predict`` calls them for the ``knn`` evaluation classifier,
@@ -65,9 +66,9 @@ def best_split(xs, order, tied, g, h, total_g, total_h, lam, gamma):
 
     Only flagged features are searched for equal neighbours, between
     which no cut is allowed. ``boosting.fit`` flags the features with a
-    tie among a tree's rows (``sort_columns``) and keeps the flags for
-    every node of the tree: a node's sorted column is a subsequence of
-    its tree's, so it holds a tie only where its tree does.
+    tie among all its rows (``sort_columns``) and keeps the flags for
+    every node of every tree: a node's sorted column is a subsequence of
+    the fit's, so it holds a tie only where the fit's rows do.
 
     The features are scanned in blocks of whole rows of xs (see
     ``_SCAN_BYTES``), each block in one pass, in a feature-major layout,
@@ -152,30 +153,46 @@ def sorted_partition(xs, order, first):
     so every feature's members keep their sorted order: the stable
     partition, without a sort.
     """
-    n, m = order.shape
     side = np.take(first, order).ravel()
-    n_first = int(np.count_nonzero(side[:m]))  # the same in every feature
-    parts = []
-    for cells, count in ((np.flatnonzero(side), n_first),
-                         (np.flatnonzero(~side), m - n_first)):
-        parts.append((np.take(xs, cells).reshape(n, count),
-                      np.take(order, cells).reshape(n, count)))
-    return tuple(parts)
+    return _sorted_cells(xs, order, side), _sorted_cells(xs, order, ~side)
+
+
+def sorted_rows(xs, order, keep):
+    """The first part of ``sorted_partition(xs, order, keep)`` alone:
+    the sorted columns of the rows flagged in ``keep``."""
+    return _sorted_cells(xs, order, np.take(keep, order).ravel())
+
+
+def _sorted_cells(xs, order, side):
+    """The (xs, order) part of the cells flagged in the flat bool
+    ``side``, which flags the same rows in every feature."""
+    n, m = order.shape
+    count = int(np.count_nonzero(side[:m]))
+    cells = np.flatnonzero(side)
+    return (np.take(xs, cells).reshape(n, count),
+            np.take(order, cells).reshape(n, count))
 
 
 def nearest(d, k):
     """The int64 indices of the k smallest entries on d's last axis, as a
     stable argsort orders finite d: k argmin passes (the first minimum is
-    the lowest index), each setting its picks in d to +inf.
+    the lowest index), each setting its picks to +inf through their flat
+    indices. d is scratch: a C-contiguous d comes back with its picks set
+    to +inf, and any other is copied first.
 
     Only the leading picks that are finite entries are defined: once a
     row's finite entries are spent, its later picks may repeat."""
-    picks = np.empty(d.shape[:-1] + (k,), dtype=np.int64)
+    width = d.shape[-1]
+    flat = np.ascontiguousarray(d).reshape(-1)
+    rows = flat.reshape(-1, width)
+    row_starts = np.arange(0, flat.size, width)
+    picks = np.empty((rows.shape[0], k), dtype=np.int64)
     for p in range(k):
-        pick = np.argmin(d, axis=-1)
-        picks[..., p] = pick
-        np.put_along_axis(d, pick[..., None], np.inf, axis=-1)
-    return picks
+        pick = np.argmin(rows, axis=1)
+        picks[:, p] = pick
+        pick += row_starts
+        flat[pick] = np.inf
+    return picks.reshape(d.shape[:-1] + (k,))
 
 
 def knn_vote(nearest_labels, n_classes):

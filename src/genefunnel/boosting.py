@@ -141,7 +141,7 @@ def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     """Grow the subtree over ``rows`` (ascending) and add learning_rate *
     leaf weight to ``raw`` at ``reach``, every sample that reaches the
     node. xs/order hold the node's columns sorted by value and tied the
-    tree's tie flags, as ``_kernels.best_split`` takes them; xs/order are
+    fit's tie flags, as ``_kernels.best_split`` takes them; xs/order are
     None when the node is at max_depth. ``_kernels.sorted_partition``
     gives each child that searches for a split its own sorted part."""
     g_sum = float(g[rows].sum())
@@ -206,17 +206,21 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
     n_sub = max(1, int(round(params.subsample * m)))
 
     every = np.arange(m)
+    # the fit sorts every column once and flags its ties; each tree takes
+    # its subsample's part of the sorted columns and keeps the fit's flags
+    # (a superset of its own), and nodes split the orders further (int32
+    # row indices halve the orders held along a tree's path)
+    xs_all, order_all, tied = _kernels.sort_columns(x)
+    order_all = order_all.astype(np.int32)
     for _ in range(params.n_estimators):
         if params.subsample < 1.0:
             rows = np.sort(rng.choice(m, size=n_sub, replace=False))
+            in_subsample = np.zeros(m, dtype=bool)
+            in_subsample[rows] = True
+            xs, order = _kernels.sorted_rows(xs_all, order_all,
+                                             in_subsample)
         else:
-            rows = every
-        # each tree sorts its rows' columns once and flags their ties;
-        # nodes split the orders and keep the flags (int32 row indices
-        # halve the orders held along the tree's path)
-        xs, local, tied = _kernels.sort_columns(x[rows])
-        order = rows.astype(np.int32)[local]
-        del local
+            rows, xs, order = every, xs_all, order_all
         for head, y in enumerate(y_heads):
             g = np.empty(m)
             h = np.empty(m)

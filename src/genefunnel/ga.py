@@ -48,10 +48,11 @@ order, each with its own fold's training rows padded to the largest
 fold's count, and cuts the list into blocks that fit ``_BLOCK_BYTES``
 and share one neighbour count k. The squared distances of a whole chunk
 of masks to a block are one matrix product with the block's per-gene
-squared differences, after which padded pairs get +inf. Those tensors
-are cached once per ``evolve`` when they all fit ``_BLOCK_BYTES`` (one
-block, unless k differs between folds), and rebuilt for each chunk of
-masks otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and
+squared differences, after which padded pairs are set to +inf through
+their flat indices, precomputed per block. Those tensors are cached
+once per ``evolve`` when they all fit ``_BLOCK_BYTES`` (one block,
+unless k differs between folds), and rebuilt for each chunk of masks
+otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and
 vote with the tie rules of the ``knn`` classifier, once per block, and
 each fold's hits are tallied once per chunk. Test rows are unlabeled
 queries, so any fold may lack a class. A chromosome is only its mask;
@@ -172,8 +173,10 @@ class _FitnessKernel:
     fold's count W by repeating its last training row. A gene-major
     tensor T[j, a*W + b] holds (x[query a, j] - x[train b of a, j])**2,
     so the squared distances of a chunk of masks to a run of queries are
-    one product ``masks @ T``; padded pairs then get +inf added, so no
-    real distance changes bits and no padded neighbour is ever picked.
+    one product ``masks @ T``; padded pairs are then set to +inf through
+    their flat indices, precomputed per block, and nothing is written
+    when a block has none, so no real distance changes bits and no padded
+    neighbour is ever picked.
 
     A block is a run of the query list of as many queries as fit
     _BLOCK_BYTES (8*N'*W bytes each, and at least one), also cut where
@@ -200,8 +203,7 @@ class _FitnessKernel:
         fold = np.repeat(np.arange(sizes.size), self._fold_sizes)
         self._queries = np.concatenate([test for test, _ in splits])
         self._train = padded[fold]
-        # added to each distance: 0 for a real pair, +inf for padding
-        self._far = np.where(np.arange(width) < sizes[fold, None], 0.0, np.inf)
+        padding = np.arange(width) >= sizes[fold, None]
         self._train_labels = ds.labels[self._train]
         self._truth = ds.labels[self._queries]
         self._fold_starts = np.cumsum(self._fold_sizes) - self._fold_sizes
@@ -216,6 +218,10 @@ class _FitnessKernel:
         self._blocks = [(a, min(a + per_block, hi), int(ks[lo]))
                         for lo, hi in zip(cuts, cuts[1:])
                         for a in range(lo, hi, per_block)]
+        # each block's padded pairs, as flat indices into one mask's
+        # (queries * W) distances
+        self._padded = [np.flatnonzero(padding[lo:hi])
+                        for lo, hi, _ in self._blocks]
         largest = max(hi - lo for lo, hi, _ in self._blocks)
         self._chunk = max(1, _BLOCK_BYTES // (8 * largest * width))
         self._offsets = (np.arange(largest) * width)[:, None]
@@ -243,9 +249,9 @@ class _FitnessKernel:
         for b, (lo, hi, k) in enumerate(self._blocks):
             tensor = (self._tensors[b] if self._tensors is not None
                       else self._pair_tensor(lo, hi))
-            d = (weights @ tensor).reshape(-1, hi - lo, self._width)
-            d += self._far[lo:hi]
-            picks = nearest(d, k)
+            d = weights @ tensor
+            d[:, self._padded[b]] = np.inf
+            picks = nearest(d.reshape(-1, hi - lo, self._width), k)
             picks += self._offsets[:hi - lo]  # into the block's labels, flat
             labels = self._train_labels[lo:hi].ravel()[picks]
             predicted = knn_vote(labels.reshape(-1, k), self._n_classes)
@@ -441,11 +447,11 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     def evaluate(pop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Score the masks not seen before, in first-seen order, and
         return each row's fitness and size."""
-        keys = [row.tobytes() for row in pop]
-        new = {key: row for key, row in zip(keys, pop) if key not in memo}
+        raw, width = pop.tobytes(), pop.shape[1] * pop.itemsize
+        keys = [raw[a:a + width] for a in range(0, len(raw), width)]
+        new = {key: i for i, key in enumerate(keys) if key not in memo}
         if new:
-            scores = kernel.scores(np.array(list(new.values())))
-            memo.update(zip(new, scores))
+            memo.update(zip(new, kernel.scores(pop[list(new.values())])))
         return np.array([memo[key] for key in keys]), pop.sum(axis=1)
 
     pop = np.array([c.bits for c in

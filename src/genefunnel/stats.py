@@ -96,21 +96,21 @@ def confusion(actual, predicted, n_classes: int) -> ConfusionMatrix:
 
 
 def metrics(cm: ConfusionMatrix) -> MetricReport:
-    counts = cm.counts
-    total = counts.sum()
-    if total == 0:
+    return _stack_metrics(cm.counts[None])[0]
+
+
+def _stack_metrics(counts: np.ndarray) -> list:
+    """The MetricReport of each (C, C) matrix of an (F, C, C) stack."""
+    total = counts.sum(axis=(1, 2))
+    if not total.all():
         raise ValidationError("empty confusion matrix")
-    accuracy = float(np.trace(counts) / total)
-    tp = np.diag(counts)
-    p = _ratio(tp, counts.sum(axis=0))
-    r = _ratio(tp, counts.sum(axis=1))
+    tp = np.diagonal(counts, axis1=1, axis2=2)
+    accuracy = tp.sum(axis=1) / total
+    p = _ratio(tp, counts.sum(axis=1))
+    r = _ratio(tp, counts.sum(axis=2))
     f = _ratio(2.0 * p * r, p + r)
-    return MetricReport(
-        accuracy=accuracy,
-        macro_precision=float(np.mean(p)),
-        macro_recall=float(np.mean(r)),
-        macro_f_score=float(np.mean(f)),
-    )
+    return [MetricReport(*map(float, row)) for row in
+            zip(accuracy, p.mean(axis=1), r.mean(axis=1), f.mean(axis=1))]
 
 
 def _ratio(num, den) -> np.ndarray:
@@ -135,9 +135,14 @@ def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
     matrix and label vector.
     """
     models = train_many(spec, [train_ds for train_ds, _, _ in splits])
-    results = [metrics(confusion(actual, predict(model, values),
-                                 model.n_classes))
-               for model, (_, values, actual) in zip(models, splits)]
+    c = models[0].n_classes
+    # every fold's (actual, predicted) pairs, counted by one bincount over
+    # their flat (fold, actual, predicted) cells
+    cells = np.concatenate([
+        (f * c + actual) * c + predict(model, values)
+        for f, (model, (_, values, actual)) in enumerate(zip(models, splits))])
+    counts = np.bincount(cells, minlength=len(splits) * c * c)
+    results = _stack_metrics(counts.reshape(-1, c, c))
     means = {name: float(np.mean([getattr(r, name) for r in results]))
              for name in METRIC_NAMES}
     stds = {name: float(np.std([getattr(r, name) for r in results]))

@@ -209,13 +209,17 @@ class TestFit:
         with pytest.raises(ValidationError, match="align"):
             fit(separable_ds, separable_ds.labels[:-1], BoostParams())
 
-    @pytest.mark.parametrize("loss, n_classes", [
-        ("squared", 0), ("logistic", 2), ("logistic", 3)])
+    @pytest.mark.parametrize("loss, n_classes, subsample", [
+        ("squared", 0, 0.6), ("logistic", 2, 0.6), ("logistic", 3, 0.6),
+        ("squared", 0, 1.0), ("logistic", 2, 1.0), ("logistic", 3, 1.0)],
+        ids=["squared-0", "logistic-2", "logistic-3", "squared-0-all-rows",
+             "logistic-2-all-rows", "logistic-3-all-rows"])
     def test_each_round_fits_the_scores_of_every_earlier_tree(
-            self, loss, n_classes):
+            self, loss, n_classes, subsample):
         # a subsampled round's gradients include rows that earlier rounds
         # left out, so each tree must reach the scores of every sample;
-        # the reference walks the earlier trees from their roots
+        # the reference walks the earlier trees from their roots. Every
+        # tree takes its columns from the fit's one sort
         rng = np.random.default_rng(40 + n_classes)
         m, n_rounds = 12, 5
         x = rng.normal(size=(m, 3))
@@ -224,8 +228,8 @@ class TestFit:
         ds = Dataset(x, labels, ("g0", "g1", "g2"),
                      tuple(f"c{c}" for c in range(max(n_classes, 2))))
         params = BoostParams(n_estimators=n_rounds, max_depth=2,
-                             subsample=0.6, learning_rate=0.5, lam=0.5,
-                             loss=loss, seed=9)
+                             subsample=subsample, learning_rate=0.5,
+                             lam=0.5, loss=loss, seed=9)
         model = fit(ds, targets, params)
         assert len(model.trees) == (3 if n_classes == 3 else 1)
         if loss == "squared":
@@ -236,8 +240,9 @@ class TestFit:
             y_heads = [(labels == c).astype(float) for c in range(3)]
         draws = np.random.default_rng(params.seed)
         for t in range(n_rounds):
-            rows = np.sort(draws.choice(m, size=round(0.6 * m),
-                                        replace=False))
+            rows = (np.sort(draws.choice(m, size=round(0.6 * m),
+                                         replace=False))
+                    if subsample < 1.0 else np.arange(m))
             earlier = BoostedEnsemble(
                 trees=[head[:t] for head in model.trees],
                 base_score=model.base_score, params=params, n_genes=3,
@@ -264,9 +269,10 @@ class TestFit:
 
 
 class TestTieFlags:
-    """``fit`` flags the features that hold a tie once per tree and
-    masks equal neighbours only in them; flagging every feature must
-    grow the same trees."""
+    """``fit`` flags the features that hold a tie among all its rows,
+    once per fit, and masks equal neighbours only in them; each tree's
+    subsample keeps those flags, a superset of its own, and flagging
+    every feature must grow the same trees."""
 
     @pytest.mark.parametrize("n_classes", [2, 4])
     def test_same_trees_as_every_feature_flagged(self, monkeypatch,
@@ -297,6 +303,34 @@ class TestTieFlags:
         monkeypatch.setattr(_kernels, "sort_columns", flag_every_feature)
         assert fit(ds, labels, params).trees == model.trees
         assert len(model.trees) == (1 if n_classes == 2 else n_classes)
+
+
+class TestOneSortPerFit:
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("subsample", [0.6, 1.0])
+    @pytest.mark.parametrize("n_estimators", [1, 5])
+    def test_sort_columns_runs_once_per_fit(self, monkeypatch, n_classes,
+                                            subsample, n_estimators):
+        rng = np.random.default_rng(50 + n_classes)
+        m = 30
+        labels = np.arange(m) % n_classes
+        x = rng.normal(size=(m, 6)) + labels[:, None]
+        ds = Dataset(x, labels, tuple(f"g{i}" for i in range(6)),
+                     tuple(f"c{i}" for i in range(n_classes)))
+        params = BoostParams(n_estimators=n_estimators, max_depth=2,
+                             subsample=subsample, seed=n_classes)
+        sort_columns = _kernels.sort_columns
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return sort_columns(x)
+
+        monkeypatch.setattr(_kernels, "sort_columns", counted)
+        model = fit(ds, labels, params)
+        assert calls == [x.shape]  # every row, once
+        assert all(len(head) == n_estimators for head in model.trees)
+        assert importances(model).total_gain.sum() > 0
 
 
 class TestSplitSearchEntryPoint:

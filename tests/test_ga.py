@@ -226,9 +226,10 @@ class TestFitnessChunks:
             monkeypatch.setattr(ga, "_BLOCK_BYTES", budget)
             kernel = ga._FitnessKernel(ds, cfg)
             assert kernel._width == 14
-            assert np.isinf(kernel._far).sum() == 14
+            assert sum(cells.size for cells in kernel._padded) == 14
             assert kernel.scores(masks) == expected
-            kernel._far[:] = 0.0  # the padding at its real distance
+            # the padding at its real distance
+            kernel._padded = [cells[:0] for cells in kernel._padded]
             assert kernel.scores(masks) != expected
 
     def test_k_capped_in_some_folds_only(self, monkeypatch):

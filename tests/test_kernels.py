@@ -98,22 +98,33 @@ class TestFallbackAgainstOracles:
 
     def test_nearest_is_a_stable_argsort(self):
         # heavy ties and +inf entries: the leading finite picks come in
-        # stable-argsort order and are set to +inf; picks past the finite
-        # entries may repeat, and no caller reads them
+        # stable-argsort order; a C-contiguous d has them set to +inf,
+        # and any other d is scratch, so only its picks are checked.
+        # Picks past the finite entries may repeat, and no caller reads
+        # them. "3d" is the GA's (masks, queries, W) layout
         rng = np.random.default_rng(28)
-        for _ in range(200):
-            q, m = int(rng.integers(1, 6)), int(rng.integers(1, 12))
-            d = rng.integers(0, 4, size=(q, m)).astype(np.float64)
-            d[rng.random((q, m)) < 0.3] = np.inf
-            want = np.argsort(d, axis=1, kind="stable")
-            finite = np.isfinite(d).sum(axis=1)
-            k = int(rng.integers(1, m + 1))
-            got = _kernels.nearest(d, k)
-            assert got.shape == (q, k) and got.dtype == np.int64
-            for row in range(q):
-                lead = min(k, int(finite[row]))
-                assert np.array_equal(got[row, :lead], want[row, :lead])
-                assert np.isposinf(d[row, want[row, :lead]]).all()
+        for layout in ("2d", "3d", "transposed"):
+            low = 2 if layout == "transposed" else 1  # no C-contiguous view
+            for case in range(200):
+                shape = tuple(int(v) for v in rng.integers(low, 6, size=2))
+                if layout == "3d":
+                    shape = (int(rng.integers(1, 4)),) + shape
+                w = int(rng.integers(low, 12))
+                d = rng.integers(0, 4, size=shape + (w,)).astype(np.float64)
+                d[rng.random(d.shape) < 0.3] = np.inf
+                if layout == "transposed":
+                    d = np.ascontiguousarray(d.T).T
+                    assert not d.flags.c_contiguous
+                want = np.argsort(d, axis=-1, kind="stable")
+                finite = np.isfinite(d).sum(axis=-1)
+                k = w if case % 4 == 0 else int(rng.integers(1, w + 1))
+                got = _kernels.nearest(d, k)
+                assert got.shape == shape + (k,) and got.dtype == np.int64
+                for row in np.ndindex(shape):
+                    lead = min(k, int(finite[row]))
+                    assert np.array_equal(got[row][:lead], want[row][:lead])
+                    if layout != "transposed":
+                        assert np.isposinf(d[row][want[row][:lead]]).all()
 
     def test_sorted_partition_matches_sorting_each_part(self):
         # both parts must come out exactly as a stable sort of their own
@@ -136,7 +147,8 @@ class TestFallbackAgainstOracles:
     def test_sorted_partition_part_shapes(self, dtype, n_first):
         # a part of one row, and an empty part of shape (n, 0), on the
         # orders of some of 12 rows; every part is its own C-contiguous
-        # pair, in the orders' dtype, and a stable sort of its rows
+        # pair, in the orders' dtype, and a stable sort of its rows, and
+        # sorted_rows gives the first part
         rng = np.random.default_rng(27 + n_first)
         rows = np.sort(rng.choice(12, size=7, replace=False))
         x = np.round(rng.normal(size=(7, 5)))
@@ -155,6 +167,11 @@ class TestFallbackAgainstOracles:
             assert np.array_equal(got_order, members[sort])
             assert np.array_equal(got_xs, np.take_along_axis(own, sort,
                                                              axis=1))
+        # sorted_rows is the first part alone
+        for got, want in zip(_kernels.sorted_rows(xs, order, first),
+                             parts[0]):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and np.array_equal(got, want)
 
     def test_best_split_first_exact_tie_candidate(self):
         # Integer-valued data is full of tied values and of exactly tied

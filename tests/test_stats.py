@@ -9,7 +9,8 @@ from genefunnel.data import Dataset, make_folds, project
 from genefunnel.errors import ValidationError
 from genefunnel.stats import (METRIC_NAMES, ConfusionMatrix, CvSummary,
                               confusion, cross_validate, fold_splits, metrics,
-                              score_split, wilcoxon_signed_rank)
+                              score_split, score_splits,
+                              wilcoxon_signed_rank)
 
 
 def make_ds(x, labels):
@@ -218,6 +219,45 @@ class TestCrossValidateBatched:
         summary = cross_validate((0, 1), ds, spec, plan)
         assert summary.skipped_folds
         assert summary == per_fold_summary(ds, (0, 1), spec, plan)
+
+
+class TestScoreSplitsCounts:
+    """``score_splits`` counts every fold in one bincount and scores the
+    folds together; each fold must get the bits of ``metrics`` over its
+    own ``confusion``."""
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    def test_fold_results_equal_per_fold_metrics(self, c):
+        rng = np.random.default_rng(60 + c)
+        m = 12 * c
+        labels = np.arange(m) % c
+        x = rng.normal(size=(m, 3)) + labels[:, None] * 0.3
+        ds = make_ds(x, labels)
+        splits = []
+        for f in range(8):
+            test = rng.random(m) < 0.2
+            test[rng.integers(m)] = True
+            # a held-out part without class 0, or one class only
+            if f % 3 == 1:
+                test &= labels != 0
+            elif f % 3 == 2:
+                test &= labels == f % c
+            train_idx = np.flatnonzero(~test)
+            splits.append((Dataset(x[train_idx], labels[train_idx],
+                                   ds.gene_ids, ds.class_names),
+                           x[test], labels[test]))
+        assert any(np.unique(a).size < c for _, _, a in splits)
+        spec = ClassifierSpec(kind="knn", knn_k=3)
+        summary = score_splits(spec, splits)
+        expected = tuple(
+            metrics(confusion(actual, predict(train(spec, train_ds), values),
+                              c))
+            for train_ds, values, actual in splits)
+        assert summary.fold_results == expected
+
+    def test_metrics_rejects_an_empty_matrix(self):
+        with pytest.raises(ValidationError, match="empty"):
+            metrics(ConfusionMatrix(np.zeros((3, 3), dtype=np.int64)))
 
 
 class TestFoldSplits:
