@@ -6,7 +6,9 @@ classifiers.
 Split search is exact greedy over every feature and every midpoint
 between consecutive distinct values. Each tree grows on its round's row
 subsample and is applied as it grows: each leaf adds its weight to the
-score of every sample that reaches it, in the subsample or not. Per-gene
+score of every sample that reaches it, in the subsample or not. Each
+head of each round takes every sample's gradient and hessian in one
+``grad_hess`` call, which works elementwise on arrays. Per-gene
 importance is the total accepted split gain, which drives the
 nonzero-importance gene filter.
 """
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 HESS_FLOOR = 1e-16
+_EXP_MAX = 709.782712893384  # the largest x with a finite math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -101,21 +104,27 @@ class ImportanceReport:
     ranking: np.ndarray      # genes by total_gain desc, index asc
 
 
-def grad_hess(loss: str, y: float, y_hat_raw: float) -> tuple[float, float]:
-    """First/second derivatives of the loss at a raw prediction.
+def grad_hess(loss: str, y, y_hat_raw):
+    """First/second derivatives of the loss at raw predictions: floats,
+    or arrays of one shape taken elementwise.
 
     Squared loss is L = 0.5*(y - yhat)^2; logistic operates on the raw
-    score with p = sigmoid(raw). The hessian is floored to keep leaf
-    weights finite.
+    score with p = sigmoid(raw), each exp taken by ``math.exp`` (np.exp
+    differs from it in the last bit of some values). Below raw
+    -_EXP_MAX, where exp(-raw) overflows, p takes its limit 0. The
+    hessian is floored to keep leaf weights finite.
     """
+    raw = np.asarray(y_hat_raw, dtype=np.float64)
     if loss == "squared":
-        return y_hat_raw - y, 1.0
+        return (raw - y)[()], np.ones_like(raw)[()]
     if loss == "logistic":
-        try:
-            p = 1.0 / (1.0 + math.exp(-y_hat_raw))
-        except OverflowError:  # raw below about -709.78: p's limit is 0
-            p = 0.0
-        return p - y, max(p * (1.0 - p), HESS_FLOOR)
+        neg = -raw.ravel()
+        over = neg > _EXP_MAX
+        neg[over] = 0.0
+        e = np.fromiter(map(math.exp, neg.tolist()), np.float64, neg.size)
+        e[over] = np.inf
+        p = (1.0 / (1.0 + e)).reshape(raw.shape)
+        return (p - y)[()], np.maximum(p * (1.0 - p), HESS_FLOOR)[()]
     raise ConfigError(f"unknown loss {loss!r}")
 
 
@@ -222,10 +231,7 @@ def fit(ds: Dataset, targets, params: BoostParams) -> BoostedEnsemble:
         else:
             rows, xs, order = every, xs_all, order_all
         for head, y in enumerate(y_heads):
-            g = np.empty(m)
-            h = np.empty(m)
-            for i in rows:
-                g[i], h[i] = grad_hess(params.loss, y[i], raw[head][i])
+            g, h = grad_hess(params.loss, y, raw[head])
             trees[head].append(_grow(x, g, h, rows, every, raw[head], xs,
                                      order, tied, 0, params))
 

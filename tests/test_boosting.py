@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,44 @@ class TestGradHess:
         # exp(-raw) overflows below raw of about -709.78; p is then 0
         assert grad_hess("logistic", 1.0, -800.0) == (-1.0, HESS_FLOOR)
         assert grad_hess("logistic", 0.0, -800.0) == (0.0, HESS_FLOOR)
+
+    @staticmethod
+    def scalar_rule(loss, y, r):
+        """The per-sample rule: one math.exp, and p = 0 where it
+        overflows."""
+        if loss == "squared":
+            return r - y, 1.0
+        try:
+            p = 1.0 / (1.0 + math.exp(-r))
+        except OverflowError:
+            p = 0.0
+        return p - y, max(p * (1.0 - p), HESS_FLOOR)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_arrays_match_the_scalar_rule_bit_for_bit(self, loss):
+        # a grid from -800 to 800 crossing +-709.78, where exp(-raw)
+        # overflows, with the last finite point and its neighbours
+        limit = 709.782712893384
+        edge = np.array([limit, np.nextafter(limit, 0.0),
+                         np.nextafter(limit, 1e3)])
+        rng = np.random.default_rng(9)
+        r = np.concatenate([np.linspace(-800.0, 800.0, 4001), edge, -edge,
+                            rng.normal(0.0, 5.0, 501)])
+        y = (np.arange(r.size) % 2).astype(float)
+        if loss == "squared":
+            y = y + rng.normal(size=r.size)
+        want = [self.scalar_rule(loss, a, b)
+                for a, b in zip(y.tolist(), r.tolist())]
+        g, h = grad_hess(loss, y, r)
+        assert g.tolist() == [w[0] for w in want]
+        assert h.tolist() == [float(w[1]) for w in want]
+        # any shape, and one float at a time
+        g2, h2 = grad_hess(loss, y.reshape(-1, 2), r.reshape(-1, 2))
+        assert g2.shape == h2.shape == (r.size // 2, 2)
+        assert g2.ravel().tolist() == g.tolist()
+        assert h2.ravel().tolist() == h.tolist()
+        for i in range(0, r.size, 97):
+            assert grad_hess(loss, y[i], r[i]) == want[i]
 
     def test_squared_zero_residual(self):
         assert grad_hess("squared", 2.0, 2.0) == (0.0, 1.0)
