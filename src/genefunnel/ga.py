@@ -9,38 +9,30 @@ the elites and the generation's best come from that ranking, and
 tournaments compare rank positions.
 
 ``evolve`` breeds each generation into one (population_size, N') uint8
-matrix, elites copied in as rows, each pair of children written into
-the next two rows. Each operator has one rule on raw masks: ``_winner``
-(tournament), ``_cross`` (crossover) and ``_flip`` (mutation), which
-``evolve`` calls and ``_tournament``, ``uniform_crossover`` and
-``mutate`` wrap.
+matrix: the elites copied in as rows, then the children in pair order.
+Each operator has one rule on a stack of masks: ``_winners``
+(tournament), ``_crossover`` and ``_flip`` (mutation), with
+``_repair`` after each of the last two. ``_breed`` applies them to a
+whole generation, and ``_tournament``, ``uniform_crossover`` and
+``mutate`` to one pair or one mask.
 
 The draws are a contract: every report and fingerprint depends on
-them. One generator, seeded by cfg.seed, first draws the initial
-population (each member's bits, then its repair). Then, for each pair
-of children in turn: both tournaments' picks, the crossover coin, the
-swap mask when the coin is taken, the repair of each child, and for
-each child kept, its mutation flips and then its repair. Both
-tournaments' picks come from one draw of 2 * tournament_size indices,
-the first half the first tournament's: numpy draws bounded integers
-one at a time from one stream, so this is the stream that a draw per
-tournament gives. A repair draws one locus only when a mask has no set
-bit, and the last pair of an odd child count drops its second child
-before that child's mutation.
+them. Each is one public ``Generator`` call over a whole array. One
+generator, seeded by cfg.seed, first draws the initial population,
+each bit set where ``random((P, N'))`` < 0.5, then a repair pass. Each
+generation of c = P - elitism_count children, in ceil(c / 2) pairs,
+then draws:
 
-``_breed_loop`` draws that contract pair by pair; ``_breed_block`` makes
-the same generation from one ``random_raw`` block of 64-bit PCG64 words,
-which it reads as numpy does. A double is (word >> 11) * 2**-53. A
-tournament pick takes a 32-bit half u, low half first, to (u * P) >> 32
-(Lemire's bounded integers). A half the generator holds from an earlier
-integer draw comes first, and each pair leaves its last high half held.
-One scalar walk over the coins finds where each pair's words start;
-picks, swaps and flips are then gathers over the block. After it, the
-generator is set to its start, advanced by the words used, and given
-back its held half. It declines, and leaves the generator untouched
-for the loop, when a repair would draw, when a pick's leftover
-(u * P) mod 2**32 is below P (where numpy may reject the half and draw
-again), and for P > 2**32, where numpy draws 64-bit integers.
+1. the tournament picks, ``integers(0, P, size=(pairs, 2, t))``;
+2. the crossover coins, ``random(pairs)``;
+3. the swap draws, ``random((pairs, N'))``, used where a coin is taken;
+4. a repair pass over the c children kept (the last pair of an odd
+   count drops its second child first);
+5. the mutation flips, ``random((c, N'))``;
+6. a second repair pass.
+
+A repair pass draws ``integers(N', size=k)`` for the k masks that have
+no set bit, in row order, and sets that locus in each.
 
 Every fitness value comes from one batched numpy kernel,
 ``_FitnessKernel``. It lists every internal fold's test rows in fold
@@ -136,11 +128,12 @@ class GaTrace:
         self.best_size.append(size)
 
 
-def _repair(bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Set one uniform locus of a mask that has no set bit, in place."""
-    if not np.count_nonzero(bits):
-        bits[rng.integers(bits.size)] = 1
-    return bits
+def _repair(masks: np.ndarray, rng: np.random.Generator) -> None:
+    """The repair pass, in place: each row of a mask matrix that has no
+    set bit gets one uniform locus, from one ``integers(N', size=k)``
+    draw over the k empty rows in order."""
+    empty = np.flatnonzero(~masks.any(axis=1))
+    masks[empty, rng.integers(masks.shape[1], size=empty.size)] = 1
 
 
 def init_population(n_prime: int, cfg: GaConfig,
@@ -150,11 +143,10 @@ def init_population(n_prime: int, cfg: GaConfig,
         raise ValidationError("chromosome length must be >= 1")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    pop = []
-    for _ in range(cfg.population_size):
-        bits = (rng.random(n_prime) < 0.5).astype(np.uint8)
-        pop.append(Chromosome(_repair(bits, rng)))
-    return pop
+    masks = (rng.random((cfg.population_size, n_prime)) < 0.5).astype(
+        np.uint8)
+    _repair(masks, rng)
+    return [Chromosome(bits) for bits in masks]
 
 
 # Float64 budget of the fitness kernel: one block's pair tensor, and one
@@ -274,146 +266,63 @@ def fitness(chrom: Chromosome, ds_stage1: Dataset, cfg: GaConfig) -> float:
     return _FitnessKernel(ds_stage1, cfg).scores(chrom.bits[None])[0]
 
 
-def _rank(fitness: np.ndarray, sizes: np.ndarray) -> tuple[list, list]:
+def _rank(fitness: np.ndarray, sizes: np.ndarray) -> tuple:
     """The GA's one order on a scored population: higher fitness, then
     fewer selected genes, then lower index (lexsort is stable). Returns
     the indices best first and each member's rank position."""
     order = np.lexsort((sizes, -fitness))
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return order.tolist(), rank.tolist()
+    return order, rank
 
 
-def _winner(picks: list, rank: list) -> int:
-    """The tournament rule: the pick with the best rank position."""
-    return min(picks, key=rank.__getitem__)
+def _winners(picks: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The tournament rule: along the last axis of picks, the pick with
+    the best (lowest) rank position."""
+    best = np.asarray(rank)[picks].argmin(axis=-1)
+    return np.take_along_axis(picks, best[..., None], axis=-1)[..., 0]
 
 
-def _tournament(rank: list, cfg: GaConfig, rng: np.random.Generator) -> int:
+def _tournament(rank: np.ndarray, cfg: GaConfig,
+                rng: np.random.Generator) -> int:
     """Index of the best rank position among tournament_size uniform
     draws (with replacement)."""
     picks = rng.integers(0, len(rank), size=cfg.tournament_size)
-    return _winner(picks.tolist(), rank)
+    return int(_winners(picks, rank))
 
 
-def _cross(a: np.ndarray, b: np.ndarray, kids: np.ndarray, cfg: GaConfig,
-           rng: np.random.Generator) -> None:
-    """The crossover rule on raw masks: write the children of a and b
-    into the two rows of kids, each locus swapped with probability 0.5
-    when the crossover_prob coin is taken, else copies; then repair
-    each child."""
-    kids[0] = a
-    kids[1] = b
-    if rng.random() < cfg.crossover_prob:
-        swap = rng.random(a.size) < 0.5
-        np.copyto(kids[0], b, where=swap)
-        np.copyto(kids[1], a, where=swap)
-    _repair(kids[0], rng)
-    _repair(kids[1], rng)
+def _crossover(parents: np.ndarray, cfg: GaConfig,
+               rng: np.random.Generator) -> np.ndarray:
+    """The crossover rule on a (pairs, 2, N') stack of parent masks: one
+    coin per pair, taken with probability crossover_prob, and one swap
+    draw per locus, taken with probability 0.5; where both are taken the
+    two children trade the locus, elsewhere each copies its parent.
+    Returns the children as a new stack."""
+    pairs, _, n = parents.shape
+    coin = rng.random(pairs) < cfg.crossover_prob
+    swap = (rng.random((pairs, n)) < 0.5) & coin[:, None]
+    return np.where(swap[:, None], parents[:, ::-1], parents)
 
 
-def _flip(bits: np.ndarray, cfg: GaConfig, rng: np.random.Generator) -> None:
-    """The mutation rule on a raw mask, in place: flip each bit with
-    probability mutation_prob, then repair it."""
-    bits ^= rng.random(bits.size) < cfg.mutation_prob
-    _repair(bits, rng)
+def _flip(masks: np.ndarray, cfg: GaConfig,
+          rng: np.random.Generator) -> None:
+    """The mutation rule on a mask matrix, in place: flip each bit with
+    probability mutation_prob, then repair."""
+    masks ^= rng.random(masks.shape) < cfg.mutation_prob
+    _repair(masks, rng)
 
 
-def _breed_loop(pop: np.ndarray, order: list, rank: list, cfg: GaConfig,
-                rng: np.random.Generator) -> np.ndarray:
-    """The next generation, pair by pair through ``_winner``, ``_cross``
-    and ``_flip``: the reference draw order, and the path of every
-    generation that ``_breed_block`` declines."""
-    p, t = cfg.population_size, cfg.tournament_size
-    # one spare row takes the dropped second child of an odd count
-    next_pop = np.empty((p + 1, pop.shape[1]), dtype=np.uint8)
-    next_pop[:cfg.elitism_count] = pop[order[:cfg.elitism_count]]
-    for i in range(cfg.elitism_count, p, 2):
-        picks = rng.integers(0, p, size=2 * t).tolist()
-        a, b = _winner(picks[:t], rank), _winner(picks[t:], rank)
-        _cross(pop[a], pop[b], next_pop[i:i + 2], cfg, rng)
-        _flip(next_pop[i], cfg, rng)
-        if i + 1 < p:
-            _flip(next_pop[i + 1], cfg, rng)
-    return next_pop[:p]
-
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _tournament_picks(words: np.ndarray, held: int | None, p: int):
-    """Each pair's 2t tournament picks from its t raw PCG64 words, a
-    (pairs, t) uint64 array, as ``integers(0, p, size=2t)`` draws them:
-    32-bit halves, low half first, each mapped to (u * p) >> 32
-    (Lemire). When the generator holds a half (``held``), each pair
-    starts with the half held before it and leaves its last high half
-    held. Returns the (pairs, 2t) picks, or None when a leftover
-    (u * p) mod 2**32 is below p, where numpy may reject the half and
-    draw again."""
-    halves = np.stack([words & _LOW32, words >> 32], axis=-1).ravel()
-    if held is not None:
-        halves = np.roll(halves, 1)
-        halves[0] = held
-    m = halves * np.uint64(p)
-    if ((m & _LOW32) < p).any():
-        return None
-    return (m >> 32).astype(np.intp).reshape(words.shape[0], -1)
-
-
-def _breed_block(pop: np.ndarray, order: list, rank: list, cfg: GaConfig,
-                 rng: np.random.Generator) -> np.ndarray | None:
-    """The generation ``_breed_loop`` breeds, with the same draws, from
-    one block of raw words: a double is (word >> 11) * 2**-53, and the
-    tournaments map words by ``_tournament_picks``. Returns None, with
-    the generator as it was, when a repair would draw or a pick might be
-    rejected, and for p > 2**32 (numpy's 64-bit bounded path)."""
-    p, t, e = cfg.population_size, cfg.tournament_size, cfg.elitism_count
-    n = pop.shape[1]
+def _breed(pop: np.ndarray, order: np.ndarray, rank: np.ndarray,
+           cfg: GaConfig, rng: np.random.Generator) -> np.ndarray:
+    """The next generation, drawn as the module docstring's contract
+    states: the elites, then the children of the tournament winners."""
+    p, e = cfg.population_size, cfg.elitism_count
     pairs = (p - e + 1) // 2
-    if p > 1 << 32:
-        return None
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    words = bitgen.random_raw(pairs * (t + 1 + 3 * n))
-    bitgen.state = start
-    doubles = (words >> 11) * 2.0 ** -53
-    taken = (doubles < cfg.crossover_prob).tolist()
-    # each pair reads t pick words, the coin, n swaps if the coin is
-    # taken, then n flips per child; the odd count's last child has none
-    firsts, at = [], 0
-    for _ in range(pairs):
-        firsts.append(at)
-        at += t + 1 + n * (2 + taken[at + t])
-    used = at - n * ((p - e) % 2)
-    firsts = np.array(firsts)
-
-    picks = _tournament_picks(words[firsts[:, None] + np.arange(t)],
-                              start["uinteger"] if start["has_uint32"]
-                              else None, p)
-    if picks is None:
-        return None
-    best = np.asarray(rank)[picks].reshape(pairs, 2, t).min(axis=2)
-    parents = pop[np.asarray(order)[best]]           # (pairs, 2, n)
-    coin = doubles[firsts + t] < cfg.crossover_prob
-    loci = np.arange(n)
-    swap = (doubles[(firsts + t + 1)[:, None] + loci] < 0.5) & coin[:, None]
-    kids = np.where(swap[:, None], parents[:, ::-1], parents)
-    if not kids.any(axis=2).all():
-        return None
-    flip_at = (firsts + t + 1 + n * coin)[:, None, None]
-    kids ^= doubles[flip_at + np.arange(0, 2 * n, n)[:, None] + loci] \
-        < cfg.mutation_prob
-    kids = kids.reshape(-1, n)[:p - e]
-    if not kids.any(axis=1).all():
-        return None
-
-    # advance clears the half store; numpy leaves the last pick word's
-    # high half there, held only if a half was held at the start
-    bitgen.advance(used)
-    state = bitgen.state
-    state["has_uint32"] = start["has_uint32"]
-    state["uinteger"] = int(words[firsts[-1] + t - 1] >> 32)
-    bitgen.state = state
+    picks = rng.integers(0, p, size=(pairs, 2, cfg.tournament_size))
+    kids = _crossover(pop[_winners(picks, rank)], cfg, rng)
+    kids = kids.reshape(-1, pop.shape[1])[:p - e]
+    _repair(kids, rng)
+    _flip(kids, cfg, rng)
     return np.concatenate([pop[order[:e]], kids])
 
 
@@ -423,15 +332,15 @@ def uniform_crossover(a: Chromosome, b: Chromosome, cfg: GaConfig,
     with probability 0.5; otherwise copy the parents."""
     if a.bits.size != b.bits.size:
         raise ValidationError("parents must have equal length")
-    kids = np.empty((2, a.bits.size), dtype=np.result_type(a.bits, b.bits))
-    _cross(a.bits, b.bits, kids, cfg, rng)
+    kids = _crossover(np.stack([a.bits, b.bits])[None], cfg, rng)[0]
+    _repair(kids, rng)
     return Chromosome(kids[0]), Chromosome(kids[1])
 
 
 def mutate(c: Chromosome, cfg: GaConfig, rng: np.random.Generator) -> Chromosome:
     """Flip each bit independently with probability mutation_prob."""
     bits = c.bits.copy()
-    _flip(bits, cfg, rng)
+    _flip(bits[None], cfg, rng)
     return Chromosome(bits)
 
 
@@ -459,9 +368,7 @@ def evolve(ds_stage1: Dataset, cfg: GaConfig) -> tuple[Chromosome, GaTrace]:
     trace = GaTrace()
     for gen in range(cfg.iterations + 1):
         if gen:
-            bred = _breed_block(pop, order, rank, cfg, rng)
-            pop = (_breed_loop(pop, order, rank, cfg, rng) if bred is None
-                   else bred)
+            pop = _breed(pop, order, rank, cfg, rng)
         fit, sizes = evaluate(pop)
         order, rank = _rank(fit, sizes)
         trace.record(gen, float(fit[order[0]]), float(fit.mean()),

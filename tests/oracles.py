@@ -210,14 +210,12 @@ def oracle_fitness(bits, ds, cfg):
 
 def _ranks_above(pop, scores, i, j):
     """True when pop[i] ranks above pop[j]: higher fitness (read from
-    scores by the mask as a tuple), then fewer selected genes, then
-    lower index."""
+    scores by the mask), then fewer selected genes, then lower index."""
     a, b = pop[i], pop[j]
-    fa, fb = scores[tuple(a.bits)], scores[tuple(b.bits)]
-    if fa != fb:
-        return fa > fb
-    if a.bits.sum() != b.bits.sum():
-        return a.bits.sum() < b.bits.sum()
+    if scores[a] != scores[b]:
+        return scores[a] > scores[b]
+    if sum(a) != sum(b):
+        return sum(a) < sum(b)
     return i < j
 
 
@@ -229,59 +227,78 @@ def _best_of(pop, scores, indices):
     return best
 
 
-def evolve_reference(ds, cfg):
-    """``ga.evolve`` written out as a pairwise loop, with ``ga``'s own
-    operators drawing from one generator in the same order.
+def _repair_reference(masks, rng):
+    """Each mask with no set bit, in order, gets the locus drawn for it
+    by one integers(N', size=k) draw over the k empty masks."""
+    empty = [i for i, mask in enumerate(masks) if not any(mask)]
+    loci = rng.integers(len(masks[0]), size=len(empty)).tolist()
+    for i, locus in zip(empty, loci):
+        masks[i][locus] = 1
 
-    Tournaments, elites and each generation's best are pairwise scans
-    by ``_ranks_above``; elites are picked one at a time from the rest
-    and copied; every mask is scored by ``oracle_fitness`` into one dict
-    keyed by the mask as a tuple, where every comparison reads it. The
-    best-ever chromosome is a copy, replaced only by a generation's best
-    that is smaller in (-fitness, set-bit count, bitstring).
+
+def evolve_reference(ds, cfg):
+    """``ga.evolve`` written out pair by pair in plain Python, on masks
+    held as lists of 0/1.
+
+    It makes the same generator calls as ``ga``, in the contract's
+    order, and reads their arrays as nested lists: the initial bits,
+    then per generation the tournament picks, crossover coins and swap
+    draws, a repair, the mutation flips and a repair. Tournaments,
+    elites and each generation's best are pairwise scans by
+    ``_ranks_above``; elites are picked one at a time from the rest;
+    every mask is scored by ``oracle_fitness`` into one dict keyed by
+    the mask as a tuple. The best-ever mask is replaced only by a
+    generation's best that is smaller in (-fitness, set-bit count,
+    bitstring).
     """
     rng = np.random.default_rng(cfg.seed)
+    p, n = cfg.population_size, ds.n_genes
+    children = p - cfg.elitism_count
     scores = {}
 
-    def score(pop):
-        for c in pop:
-            key = tuple(c.bits)
-            if key not in scores:
-                scores[key] = oracle_fitness(c.bits, ds, cfg)
+    def order(mask):
+        return (-scores[mask], sum(mask), mask)
 
-    def copy(c):
-        return ga.Chromosome(c.bits.copy())
-
-    def order(c):
-        return (-scores[tuple(c.bits)], int(c.bits.sum()), tuple(c.bits))
-
+    pop = [[int(u < 0.5) for u in row] for row in rng.random((p, n)).tolist()]
+    _repair_reference(pop, rng)
+    pop = [tuple(mask) for mask in pop]
     trace = ga.GaTrace()
-    pop = ga.init_population(ds.n_genes, cfg, rng)
     for gen in range(cfg.iterations + 1):
         if gen > 0:
-            rest = list(range(len(pop)))
+            rest = list(range(p))
             next_pop = []
             for _ in range(cfg.elitism_count):
                 elite = _best_of(pop, scores, rest)
                 rest.remove(elite)
-                next_pop.append(copy(pop[elite]))
-            while len(next_pop) < cfg.population_size:
-                parents = [pop[_best_of(pop, scores, rng.integers(
-                    0, len(pop), size=cfg.tournament_size).tolist())]
-                    for _ in range(2)]
-                c1, c2 = ga.uniform_crossover(*parents, cfg, rng)
-                next_pop.append(ga.mutate(c1, cfg, rng))
-                if len(next_pop) < cfg.population_size:
-                    next_pop.append(ga.mutate(c2, cfg, rng))
-            pop = next_pop
-        score(pop)
-        gen_best = pop[_best_of(pop, scores, list(range(len(pop))))]
+                next_pop.append(pop[elite])
+            pairs = (children + 1) // 2
+            picks = rng.integers(0, p, size=(pairs, 2,
+                                             cfg.tournament_size)).tolist()
+            coins = rng.random(pairs).tolist()
+            swaps = rng.random((pairs, n)).tolist()
+            kids = []
+            for tournaments, coin, swap in zip(picks, coins, swaps):
+                a, b = (pop[_best_of(pop, scores, t)] for t in tournaments)
+                take = [coin < cfg.crossover_prob and u < 0.5 for u in swap]
+                kids.append([y if s else x for x, y, s in zip(a, b, take)])
+                kids.append([x if s else y for x, y, s in zip(a, b, take)])
+            kids = kids[:children]
+            _repair_reference(kids, rng)
+            flips = rng.random((children, n)).tolist()
+            kids = [[bit ^ (u < cfg.mutation_prob) for bit, u in zip(kid, f)]
+                    for kid, f in zip(kids, flips)]
+            _repair_reference(kids, rng)
+            pop = next_pop + [tuple(kid) for kid in kids]
+        for mask in pop:
+            if mask not in scores:
+                scores[mask] = oracle_fitness(np.array(mask), ds, cfg)
+        gen_best = pop[_best_of(pop, scores, list(range(p)))]
         if gen == 0 or order(gen_best) < order(best_ever):
-            best_ever = copy(gen_best)
-        trace.record(gen, scores[tuple(best_ever.bits)],
-                     float(np.mean([scores[tuple(c.bits)] for c in pop])),
-                     int(best_ever.bits.sum()))
-    return best_ever, trace
+            best_ever = gen_best
+        trace.record(gen, scores[best_ever],
+                     float(np.mean([scores[mask] for mask in pop])),
+                     sum(best_ever))
+    return ga.Chromosome(np.array(best_ever, dtype=np.uint8)), trace
 
 
 def svm_heads(ds):

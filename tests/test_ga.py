@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -400,16 +398,33 @@ class TestMutate:
             assert 1 <= flips <= 25
 
 
+class _Recording:
+    """A generator that forwards each call to a real one and records its
+    method and size."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def integers(self, *args, size=None):
+        self.calls.append(("integers", args, size))
+        return self._rng.integers(*args, size=size)
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self._rng.random(size)
+
+
 class TestDrawOrder:
     def test_operator_draws_pinned(self, monkeypatch):
-        # evolve_reference breeds through these operators, so it cannot
-        # see a change in an operator's own draws; the literals can
+        # evolve_reference makes the same calls as ga, so a change of
+        # the contract in both would pass it; the literals pin the stream
         fired = []
         repair = ga._repair
 
-        def recording(bits, rng):
-            fired.append(not bits.any())
-            return repair(bits, rng)
+        def recording(masks, rng):
+            fired.append((~masks.any(axis=1)).tolist())
+            return repair(masks, rng)
 
         monkeypatch.setattr(ga, "_repair", recording)
         rng = np.random.default_rng(0)
@@ -423,112 +438,73 @@ class TestDrawOrder:
                        GaConfig(mutation_prob=0.5), rng)
         out = pop + list(kept) + list(swapped) + [flipped, mixed]
         assert [c.bits.tolist() for c in out] == [
-            [0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 1, 0],
+            [0, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1],
             [1, 0, 0, 0], [0, 1, 0, 0],
-            [0, 0, 0, 1], [1, 1, 0, 0],
-            [0, 0, 1, 0],
-            [1, 1, 1, 0, 1, 0]]
-        # a repair in init_population, after the swap and after the flips
-        assert fired == [False, False, True, False, False, False,
-                         True, False, True, False]
-        assert rng.random() == 0.6884467305709401
+            [0, 1, 0, 0], [1, 0, 0, 0],
+            [0, 0, 0, 1],
+            [1, 0, 1, 0, 0, 1]]
+        # one repair pass per call: init_population's repairs its third
+        # member, and the all-flipped mask is repaired
+        assert fired == [[False, False, True, False], [False, False],
+                         [False, False], [True], [False]]
+        assert rng.random() == 0.7214883401940817
 
-    @pytest.mark.parametrize("t", [1, 2, 3])
-    @pytest.mark.parametrize("population", [3, 50, 2**32 + 5])
-    def test_one_draw_holds_both_tournaments(self, population, t):
-        # evolve draws both tournaments' picks in one integers(size=2t)
-        # call, and the operators draw each in a size=t call: numpy must
-        # draw bounded integers one at a time from one stream, so both
-        # give the same picks and leave the generator in the same state,
-        # with the crossover and mutation draws between pairs
-        joint, split = np.random.default_rng(11), np.random.default_rng(11)
-        for pair in range(40):
-            both = joint.integers(0, population, size=2 * t)
-            first = split.integers(0, population, size=t)
-            second = split.integers(0, population, size=t)
-            assert np.array_equal(both, np.concatenate([first, second]))
-            for rng in (joint, split):
-                rng.random()
-                rng.random(pair % 5)
-        assert joint.bit_generator.state == split.bit_generator.state
+    def test_breed_draw_order(self):
+        # N' = 1 and all-empty parents: every child is empty after the
+        # crossover and again after its flips, so both repair passes
+        # draw for all 5 children of an odd count (3 pairs, the last
+        # child dropped before the first repair)
+        cfg = GaConfig(population_size=6, elitism_count=1,
+                       tournament_size=2, mutation_prob=1.0)
+        pop = np.zeros((6, 1), dtype=np.uint8)
+        order, rank = ga._rank(np.zeros(6), pop.sum(axis=1))
+        rng = _Recording(1)
+        out = ga._breed(pop, order, rank, cfg, rng)
+        assert rng.calls == [("integers", (0, 6), (3, 2, 2)),
+                             ("random", 3), ("random", (3, 1)),
+                             ("integers", (1,), 5),
+                             ("random", (5, 1)),
+                             ("integers", (1,), 5)]
+        assert out.dtype == np.uint8
+        assert out.tolist() == [[0]] + [[1]] * 5
 
+    @pytest.mark.parametrize("cx, mut", [(0.0, 0.0), (0.8, 0.01),
+                                         (1.0, 0.5)])
+    def test_breed_draw_shapes(self, cx, mut):
+        # 7 members, 2 elites: 5 children in 3 pairs; each repair pass
+        # draws one locus per empty child, and none when none is empty
+        cfg = GaConfig(population_size=7, elitism_count=2,
+                       tournament_size=3, crossover_prob=cx,
+                       mutation_prob=mut)
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 40):
+            pop = random_masks(rng, 7, n)
+            order, rank = ga._rank(rng.integers(0, 3, 7) / 3.0,
+                                   pop.sum(axis=1))
+            recording = _Recording(n)
+            out = ga._breed(pop, order, rank, cfg, recording)
+            assert recording.calls[:3] == [
+                ("integers", (0, 7), (3, 2, 3)), ("random", 3),
+                ("random", (3, n))]
+            assert recording.calls[4] == ("random", (5, n))
+            assert [c[0] for c in recording.calls] == [
+                "integers", "random", "random", "integers", "random",
+                "integers"]
+            assert 0 <= recording.calls[3][2] <= 5
+            assert 0 <= recording.calls[5][2] <= 5
+            assert out.shape == (7, n) and out.any(axis=1).all()
+            assert np.array_equal(out[:2], pop[order[:2]])
 
-class _ZeroLowHalf(np.random.PCG64):
-    """PCG64 whose raw blocks start with a word of low half 0."""
-
-    def random_raw(self, size=None, output=True):
-        words = super().random_raw(size, output)
-        words[0] &= ~np.uint64(0xFFFFFFFF)
-        return words
-
-
-class TestBlockBreeding:
-    @staticmethod
-    def start(seed, held):
-        rng = np.random.default_rng(seed)
-        if held:
-            rng.integers(7)  # leaves the high half of a word held
-            assert rng.bit_generator.state["has_uint32"] == 1
-        return rng
-
-    @pytest.mark.parametrize("held", [False, True])
-    def test_block_equals_loop_each_generation(self, held):
-        # a block generation must give the loop's matrix and leave the
-        # generator exactly as the loop does; a declined one must leave
-        # the generator untouched for the loop
-        rng = np.random.default_rng(int(held))
-        paths = {"block": 0, "loop": 0}
-        for (p, e), t, n, cx, mut in itertools.product(
-                [(6, 1), (7, 1), (10, 3)],  # 5, 6 and 7 children
-                (1, 2, 3), (1, 2, 3, 4, 30), (0.0, 0.8, 1.0),
-                (0.0, 0.01, 0.5, 1.0)):
-            cfg = GaConfig(population_size=p, elitism_count=e,
-                           tournament_size=t, crossover_prob=cx,
-                           mutation_prob=mut)
-            pop = random_masks(rng, p, n)
-            seed = int(rng.integers(1 << 30))
-            a, b = self.start(seed, held), self.start(seed, held)
-            for _ in range(3):
-                order, rank = ga._rank(rng.integers(0, 3, p) / 3.0,
-                                       pop.sum(axis=1))
-                before = a.bit_generator.state
-                got = ga._breed_block(pop, order, rank, cfg, a)
-                if got is None:
-                    paths["loop"] += 1
-                    assert a.bit_generator.state == before
-                    got = ga._breed_loop(pop, order, rank, cfg, a)
-                else:
-                    paths["block"] += 1
-                pop = ga._breed_loop(pop, order, rank, cfg, b)
-                assert got.dtype == pop.dtype == np.uint8
-                assert np.array_equal(got, pop)
-                assert a.bit_generator.state == b.bit_generator.state
-        assert paths["block"] > 0 and paths["loop"] > 0, paths
-
-    @pytest.mark.parametrize("held", [False, True])
-    def test_possible_rejection_declines(self, held):
-        # a tournament half u maps to (u * p) >> 32; a leftover
-        # (u * p) mod 2**32 below p is where numpy may reject u and draw
-        # again, so the block path declines before it breeds anything
-        p = 5
-        zero = np.array([[7 << 32]], dtype=np.uint64)  # low half 0
-        assert ga._tournament_picks(zero, 3 << 30 if held else None, p) \
-            is None
-        assert ga._tournament_picks(zero, 0, p) is None
-        halves = np.array([[(3 << 62) | (1 << 30)]], dtype=np.uint64)
-        assert ga._tournament_picks(halves, None, p).tolist() == [[1, 3]]
-        # all-ones parents and no flips: no repair can draw
-        cfg = GaConfig(population_size=p, mutation_prob=0.0)
-        pop = np.ones((p, 4), dtype=np.uint8)
-        order, rank = ga._rank(np.zeros(p), pop.sum(axis=1))
-        plain = self.start(3, held)
-        assert ga._breed_block(pop, order, rank, cfg, plain) is not None
-        crafted = np.random.Generator(_ZeroLowHalf(3))
-        if held:
-            crafted.integers(7)
-        before = crafted.bit_generator.state
-        assert ga._breed_block(pop, order, rank, cfg, crafted) is None
-        assert crafted.bit_generator.state == before
+    def test_repair_pass_sets_the_drawn_locus_of_each_empty_row(self):
+        masks = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                         dtype=np.uint8)
+        recording = _Recording(3)
+        loci = np.random.default_rng(3).integers(3, size=3)
+        ga._repair(masks, recording)
+        assert recording.calls == [("integers", (3,), 3)]
+        expected = np.eye(3, dtype=np.uint8)[loci]
+        assert masks[[0, 2, 3]].tolist() == expected.tolist()
+        assert masks[1].tolist() == [1, 0, 0]
 
 
 class TestEvolve:
