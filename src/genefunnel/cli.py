@@ -194,8 +194,11 @@ def _eval_specs(args) -> tuple:
 
 
 def _emit(text: str, path):
+    """Write text to path through ``data.atomic_open``, or to stdout
+    when no path is given."""
     if path:
-        pipeline.write_json_atomic(path, text)
+        with atomic_open(path) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -272,10 +275,8 @@ def _cmd_synth(args) -> int:
             row = ["" if gap else repr(v) for v, gap in zip(values, gaps)]
             writer.writerow(row + [ds.class_names[label]])
     if args.truth_out:
-        pipeline.write_json_atomic(
-            args.truth_out,
-            json.dumps({"informative_genes": list(result.informative_genes)},
-                       sort_keys=True) + "\n")
+        _emit(json.dumps({"informative_genes": list(result.informative_genes)},
+                         sort_keys=True) + "\n", args.truth_out)
     return EXIT_OK
 
 
@@ -311,7 +312,7 @@ def _cmd_select(args) -> int:
     _emit(text, args.out)
     markdown = pipeline.report_to_markdown(report)
     if args.markdown_out:
-        pipeline.write_json_atomic(args.markdown_out, markdown)
+        _emit(markdown, args.markdown_out)
     if args.out:  # else the JSON is already on stdout
         sys.stdout.write(markdown)
     if args.trace_out:

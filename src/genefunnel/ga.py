@@ -13,8 +13,8 @@ matrix: the elites copied in as rows, then the children in pair order.
 Each operator has one rule on a stack of masks: ``_winners``
 (tournament), ``_crossover`` and ``_flip`` (mutation), with
 ``_repair`` after each of the last two. ``_breed`` applies them to a
-whole generation, and ``_tournament``, ``uniform_crossover`` and
-``mutate`` to one pair or one mask.
+whole generation, and ``uniform_crossover`` and ``mutate`` to one pair
+or one mask.
 
 The draws are a contract: every report and fingerprint depends on
 them. Each is one public ``Generator`` call over a whole array. One
@@ -276,19 +276,12 @@ def _rank(fitness: np.ndarray, sizes: np.ndarray) -> tuple:
     return order, rank
 
 
-def _winners(picks: np.ndarray, rank: np.ndarray) -> np.ndarray:
+def _winners(picks: np.ndarray, order: np.ndarray,
+             rank: np.ndarray) -> np.ndarray:
     """The tournament rule: along the last axis of picks, the pick with
-    the best (lowest) rank position."""
-    best = np.asarray(rank)[picks].argmin(axis=-1)
-    return np.take_along_axis(picks, best[..., None], axis=-1)[..., 0]
-
-
-def _tournament(rank: np.ndarray, cfg: GaConfig,
-                rng: np.random.Generator) -> int:
-    """Index of the best rank position among tournament_size uniform
-    draws (with replacement)."""
-    picks = rng.integers(0, len(rank), size=cfg.tournament_size)
-    return int(_winners(picks, rank))
+    the best (lowest) rank position, which ``order`` maps back to its
+    index."""
+    return order[rank[picks].min(axis=-1)]
 
 
 def _crossover(parents: np.ndarray, cfg: GaConfig,
@@ -319,7 +312,7 @@ def _breed(pop: np.ndarray, order: np.ndarray, rank: np.ndarray,
     p, e = cfg.population_size, cfg.elitism_count
     pairs = (p - e + 1) // 2
     picks = rng.integers(0, p, size=(pairs, 2, cfg.tournament_size))
-    kids = _crossover(pop[_winners(picks, rank)], cfg, rng)
+    kids = _crossover(pop[_winners(picks, order, rank)], cfg, rng)
     kids = kids.reshape(-1, pop.shape[1])[:p - e]
     _repair(kids, rng)
     _flip(kids, cfg, rng)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import boosting, ga
 from .classifiers import KINDS, ClassifierSpec
-from .data import Dataset, atomic_open, make_folds, project
+from .data import Dataset, make_folds, project
 from .errors import PipelineError, ValidationError
 from .stats import METRIC_NAMES, CvSummary, fold_splits, score_splits
 
@@ -35,7 +35,6 @@ __all__ = [
     "report_to_json",
     "report_from_json",
     "report_to_markdown",
-    "write_json_atomic",
 ]
 
 SCHEMA_VERSION = 1
@@ -327,10 +326,3 @@ def report_to_markdown(report: PipelineReport) -> str:
                  for m in METRIC_NAMES]
         lines.append(f"| {kind} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
-
-
-def write_json_atomic(path, text: str):
-    """Write text through ``data.atomic_open``: readers never see partial
-    output, and a failed write or rename leaves no temp file."""
-    with atomic_open(path) as fh:
-        fh.write(text)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .classifiers import ClassifierSpec, predict, train, train_many
+from .classifiers import ClassifierSpec, predict, train_many
 from .data import Dataset, FoldPlan, project, training_fold
 from .errors import ValidationError
 
@@ -22,7 +22,6 @@ __all__ = [
     "MetricReport",
     "CvSummary",
     "WilcoxonResult",
-    "confusion",
     "metrics",
     "fold_splits",
     "cross_validate",
@@ -37,10 +36,6 @@ EXACT_LIMIT = 25
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     counts: np.ndarray  # (C, C), rows = actual, cols = predicted
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -82,19 +77,6 @@ class WilcoxonResult:
     degenerate: bool = False
 
 
-def confusion(actual, predicted, n_classes: int) -> ConfusionMatrix:
-    actual = np.asarray(actual, dtype=np.int64)
-    predicted = np.asarray(predicted, dtype=np.int64)
-    if actual.shape != predicted.shape:
-        raise ValidationError("actual and predicted lengths differ")
-    if actual.size and (max(actual.max(), predicted.max()) >= n_classes
-                        or min(actual.min(), predicted.min()) < 0):
-        raise ValidationError("class index out of range")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (actual, predicted), 1)
-    return ConfusionMatrix(counts)
-
-
 def metrics(cm: ConfusionMatrix) -> MetricReport:
     return _stack_metrics(cm.counts[None])[0]
 
@@ -120,10 +102,10 @@ def _ratio(num, den) -> np.ndarray:
 
 def score_split(train_ds: Dataset, test_ds: Dataset,
                 spec: ClassifierSpec) -> MetricReport:
-    """Train on one split, score the other."""
-    model = train(spec, train_ds)
-    predicted = predict(model, test_ds.values)
-    return metrics(confusion(test_ds.labels, predicted, train_ds.n_classes))
+    """Train on one split, score the other: ``score_splits``'s one-split
+    case."""
+    return score_splits(spec, [(train_ds, test_ds.values,
+                                test_ds.labels)]).fold_results[0]
 
 
 def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
@@ -132,10 +114,13 @@ def score_splits(spec: ClassifierSpec, splits, skipped=()) -> CvSummary:
 
     ``splits`` holds (training Dataset, held-out values, held-out labels)
     triples; the held-out part may miss classes, so it stays a bare
-    matrix and label vector.
+    matrix and label vector, but a held-out label outside the training
+    classes raises ValidationError.
     """
+    c = splits[0][0].n_classes
+    if any(actual.size and actual.max() >= c for _, _, actual in splits):
+        raise ValidationError("a held-out label is not a training class")
     models = train_many(spec, [train_ds for train_ds, _, _ in splits])
-    c = models[0].n_classes
     # every fold's (actual, predicted) pairs, counted by one bincount over
     # their flat (fold, actual, predicted) cells
     cells = np.concatenate([

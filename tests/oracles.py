@@ -185,6 +185,15 @@ def knn_label_bruteforce(train, labels, query, k, n_classes):
     raise AssertionError("unreachable")
 
 
+def confusion_counts(actual, predicted, n_classes):
+    """The (C, C) confusion counts, rows = actual, cols = predicted,
+    tallied one pair at a time."""
+    counts = [[0] * n_classes for _ in range(n_classes)]
+    for a, p in zip(actual, predicted, strict=True):
+        counts[a][p] += 1
+    return np.array(counts, dtype=np.int64)
+
+
 def all_subsets(n):
     for r in range(1, n + 1):
         yield from itertools.combinations(range(n), r)

@@ -141,7 +141,9 @@ class TestAtomicWrite:
     @pytest.mark.parametrize("argv", [
         ["rank", "--data", "{data}", "--trees", "2", "--out", "{dir}"],
         ["synth", "--out", "{csv}", "--truth-out", "{dir}"],
-    ], ids=["rank_out", "synth_truth_out"])
+        ["select", "--data", "{data}", *SELECT_FAST, "--out", "{dir}/r.json",
+         "--markdown-out", "{dir}"],
+    ], ids=["rank_out", "synth_truth_out", "select_markdown_out"])
     def test_failed_rename_leaves_no_temp_file(self, synth_csv, tmp_path,
                                                capsys, argv):
         # os.replace cannot put a file over an existing directory

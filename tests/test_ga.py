@@ -274,50 +274,52 @@ class TestFitnessChunks:
 
 
 class TestTournament:
-    """``_tournament`` over ``_rank``'s positions, the GA's only
-    tournament."""
+    """``_winners`` over ``_rank``'s order and positions, the GA's only
+    tournament rule."""
 
     @staticmethod
     def _rank(fits_and_bits):
         fits = np.array([f for f, _ in fits_and_bits])
         sizes = np.array([sum(bits) for _, bits in fits_and_bits])
-        return ga._rank(fits, sizes)[1]
-
-    class _FixedPicks:
-        """rng stub returning a predetermined tournament draw."""
-
-        def __init__(self, picks):
-            self.picks = np.asarray(picks)
-
-        def integers(self, low, high, size):
-            assert size == self.picks.size
-            return self.picks
+        return ga._rank(fits, sizes)
 
     def test_tournament_containing_best_returns_it(self):
-        rank = self._rank([(0.2, [1, 0, 0]), (0.9, [0, 1, 0]),
-                           (0.5, [0, 0, 1])])
-        cfg = GaConfig(population_size=3, tournament_size=3)
-        assert ga._tournament(rank, cfg, self._FixedPicks([0, 1, 2])) == 1
+        order, rank = self._rank([(0.2, [1, 0, 0]), (0.9, [0, 1, 0]),
+                                  (0.5, [0, 0, 1])])
+        assert ga._winners(np.array([0, 1, 2]), order, rank) == 1
 
     def test_winner_beats_all_drawn_competitors(self):
         pop = [(0.2, [1, 0, 0]), (0.9, [0, 1, 0]), (0.5, [0, 0, 1])]
-        rank = self._rank(pop)
-        cfg = GaConfig(population_size=3, tournament_size=2)
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            picks = rng.integers(0, 3, size=2)
-            winner = ga._tournament(rank, cfg, self._FixedPicks(picks))
-            assert pop[winner][0] == max(pop[i][0] for i in picks)
+        order, rank = self._rank(pop)
+        picks = np.random.default_rng(0).integers(0, 3, size=(30, 2))
+        for row, winner in zip(picks, ga._winners(picks, order, rank)):
+            assert pop[winner][0] == max(pop[i][0] for i in row)
 
     def test_size_tie_break(self):
-        rank = self._rank([(0.7, [1, 1, 1, 1, 1]), (0.7, [1, 1, 1, 0, 0])])
-        cfg = GaConfig(population_size=2, tournament_size=2)
-        assert ga._tournament(rank, cfg, self._FixedPicks([0, 1])) == 1
+        order, rank = self._rank([(0.7, [1, 1, 1, 1, 1]),
+                                  (0.7, [1, 1, 1, 0, 0])])
+        assert ga._winners(np.array([0, 1]), order, rank) == 1
 
     def test_index_tie_break(self):
-        rank = self._rank([(0.7, [1, 1, 0]), (0.7, [0, 1, 1])])
-        cfg = GaConfig(population_size=2, tournament_size=2)
-        assert ga._tournament(rank, cfg, self._FixedPicks([1, 0])) == 0
+        order, rank = self._rank([(0.7, [1, 1, 0]), (0.7, [0, 1, 1])])
+        assert ga._winners(np.array([1, 0]), order, rank) == 0
+
+    @pytest.mark.parametrize("shape", [(1,), (4,), (7, 2, 1), (7, 2, 3)],
+                             ids=str)
+    def test_matches_lowest_rank_among_picks(self, shape):
+        # picks from a small population repeat members; the winner is the
+        # pick whose rank position is lowest, found by a plain scan
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        for p in (2, 3, 9):
+            for _ in range(20):
+                rank = rng.permutation(p)
+                order = np.argsort(rank)
+                picks = rng.integers(0, p, size=shape)
+                got = ga._winners(picks, order, rank)
+                assert got.shape == shape[:-1]
+                for idx in np.ndindex(shape[:-1]):
+                    row = picks[idx].tolist()
+                    assert got[idx] == min(row, key=lambda i: rank[i])
 
 
 class TestCrossover:

@@ -1,18 +1,20 @@
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genefunnel
 from genefunnel import boosting, classifiers, data, ga, pipeline, stats
 from genefunnel.classifiers import ClassifierSpec
-from genefunnel.cli import main
+from genefunnel.cli import _emit, main
 from genefunnel.data import Dataset, impute_knn, make_folds, project
 from genefunnel.errors import PipelineError, ValidationError
 from genefunnel.pipeline import (PipelineConfig, SynthSpec, generate_synth,
                                  report_from_json, report_to_json,
-                                 report_to_markdown, run_pipeline,
-                                 write_json_atomic)
+                                 report_to_markdown, run_pipeline)
 from genefunnel.stats import (METRIC_NAMES, ConfusionMatrix, cross_validate,
                               score_split)
 
@@ -398,7 +400,7 @@ class TestSerialization:
     def test_atomic_write(self, tmp_path, small_report):
         out = tmp_path / "small_report.json"
         text = report_to_json(small_report)
-        write_json_atomic(out, text)
+        _emit(text, out)
         assert out.read_text() == text
         assert not (tmp_path / "small_report.json.tmp").exists()
 
@@ -425,3 +427,19 @@ def test_array_holders_compare_and_hash_by_identity(make):
 def test_exported_names_exist(module):
     # a stale __all__ entry breaks only ``from module import *``
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # pipebench/tracer.py looks genefunnel functions up by name, and
+    # pipebench/run.py records genefunnel.KERNEL_BACKEND; a name removed
+    # from src/ would otherwise fail only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("pipebench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    originals = (stats.score_split, ga.fitness, data.Dataset.__post_init__)
+    with tracer.installed(tracer.Tracer()):
+        assert stats.score_split is not originals[0]
+    assert (stats.score_split, ga.fitness,
+            data.Dataset.__post_init__) == originals
+    assert genefunnel.KERNEL_BACKEND

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from genefunnel.classifiers import ClassifierSpec, predict, train
 from genefunnel.data import Dataset, make_folds, project
 from genefunnel.errors import ValidationError
 from genefunnel.stats import (METRIC_NAMES, ConfusionMatrix, CvSummary,
-                              confusion, cross_validate, fold_splits, metrics,
+                              cross_validate, fold_splits, metrics,
                               score_split, score_splits,
                               wilcoxon_signed_rank)
 
@@ -22,27 +23,45 @@ def make_ds(x, labels):
 
 
 class TestConfusion:
+    """The one confusion counter, ``score_splits``'s bincount, seen
+    through ``score_split``: 1-NN on two well-separated clusters
+    predicts each held-out row's nearest cluster."""
+
+    train_ds = make_ds([[0.0], [0.1], [10.0], [10.1]], [0, 0, 1, 1])
+    spec = ClassifierSpec(kind="knn", knn_k=1)
+
     def test_identity(self):
-        cm = confusion([0, 1], [0, 1], 2)
-        assert np.array_equal(cm.counts, np.eye(2, dtype=int))
+        test_ds = make_ds([[0.05], [10.05], [9.9]], [0, 1, 1])
+        assert (score_split(self.train_ds, test_ds, self.spec)
+                == metrics(ConfusionMatrix(np.diag([1, 2]))))
 
     def test_all_misses_bucket(self):
-        cm = confusion([1, 1], [0, 0], 2)
-        assert cm.counts[1, 0] == 2 and cm.total == 2
+        # a miss counts in its (actual, predicted) cell, not in the
+        # transposed one, which would swap precision and recall
+        test_ds = make_ds([[0.0], [0.05], [0.1], [10.0]], [0, 0, 1, 1])
+        rep = score_split(self.train_ds, test_ds, self.spec)
+        assert rep == metrics(ConfusionMatrix(np.array([[2, 0], [1, 1]])))
+        assert rep.macro_precision != rep.macro_recall
 
-    def test_total_conserved(self):
-        rng = np.random.default_rng(0)
-        actual = rng.integers(0, 3, 10)
-        predicted = rng.integers(0, 3, 10)
-        assert confusion(actual, predicted, 3).total == 10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            confusion([0, 1], [0], 2)
+    def test_equals_the_one_split_case_of_score_splits(self):
+        rng = np.random.default_rng(3)
+        labels = np.arange(30) % 3
+        x = rng.normal(size=(30, 4)) + labels[:, None] * 0.5
+        train_ds, test_ds = make_ds(x[:20], labels[:20]), make_ds(
+            x[20:], labels[20:])
+        for spec in (ClassifierSpec(kind="knn", knn_k=3),
+                     ClassifierSpec(kind="gaussian_nb"),
+                     ClassifierSpec(kind="linear_svm", svm_epochs=10)):
+            summary = score_splits(spec, [(train_ds, test_ds.values,
+                                           test_ds.labels)])
+            assert score_split(train_ds, test_ds, spec) == (
+                summary.fold_results[0])
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            confusion([0, 2], [0, 1], 2)
+        # the held-out set has a third class the training set lacks
+        test_ds = make_ds([[0.0], [10.0], [5.0]], [0, 1, 2])
+        with pytest.raises(ValidationError, match="training class"):
+            score_split(self.train_ds, test_ds, self.spec)
 
 
 class TestMetrics:
@@ -183,9 +202,9 @@ def per_fold_summary(ds, subset, spec, plan):
         model = train(spec, Dataset(sub.values[train_idx],
                                     sub.labels[train_idx], sub.gene_ids,
                                     sub.class_names))
-        results.append(metrics(confusion(sub.labels[test_idx],
-                                         predict(model, sub.values[test_idx]),
-                                         sub.n_classes)))
+        results.append(metrics(ConfusionMatrix(oracles.confusion_counts(
+            sub.labels[test_idx], predict(model, sub.values[test_idx]),
+            sub.n_classes))))
     return CvSummary(
         fold_results=tuple(results), skipped_folds=tuple(skipped),
         means={n: float(np.mean([getattr(x, n) for x in results]))
@@ -224,7 +243,7 @@ class TestCrossValidateBatched:
 class TestScoreSplitsCounts:
     """``score_splits`` counts every fold in one bincount and scores the
     folds together; each fold must get the bits of ``metrics`` over its
-    own ``confusion``."""
+    own confusion counts, tallied pair by pair."""
 
     @pytest.mark.parametrize("c", [2, 3, 4])
     def test_fold_results_equal_per_fold_metrics(self, c):
@@ -250,8 +269,8 @@ class TestScoreSplitsCounts:
         spec = ClassifierSpec(kind="knn", knn_k=3)
         summary = score_splits(spec, splits)
         expected = tuple(
-            metrics(confusion(actual, predict(train(spec, train_ds), values),
-                              c))
+            metrics(ConfusionMatrix(oracles.confusion_counts(
+                actual, predict(train(spec, train_ds), values), c)))
             for train_ds, values, actual in splits)
         assert summary.fold_results == expected
 
