@@ -215,13 +215,12 @@ def predict(model: TrainedClassifier, x) -> np.ndarray:
                                     x, spec.knn_k, model.n_classes)
 
     if spec.kind == "gaussian_nb":
-        # log prior + sum of log Gaussian densities, argmax ties to class 0
-        scores = np.empty((x.shape[0], model.n_classes))
-        for k in range(model.n_classes):
-            var = model.variances[k]
-            log_density = (-0.5 * np.log(2.0 * np.pi * var)
-                           - (x - model.means[k]) ** 2 / (2.0 * var))
-            scores[:, k] = model.log_priors[k] + log_density.sum(axis=1)
+        # log prior + sum of log Gaussian densities, argmax ties to class 0;
+        # each (query, class) sums its own contiguous genes
+        var = model.variances
+        log_density = (-0.5 * np.log(2.0 * np.pi * var)
+                       - (x[:, None] - model.means) ** 2 / (2.0 * var))
+        scores = model.log_priors + log_density.sum(axis=-1)
         return np.argmax(scores, axis=1).astype(np.int64)
 
     scores = x @ model.weights.T + model.biases

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -24,7 +23,7 @@ import numpy as np
 from . import boosting, ga, pipeline
 from .classifiers import KINDS, ClassifierSpec
 from .data import (atomic_open, impute_knn, load_csv, make_folds,
-                   normalize_minmax, project)
+                   normalize_minmax, project, write_csv)
 from .errors import GeneFunnelError, ValidationError
 from .stats import (METRIC_NAMES, fold_splits, score_splits,
                     wilcoxon_signed_rank)
@@ -43,28 +42,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _seed(text):
-    """argparse type of ``--seed``: a non-negative integer."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a non-negative integer, got {text!r}")
+def _checked(convert, ok, expected):
+    """An argparse type: ``convert(text)`` when ``ok`` holds of it, else
+    an error naming ``expected`` and the text."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _alpha(text):
-    """argparse type of ``compare --alpha``: a number in (0, 1)."""
-    try:
-        value = float(text)
-        if 0.0 < value < 1.0:  # false for nan
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a number in (0, 1), got {text!r}")
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+# the range test is false for nan
+_alpha = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 
 
 def _field_flags(cls, flags) -> argparse.ArgumentParser:
@@ -267,13 +261,11 @@ def _cmd_synth(args) -> int:
     ds = result.dataset
     missing = np.zeros(ds.values.shape, dtype=bool)
     missing[result.mask[:, 0], result.mask[:, 1]] = True
-    with atomic_open(args.out, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.gene_ids) + ["label"])
+    write_csv(args.out, list(ds.gene_ids) + ["label"], (
+        ["" if gap else repr(v) for v, gap in zip(values, gaps)]
+        + [ds.class_names[label]]
         for values, gaps, label in zip(ds.values.tolist(), missing.tolist(),
-                                       ds.labels):
-            row = ["" if gap else repr(v) for v, gap in zip(values, gaps)]
-            writer.writerow(row + [ds.class_names[label]])
+                                       ds.labels)))
     if args.truth_out:
         _emit(json.dumps({"informative_genes": list(result.informative_genes)},
                          sort_keys=True) + "\n", args.truth_out)
@@ -294,13 +286,10 @@ def _cmd_rank(args) -> int:
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     if args.csv_out:
-        with atomic_open(args.csv_out, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gene_index", "gene_id", "total_gain", "split_count"])
-            for j in report.ranking:
-                writer.writerow([int(j), ds.gene_ids[int(j)],
-                                 float(report.total_gain[j]),
-                                 int(report.split_count[j])])
+        write_csv(args.csv_out,
+                  ["gene_index", "gene_id", "total_gain", "split_count"],
+                  ([int(j), ds.gene_ids[int(j)], float(report.total_gain[j]),
+                    int(report.split_count[j])] for j in report.ranking))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "training_fold",
     "project",
     "atomic_open",
+    "write_csv",
 ]
 
 
@@ -285,8 +286,7 @@ def load_csv(path, label_column: str = "last", missing_token: str = "NA",
     one with an error, a padded, blank or quoted gap cell, a literal nan
     or inf cell, gaps and a class name holding ``nan``, or a
     ``missing_token`` that reads as a number or holds whitespace, a comma
-    or a quote. That took 5-9 ms on an 80x200 file with 5% padded gaps
-    (2 vCPUs, CPython 3.11, numpy 2.4).
+    or a quote.
     """
     if label_column not in ("first", "last"):
         raise ValidationError(f"label_column must be first or last, got {label_column!r}")
@@ -460,7 +460,7 @@ def impute_knn(ds: Dataset, mask: np.ndarray, n_neighbors: int = 5) -> Dataset:
         ranked = picks[at, :k]
         out[rows[at], cols[at]] = values[ranked, cols[at, None]].mean(axis=1)
 
-    return Dataset(out, ds.labels, ds.gene_ids, ds.class_names, ds.name)
+    return replace(ds, values=out)
 
 
 def minmax_stats(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +474,7 @@ def apply_minmax(ds: Dataset, mins: np.ndarray, maxs: np.ndarray) -> Dataset:
     safe = np.where(span == 0, 1.0, span)
     values = (ds.values - mins) / safe
     values[:, span == 0] = 0.0
-    return Dataset(values, ds.labels, ds.gene_ids, ds.class_names, ds.name)
+    return replace(ds, values=values)
 
 
 def normalize_minmax(ds: Dataset) -> Dataset:
@@ -522,8 +522,7 @@ def training_fold(ds: Dataset, rows) -> Dataset | None:
     labels = ds.labels[rows]
     if np.unique(labels).size != ds.n_classes:
         return None
-    return Dataset(ds.values[rows], labels, ds.gene_ids, ds.class_names,
-                   ds.name)
+    return replace(ds, values=ds.values[rows], labels=labels)
 
 
 def project(ds: Dataset, gene_subset) -> Dataset:
@@ -535,9 +534,8 @@ def project(ds: Dataset, gene_subset) -> Dataset:
         raise ValidationError("gene subset must be strictly increasing")
     if subset[0] < 0 or subset[-1] >= ds.n_genes:
         raise ValidationError("gene subset index out of bounds")
-    values = ds.values[:, subset]
-    gene_ids = tuple(ds.gene_ids[int(j)] for j in subset)
-    return Dataset(values, ds.labels, gene_ids, ds.class_names, ds.name)
+    return replace(ds, values=ds.values[:, subset],
+                   gene_ids=tuple(ds.gene_ids[int(j)] for j in subset))
 
 
 @contextlib.contextmanager
@@ -545,14 +543,31 @@ def atomic_open(path, newline=None):
     """A UTF-8 text file to write, opened at ``<path>.tmp`` and renamed
     to path when the block ends, so readers never see partial output.
     When the block, the close or the rename raises, the temp file is
-    removed and the error re-raised."""
+    removed and the error re-raised. An error of the open or the rename
+    is raised again as an OSError that names path, not the temp file."""
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write ``header``, then each of ``rows``, as CSV records through
+    ``atomic_open``."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)

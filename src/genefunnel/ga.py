@@ -35,31 +35,19 @@ A repair pass draws ``integers(N', size=k)`` for the k masks that have
 no set bit, in row order, and sets that locus in each.
 
 Every fitness value comes from one batched numpy kernel,
-``_FitnessKernel``. It lists every internal fold's test rows in fold
-order, each with its own fold's training rows padded to the largest
-fold's count, and cuts the list into blocks that fit ``_BLOCK_BYTES``
-and share one neighbour count k. The squared distances of a whole chunk
-of masks to a block are one matrix product with the block's per-gene
-squared differences, after which padded pairs are set to +inf through
-their flat indices, precomputed per block. Those tensors are cached
-once per ``evolve`` when they all fit ``_BLOCK_BYTES`` (one block,
-unless k differs between folds), and rebuilt for each chunk of masks
-otherwise. ``nearest`` and ``knn_vote`` pick the neighbours and
-vote with the tie rules of the ``knn`` classifier, once per block, and
-each fold's hits are tallied once per chunk. Test rows are unlabeled
-queries, so any fold may lack a class. A chromosome is only its mask;
-``evolve`` scores each generation's new masks in one call, and its memo
-holds each mask's score once. ``fitness`` scores one mask, keeping none.
+``_FitnessKernel``, whose docstring states how it blocks, chunks and
+caches the work. A chromosome is only its mask; ``evolve`` scores each
+generation's new masks in one call, and its memo holds each mask's
+score once. ``fitness`` scores one mask, keeping none.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import knn_vote, nearest
-from .data import Dataset, atomic_open, make_folds
+from .data import Dataset, make_folds, write_csv
 from .errors import ConfigError, ValidationError
 
 __all__ = [
@@ -174,11 +162,13 @@ class _FitnessKernel:
     _BLOCK_BYTES (8*N'*W bytes each, and at least one), also cut where
     k = min(fitness_knn_k, |train|) changes. When every query fits
     (8*N'*|queries|*W bytes), the block tensors are cached, which leaves
-    one block unless k changes; otherwise they are rebuilt for each
-    chunk of masks. A chunk holds as many masks as have distances to the
-    largest block within _BLOCK_BYTES. Each block makes one product, one
-    ``nearest``, one label gather and one ``knn_vote`` per chunk, and
-    each chunk one per-fold tally of the hits.
+    one block unless k changes; otherwise each is rebuilt once per
+    ``scores`` call. A chunk holds as many masks as have distances to
+    the largest block within _BLOCK_BYTES. Each block makes one product,
+    one ``nearest``, one label gather and one ``knn_vote`` per chunk,
+    with the tie rules of the ``knn`` classifier, into one hit matrix,
+    and each call makes one per-fold tally of the hits. Test rows are
+    unlabeled queries, so any fold may lack a class.
     """
 
     def __init__(self, ds: Dataset, cfg: GaConfig):
@@ -230,25 +220,20 @@ class _FitnessKernel:
 
     def scores(self, masks: np.ndarray) -> list[float]:
         """Fitness of each row of a (B, N') 0/1 mask matrix."""
-        out = []
-        for a in range(0, masks.shape[0], self._chunk):
-            out.extend(self._score_chunk(masks[a:a + self._chunk]))
-        return out
-
-    def _score_chunk(self, masks: np.ndarray) -> list[float]:
         weights = masks.astype(np.float64)
         hits = np.empty((masks.shape[0], self._queries.size), dtype=bool)
         for b, (lo, hi, k) in enumerate(self._blocks):
             tensor = (self._tensors[b] if self._tensors is not None
                       else self._pair_tensor(lo, hi))
-            d = weights @ tensor
-            d[:, self._padded[b]] = np.inf
-            picks = nearest(d.reshape(-1, hi - lo, self._width), k)
-            picks += self._offsets[:hi - lo]  # into the block's labels, flat
-            labels = self._train_labels[lo:hi].ravel()[picks]
-            predicted = knn_vote(labels.reshape(-1, k), self._n_classes)
-            hits[:, lo:hi] = (predicted.reshape(-1, hi - lo)
-                              == self._truth[lo:hi])
+            for a in range(0, masks.shape[0], self._chunk):
+                d = weights[a:a + self._chunk] @ tensor
+                d[:, self._padded[b]] = np.inf
+                picks = nearest(d.reshape(-1, hi - lo, self._width), k)
+                picks += self._offsets[:hi - lo]  # into the block's labels
+                labels = self._train_labels[lo:hi].ravel()[picks]
+                predicted = knn_vote(labels.reshape(-1, k), self._n_classes)
+                hits[a:a + self._chunk, lo:hi] = (
+                    predicted.reshape(-1, hi - lo) == self._truth[lo:hi])
         correct = np.add.reduceat(hits, self._fold_starts, axis=1)
         return (correct / self._fold_sizes).mean(axis=1).tolist()
 
@@ -379,10 +364,8 @@ def decode(best: Chromosome, stage1_genes) -> np.ndarray:
 
 def trace_to_csv(trace: GaTrace, path):
     """Write the trace as CSV, one row per generation, through
-    ``data.atomic_open``."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generation", "best_fitness", "mean_fitness", "best_size"])
-        for row in zip(trace.generations, trace.best_fitness,
-                       trace.mean_fitness, trace.best_size):
-            writer.writerow(row)
+    ``data.write_csv``."""
+    write_csv(path, ["generation", "best_fitness", "mean_fitness",
+                     "best_size"],
+              zip(trace.generations, trace.best_fitness,
+                  trace.mean_fitness, trace.best_size))

@@ -247,7 +247,7 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
         final_ids=[ds.gene_ids[int(j)] for j in final],
         summaries=summaries,
         runtimes=runtimes,
-        config=config_to_dict(cfg),
+        config=dataclasses.asdict(cfg),
         protocol=cfg.protocol,
         seed=cfg.seed,
         ga_trace=selection.trace,
@@ -256,12 +256,6 @@ def run_pipeline(ds: Dataset, cfg: PipelineConfig) -> PipelineReport:
 
 def _ms(seconds: float) -> float:
     return round(seconds, 3)
-
-
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["eval_classifiers"] = list(doc["eval_classifiers"])
-    return doc
 
 
 def _report_fields() -> list:

@@ -103,7 +103,8 @@ def _ratio(num, den) -> np.ndarray:
 def score_split(train_ds: Dataset, test_ds: Dataset,
                 spec: ClassifierSpec) -> MetricReport:
     """Train on one split, score the other: ``score_splits``'s one-split
-    case."""
+    case. The held-out set is a Dataset, so it must hold every class,
+    unlike the bare held-out arrays that ``score_splits`` takes."""
     return score_splits(spec, [(train_ds, test_ds.values,
                                 test_ds.labels)]).fold_results[0]
 

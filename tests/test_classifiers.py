@@ -118,6 +118,28 @@ class TestGaussianNb:
         pred = predict(model, ds.values)
         assert pred.shape == (30,) and set(pred) <= {0, 1, 2}
 
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+    def test_matches_a_per_class_loop(self, tied):
+        # tied: classes 1 and 3 repeat the rows of classes 0 and 2, so
+        # their scores equal those classes' and the lower index must win
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(40, 37))
+        labels = np.arange(40) % 4
+        if tied:
+            x[labels == 1], x[labels == 3] = x[labels == 0], x[labels == 2]
+        model = train(ClassifierSpec(kind="gaussian_nb"), make_ds(x, labels))
+        queries = np.concatenate([x, rng.normal(size=(60, 37))])
+        scores = np.empty((queries.shape[0], 4))
+        for k in range(4):
+            var = model.variances[k]
+            log_density = (-0.5 * np.log(2.0 * np.pi * var)
+                           - (queries - model.means[k]) ** 2 / (2.0 * var))
+            scores[:, k] = model.log_priors[k] + log_density.sum(axis=1)
+        expected = np.argmax(scores, axis=1)
+        assert np.array_equal(predict(model, queries), expected)
+        if tied:
+            assert set(expected) == {0, 2}
+
     def test_separates_obvious_classes(self, separable_ds):
         model = train(ClassifierSpec(kind="gaussian_nb"), separable_ds)
         pred = predict(model, separable_ds.values)

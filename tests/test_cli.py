@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from genefunnel import boosting, ga
 from genefunnel.cli import (_build, _load_prepared, _pipeline_config,
                            build_parser, main)
 from genefunnel.data import load_csv
-from genefunnel.pipeline import (PipelineConfig, SynthSpec, config_to_dict,
-                                 generate_synth, select_genes)
+from genefunnel.pipeline import (PipelineConfig, SynthSpec, generate_synth,
+                                 select_genes)
 
 
 SELECT_FAST = [
@@ -154,7 +155,24 @@ class TestAtomicWrite:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ")
+        # the line names the target, not the temp file it removed
+        assert err.endswith(f": '{target}'\n") and ".tmp" not in err
         assert list(tmp_path.glob("*.tmp")) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--data", "{data}", *SELECT_FAST, "--out", "{target}"],
+        ["rank", "--data", "{data}", "--trees", "2", "--out", "{dir}/r.json",
+         "--csv", "{target}"],
+    ], ids=["select_out", "rank_csv"])
+    def test_missing_directory_names_the_target(self, synth_csv, tmp_path,
+                                                capsys, argv):
+        target = tmp_path / "nodir" / "x.out"
+        argv = [arg.format(data=synth_csv[0], dir=tmp_path, target=target)
+                for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert err.endswith(f": '{target}'\n") and ".tmp" not in err
 
     @pytest.mark.parametrize("argv", [
         ["synth", "--samples", "6", "--genes", "12", "--out", "{target}"],
@@ -422,7 +440,7 @@ class TestTuningFlags:
         parser = build_parser()
         args = parser.parse_args(["select", "--data", "d.csv",
                                   "--seed", "5"])
-        assert config_to_dict(_pipeline_config(args)) == config_to_dict(
+        assert asdict(_pipeline_config(args)) == asdict(
             PipelineConfig(
                 boost=boosting.BoostParams(seed=5), ga=ga.GaConfig(seed=5),
                 seed=5))
@@ -585,6 +603,7 @@ class TestBadNumbers:
         ["compare", "--a", "{a}", "--b", "{b}", "--metric", "foo"],
         ["compare", "--a", "{a}", "--b", "{b}", "--alpha", "7"],
         ["compare", "--a", "{a}", "--b", "{b}", "--alpha", "-1"],
+        ["compare", "--a", "{a}", "--b", "{b}", "--alpha", "nan"],
         ["synth", "--out", "{out}", "--informative", "-1", "--genes", "5"],
         ["synth", "--out", "{out}", "--sigma", "-1"],
         ["synth", "--out", "{out}", "--genes", "0", "--informative", "0"],
@@ -611,6 +630,7 @@ class TestBadNumbers:
     ], ids=["synth_seed", "rank_seed", "select_seed", "evaluate_seed",
             "select_trees_not_int", "compare_metric",
             "compare_alpha_above_1", "compare_alpha_negative",
+            "compare_alpha_nan",
             "synth_informative", "synth_sigma", "synth_no_genes",
             "rank_lambda_nan", "select_eta_inf", "rank_gamma_nan",
             "synth_sigma_nan", "rank_eta_inf_no_data",
